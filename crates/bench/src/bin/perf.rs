@@ -550,7 +550,7 @@ fn measure_obs_overhead(n: usize, first_enabled_secs: f64, max_attempts: usize) 
     }
     netmaster_obs::set_trace_capture(true);
     ObsOverhead {
-        compiled: netmaster_obs::compiled(),
+        compiled: netmaster_obs::ENABLED,
         enabled_secs,
         disabled_secs,
         overhead: best.max(0.0),
@@ -629,7 +629,7 @@ fn measure_scrape_overhead(n: usize, max_attempts: usize) -> ScrapeOverhead {
         }
     }
     ScrapeOverhead {
-        compiled: netmaster_obs::compiled(),
+        compiled: netmaster_obs::ENABLED,
         unscraped_secs,
         scraped_secs,
         scrapes,
@@ -696,7 +696,7 @@ fn measure_recorder_overhead(n: usize, max_attempts: usize) -> RecorderOverhead 
         }
     }
     RecorderOverhead {
-        compiled: netmaster_obs::compiled(),
+        compiled: netmaster_obs::ENABLED,
         unrecorded_secs,
         recorded_secs,
         samples,
@@ -743,7 +743,7 @@ fn measure_tracing_overhead(n: usize, max_attempts: usize) -> TracingOverhead {
         }
     }
     TracingOverhead {
-        compiled: netmaster_obs::compiled(),
+        compiled: netmaster_obs::ENABLED,
         traced_secs,
         untraced_secs,
         samples,
@@ -859,7 +859,7 @@ fn main() -> ExitCode {
         "fast path must be >=5x on slack n=100, got {:.1}x",
         slack_100.speedup
     );
-    if netmaster_obs::compiled() {
+    if netmaster_obs::ENABLED {
         // The telemetry must actually have recorded the fleet.
         assert!(
             report.prediction.hits > 0,

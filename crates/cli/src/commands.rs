@@ -658,7 +658,7 @@ fn trace_profile_plane(args: &Args) -> Result<Option<netmaster_obs::Profiler>, S
     if !wants {
         return Ok(None);
     }
-    if !netmaster_obs::compiled() {
+    if !netmaster_obs::ENABLED {
         return Err(
             "--profile-hz/--traces need observability, but this build has obs disabled \
              (compiled with --no-default-features); rebuild with the default `obs` feature"
@@ -701,7 +701,7 @@ fn maybe_serve(args: &Args, out: &mut dyn Write) -> Result<Option<ServePlane>, S
         }
         return Ok(None);
     }
-    if !netmaster_obs::compiled() {
+    if !netmaster_obs::ENABLED {
         return Err(
             "--serve needs observability, but this build has obs disabled \
              (compiled with --no-default-features); rebuild with the default `obs` feature"
@@ -850,7 +850,7 @@ fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     use netmaster_obs::{ledger, ObsServer, Sampler, ServeOptions, ServeState, TelemetryHub};
     use std::sync::Arc;
 
-    if !netmaster_obs::compiled() {
+    if !netmaster_obs::ENABLED {
         return Err(
             "serve-obs needs observability, but this build has obs disabled \
              (compiled with --no-default-features); rebuild with the default `obs` feature"
@@ -2030,7 +2030,7 @@ mod tests {
     fn obs_command_reports_telemetry() {
         let _g = registry_serial();
         let table = run_to_string(&args("obs --users 2 --days 16 --seed 7")).unwrap();
-        if netmaster_obs::compiled() {
+        if netmaster_obs::ENABLED {
             assert!(table.contains("service_days_total"), "{table}");
             assert!(table.contains("stage_run_day_seconds"), "{table}");
             assert!(table.contains("sched_deferred_total"), "{table}");
@@ -2046,7 +2046,7 @@ mod tests {
         assert!(v["counters"].is_array());
 
         let prom = run_to_string(&args("obs --users 1 --days 16 --prom")).unwrap();
-        if netmaster_obs::compiled() {
+        if netmaster_obs::ENABLED {
             assert!(
                 prom.contains("# TYPE netmaster_service_days_total counter"),
                 "{prom}"
@@ -2059,7 +2059,7 @@ mod tests {
         assert!(msg.contains("journal entries"));
         let raw = fs::read_to_string(&jp).unwrap();
         let entries = netmaster_obs::parse_jsonl(&raw).unwrap();
-        if netmaster_obs::compiled() {
+        if netmaster_obs::ENABLED {
             assert!(!entries.is_empty(), "trained days must journal decisions");
             // JSONL round-trips byte-for-byte.
             assert_eq!(netmaster_obs::to_jsonl(&entries).unwrap(), raw);
@@ -2079,7 +2079,7 @@ mod tests {
     fn obs_prometheus_exposition_is_valid() {
         let _g = registry_serial();
         let prom = run_to_string(&args("obs --users 1 --days 16 --seed 3 --prom")).unwrap();
-        if netmaster_obs::compiled() {
+        if netmaster_obs::ENABLED {
             netmaster_obs::validate_prometheus(&prom).unwrap();
         }
     }

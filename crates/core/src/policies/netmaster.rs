@@ -804,7 +804,7 @@ mod tests {
             let _ = p.plan_day(d);
         }
         let entries = p.drain_journal();
-        if !netmaster_obs::compiled() {
+        if !netmaster_obs::ENABLED {
             assert!(entries.is_empty(), "journal must be empty when obs is off");
             return;
         }

@@ -496,7 +496,7 @@ mod tests {
         for o in &outcomes {
             let c = &o.scorecard;
             assert_eq!(c.days, 14);
-            if netmaster_obs::compiled() {
+            if netmaster_obs::ENABLED {
                 assert!(c.hit_rate.is_some(), "trained days must feed hit-rate");
                 assert!(c.saving.is_some());
                 assert!(c.saving_mean > 0.2, "panel users save energy: {c:?}");

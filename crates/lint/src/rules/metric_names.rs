@@ -1,7 +1,9 @@
 //! L3 `metric-names`: one source of truth for observability names.
 //!
-//! `crates/obs/src/registry_names.rs` declares every metric name and
-//! journal event kind as a `const`. This rule checks, in order:
+//! `crates/obs/src/registry_names.rs` declares every metric as one row
+//! of its `metrics!` table (`IDENT = "name": "help text";`, so HELP text
+//! cannot be missing) and every journal event kind as a `const`. This
+//! rule checks, in order:
 //!
 //! 1. the registry exists and its names are well-formed (metrics in
 //!    the Prometheus charset `[a-z_][a-z0-9_]*`, kinds CamelCase) and
@@ -9,9 +11,7 @@
 //! 2. every *literal* metric name at an instrumentation site
 //!    (`counter!`, `observe!`, `gauge_set`/`gauge_max`, `timer!`, and
 //!    `span!` after its `stage_<name>_seconds` expansion) is registered;
-//! 3. the registry's `HELP` table covers every metric const (the
-//!    scrape server renders `# HELP` exposition lines from it), and
-//!    the telemetry-plane modules (`obs/src/serve.rs`, `obs/src/hub.rs`,
+//! 3. the telemetry-plane modules (`obs/src/serve.rs`, `obs/src/hub.rs`,
 //!    `obs/src/store.rs`, `obs/src/alerts.rs`, `obs/src/spantree.rs`,
 //!    `obs/src/profile.rs`) mint no metric-shaped string outside the
 //!    registry;
@@ -60,10 +60,10 @@ pub fn check(
     let reg_path = registry.rel_path.clone();
 
     // --- 1. Parse + validate the registry itself. ---
-    let consts = registry_consts(registry);
+    let names = registry_names(registry);
     let mut metrics: BTreeMap<String, u32> = BTreeMap::new(); // value -> line
     let mut kinds: BTreeMap<String, u32> = BTreeMap::new();
-    for (_name, value, line) in &consts {
+    for (value, line) in &names {
         let table = if value.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
             if !value.chars().all(|c| c.is_ascii_alphanumeric()) {
                 emit_unwaivable(
@@ -121,35 +121,7 @@ pub fn check(
         }
     }
 
-    // --- 3a. The HELP table must cover every metric const. ---
-    match help_table_idents(registry) {
-        Some(help_idents) => {
-            for (name, value, line) in &consts {
-                if metrics.contains_key(value) && !help_idents.contains(name) {
-                    emit_unwaivable(
-                        report,
-                        RULE,
-                        &reg_path,
-                        *line,
-                        format!("metric const `{name}` has no HELP entry — /metrics renders `# HELP` lines from that table"),
-                    );
-                }
-            }
-        }
-        None => {
-            if !metrics.is_empty() {
-                emit_unwaivable(
-                    report,
-                    RULE,
-                    &reg_path,
-                    0,
-                    format!("no `const HELP` table in {REGISTRY_SUFFIX} — /metrics renders `# HELP` lines from it"),
-                );
-            }
-        }
-    }
-
-    // --- 3b. Telemetry-plane modules must not mint metric names. ---
+    // --- 3. Telemetry-plane modules must not mint metric names. ---
     for krate in &ws.crates {
         for file in &krate.files {
             let plane = file.rel_path.ends_with("obs/src/serve.rs")
@@ -257,66 +229,36 @@ pub fn check(
     }
 }
 
-/// `(const name, string value, line)` triples from the registry file.
-fn registry_consts(file: &SourceFile) -> Vec<(String, String, u32)> {
+/// `(name, line)` pairs from the registry file: the name literal of
+/// each `metrics!` table row `IDENT = "name": "help";` and of each
+/// plain `const IDENT: &str = "name";`.
+fn registry_names(file: &SourceFile) -> Vec<(String, u32)> {
     let code = &file.code;
     let mut out = Vec::new();
     for i in 0..code.len() {
-        if !code[i].is_ident("const") || file.is_test(i) {
+        if file.is_test(i) {
             continue;
         }
-        let Some(name_tok) = code.get(i + 1).filter(|t| t.kind == TokKind::Ident) else {
-            continue;
+        let name = if code[i].is_ident("const") {
+            // The first literal before the const's `;`.
+            code.iter()
+                .skip(i + 1)
+                .take_while(|t| !t.is_punct(';'))
+                .find_map(|t| t.str_value())
+        } else if code[i].kind == TokKind::Ident
+            && code.get(i + 1).is_some_and(|t| t.is_punct('='))
+            && code.get(i + 3).is_some_and(|t| t.is_punct(':'))
+        {
+            // The literal between `=` and `:`.
+            code.get(i + 2).and_then(|t| t.str_value())
+        } else {
+            None
         };
-        // The HELP table pairs name consts with prose; it is checked
-        // by its own coverage pass, not parsed as a name const.
-        if name_tok.text == "HELP" {
-            continue;
-        }
-        // Scan to the terminating `;`, grabbing the string value.
-        let mut j = i + 2;
-        let mut value = None;
-        while j < code.len() && !code[j].is_punct(';') {
-            if let Some(v) = code[j].str_value() {
-                value = Some(v.to_owned());
-            }
-            j += 1;
-        }
-        if let Some(v) = value {
-            out.push((name_tok.text.clone(), v, code[i].line));
+        if let Some(v) = name {
+            out.push((v.to_owned(), code[i].line));
         }
     }
     out
-}
-
-/// SCREAMING_SNAKE const names referenced inside the registry's
-/// `HELP` table body (`None` when the table is missing).
-fn help_table_idents(file: &SourceFile) -> Option<BTreeSet<String>> {
-    let code = &file.code;
-    for i in 0..code.len() {
-        if !code[i].is_ident("const")
-            || !code.get(i + 1).is_some_and(|t| t.is_ident("HELP"))
-            || file.is_test(i)
-        {
-            continue;
-        }
-        let mut idents = BTreeSet::new();
-        let mut j = i + 2;
-        while j < code.len() && !code[j].is_punct(';') {
-            let t = &code[j];
-            if t.kind == TokKind::Ident
-                && t.text.len() > 1
-                && t.text
-                    .chars()
-                    .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
-            {
-                idents.insert(t.text.clone());
-            }
-            j += 1;
-        }
-        return Some(idents);
-    }
-    None
 }
 
 /// Literal metric names at instrumentation sites in one file:

@@ -145,49 +145,26 @@ fn metric_names_fixture_trips_unregistered_literal() {
 }
 
 #[test]
-fn metric_help_fixture_trips_help_and_plane_checks() {
-    let report = run_lint(&fixture("metric_help"), &only("metric-names")).unwrap();
-    assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.message.contains("ORPHAN_TOTAL") && f.message.contains("no HELP entry")));
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.message.contains("bogus_requests_total")));
-}
-
-#[test]
-fn metric_plane_fixture_trips_store_and_alerts_modules() {
+fn metric_plane_fixture_trips_every_plane_module() {
     let report = run_lint(&fixture("metric_plane"), &only("metric-names")).unwrap();
-    assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.file.ends_with("obs/src/store.rs")
-            && f.message.contains("rogue_store_points_total")));
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.file.ends_with("obs/src/alerts.rs")
-            && f.message.contains("rogue_alerts_firing_seconds")));
-}
-
-#[test]
-fn metric_spantree_fixture_trips_tracing_modules() {
-    let report = run_lint(&fixture("metric_spantree"), &only("metric-names")).unwrap();
-    assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.file.ends_with("obs/src/spantree.rs")
-            && f.message.contains("rogue_spans_dropped_total")));
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.file.ends_with("obs/src/profile.rs")
-            && f.message.contains("rogue_profile_samples_seconds")));
+    assert_eq!(report.findings.len(), 5, "{:?}", report.findings);
+    for (module, literal) in [
+        ("serve", "bogus_requests_total"),
+        ("store", "rogue_store_points_total"),
+        ("alerts", "rogue_alerts_firing_seconds"),
+        ("spantree", "rogue_spans_dropped_total"),
+        ("profile", "rogue_profile_samples_seconds"),
+    ] {
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.file.ends_with(&format!("obs/src/{module}.rs"))
+                    && f.message.contains(literal)),
+            "{module}.rs must be flagged for {literal}: {:?}",
+            report.findings
+        );
+    }
 }
 
 #[test]

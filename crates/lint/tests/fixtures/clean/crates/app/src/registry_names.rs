@@ -1,5 +1,3 @@
-/// The fixture's one registered metric.
-pub const DEMO_TOTAL: &str = "demo_total";
-
-/// `# HELP` text for every metric const above.
-pub const HELP: &[(&str, &str)] = &[(DEMO_TOTAL, "The fixture's one registered metric")];
+metrics! {
+    DEMO_TOTAL = "demo_total": "The fixture's one registered metric";
+}

@@ -1,3 +1,3 @@
-pub const DEMO_TOTAL: &str = "demo_total";
-
-pub const HELP: &[(&str, &str)] = &[(DEMO_TOTAL, "The fixture's one registered metric")];
+metrics! {
+    DEMO_TOTAL = "demo_total": "The fixture's one registered metric";
+}

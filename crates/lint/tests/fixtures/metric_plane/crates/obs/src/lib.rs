@@ -1,3 +1,6 @@
 mod alerts;
+mod profile;
 mod registry_names;
+mod serve;
+mod spantree;
 mod store;

@@ -1,3 +1,3 @@
-pub const DEMO_TOTAL: &str = "demo_total";
-
-pub const HELP: &[(&str, &str)] = &[(DEMO_TOTAL, "Covered by the HELP table")];
+metrics! {
+    DEMO_TOTAL = "demo_total": "The fixture's one registered metric";
+}

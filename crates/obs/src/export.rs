@@ -29,7 +29,7 @@ fn help_line(raw_name: &str) -> String {
 impl Snapshot {
     /// Renders the snapshot in the Prometheus text exposition format
     /// (version 0.0.4): `# HELP` text joined from
-    /// [`names::HELP`](crate::names::HELP), `# TYPE` lines, cumulative
+    /// [`names::METRICS`](crate::names::METRICS), `# TYPE` lines, cumulative
     /// `_bucket{le=...}` series, `_sum` and `_count` per histogram.
     /// Serve it with `Content-Type: text/plain; version=0.0.4`.
     pub fn to_prometheus(&self) -> String {

@@ -18,8 +18,8 @@
 //! fleet's throughput is never gated on telemetry.
 
 use crate::timeseries::Ewma;
+use crate::Ring;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -58,7 +58,7 @@ struct HubInner {
     rate_value: f64,
     fleet_health_json: Option<String>,
     ledger_json: Option<String>,
-    journal_tail: VecDeque<String>,
+    journal_tail: Ring<String>,
 }
 
 impl HubInner {
@@ -71,7 +71,7 @@ impl HubInner {
             rate_value: 0.0,
             fleet_health_json: None,
             ledger_json: None,
-            journal_tail: VecDeque::new(),
+            journal_tail: Ring::new(JOURNAL_TAIL_CAPACITY),
         }
     }
 }
@@ -199,10 +199,7 @@ impl TelemetryHub {
     pub fn publish_journal_jsonl(&self, jsonl: &str) {
         let mut inner = self.lock();
         for line in jsonl.lines().filter(|l| !l.trim().is_empty()) {
-            if inner.journal_tail.len() >= JOURNAL_TAIL_CAPACITY {
-                inner.journal_tail.pop_front();
-            }
-            inner.journal_tail.push_back(line.to_owned());
+            inner.journal_tail.push(line.to_owned());
         }
     }
 

@@ -65,6 +65,7 @@ pub mod ledger;
 pub mod names;
 pub mod profile;
 mod registry;
+mod ring;
 pub mod runregistry;
 pub mod serve;
 pub mod spantree;
@@ -86,6 +87,7 @@ pub use registry::{
     counter_handle, gauge_max, gauge_set, hist_handle, reset, snapshot, BucketSnap, Counter,
     CounterSnap, GaugeSnap, Hist, HistSnap, Snapshot, FINITE_BUCKETS, HIST_BUCKETS,
 };
+pub use ring::Ring;
 pub use runregistry::{RunRecord, RunRegistry, RUN_SCHEMA_VERSION};
 pub use serve::{
     healthz_report, http_get, http_get_with_timeout, HealthzReport, ObsServer, ServeOptions,
@@ -103,13 +105,6 @@ use std::time::Instant;
 
 /// `true` when instrumentation is compiled in (the `enabled` feature).
 pub const ENABLED: bool = cfg!(feature = "enabled");
-
-/// [`ENABLED`] as a function, for callers that prefer not to name the
-/// const (e.g. guarding golden tests).
-#[inline]
-pub const fn compiled() -> bool {
-    ENABLED
-}
 
 static RUNTIME: AtomicBool = AtomicBool::new(true);
 
@@ -402,7 +397,6 @@ mod tests {
         crate::observe!("never_seconds", 1.0);
         let _span = crate::span!("never");
         assert!(crate::snapshot().is_empty());
-        assert!(!crate::compiled());
         assert!(!crate::runtime_enabled());
     }
 }

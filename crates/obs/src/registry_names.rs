@@ -1,6 +1,13 @@
 //! The metric-name and journal-kind registry: the single source of
 //! truth for every observability name in the workspace.
 //!
+//! Every metric is one row of the `metrics!` table below:
+//! `IDENT = "name": "help text";`. A row expands to a `pub const IDENT`
+//! holding the name, documented by its help text, and to one entry of
+//! [`METRICS`], which the Prometheus exporter reads for its `# HELP`
+//! lines. A metric without HELP text therefore cannot be written.
+//! Journal event kinds are plain `KIND_*` consts.
+//!
 //! `netmaster lint` (rule `metric-names`) machine-checks this file
 //! three ways: every *literal* name at an instrumentation site must be
 //! declared here, every [`DecisionEvent`](crate::DecisionEvent)
@@ -13,148 +20,135 @@
 //! `stage_<stage>_seconds` (what `span!("<stage>")` expands to). The
 //! exporter prepends `netmaster_` at render time.
 
-// --- Scheduler / policy counters -----------------------------------
+/// Declares the metric table: one `pub const` per row plus [`METRICS`].
+macro_rules! metrics {
+    ($($ident:ident = $name:literal: $help:literal;)*) => {
+        $(
+            #[doc = $help]
+            pub const $ident: &str = $name;
+        )*
 
-/// Activities the planner deferred out of their requested slot.
-pub const SCHED_DEFERRED_TOTAL: &str = "sched_deferred_total";
-/// Activities prefetched into an earlier active slot.
-pub const SCHED_PREFETCHED_TOTAL: &str = "sched_prefetched_total";
-/// Activities the duty-cycle fallback served.
-pub const SCHED_DUTY_SERVED_TOTAL: &str = "sched_duty_served_total";
-/// Interactions hurt by a blocked radio (wrong decisions).
-pub const SCHED_WRONG_DECISIONS_TOTAL: &str = "sched_wrong_decisions_total";
-/// Activities served inside a correctly-predicted slot.
-pub const PREDICTION_HITS_TOTAL: &str = "prediction_hits_total";
-/// Slots where the usage prediction disagreed with the trace.
-pub const PREDICTION_MISSES_TOTAL: &str = "prediction_misses_total";
-/// Slot-hours the habit model predicted active.
-pub const SLOT_HOURS_PREDICTED_TOTAL: &str = "slot_hours_predicted_total";
-/// Slot-hours that actually saw user activity.
-pub const SLOT_HOURS_ACTIVE_TOTAL: &str = "slot_hours_active_total";
-/// Slot-hours predicted active that really were active.
-pub const SLOT_HOURS_OVERLAP_TOTAL: &str = "slot_hours_overlap_total";
-/// Days executed with a trained habit model.
-pub const POLICY_DAYS_TRAINED_TOTAL: &str = "policy_days_trained_total";
-/// Days executed before the habit model had enough history.
-pub const POLICY_DAYS_UNTRAINED_TOTAL: &str = "policy_days_untrained_total";
-/// Days run through the middleware service.
-pub const SERVICE_DAYS_TOTAL: &str = "service_days_total";
-/// Activities passed through untouched as special apps.
-pub const SPECIAL_PASSTHROUGH_TOTAL: &str = "special_passthrough_total";
+        /// Every registered metric as `(name, HELP text)`, in table
+        /// order. [`Snapshot::to_prometheus`](crate::Snapshot::to_prometheus)
+        /// joins it at render time, so the exposition's HELP lines can
+        /// never drift from the registry.
+        pub const METRICS: &[(&str, &str)] = &[$(($name, $help)),*];
+    };
+}
 
-// --- Planner / solver ----------------------------------------------
+metrics! {
+    // --- Scheduler / policy counters -----------------------------------
+    SCHED_DEFERRED_TOTAL = "sched_deferred_total":
+        "Activities the planner deferred out of their requested slot";
+    SCHED_PREFETCHED_TOTAL = "sched_prefetched_total":
+        "Activities prefetched into an earlier active slot";
+    SCHED_DUTY_SERVED_TOTAL = "sched_duty_served_total":
+        "Activities the duty-cycle fallback served";
+    SCHED_WRONG_DECISIONS_TOTAL = "sched_wrong_decisions_total":
+        "Interactions hurt by a blocked radio (wrong decisions)";
+    PREDICTION_HITS_TOTAL = "prediction_hits_total":
+        "Activities served inside a correctly-predicted slot";
+    PREDICTION_MISSES_TOTAL = "prediction_misses_total":
+        "Trained-day demands that fell through to the duty-cycle fallback";
+    SLOT_HOURS_PREDICTED_TOTAL = "slot_hours_predicted_total":
+        "Slot-hours the habit model predicted active";
+    SLOT_HOURS_ACTIVE_TOTAL = "slot_hours_active_total":
+        "Slot-hours that actually saw user activity";
+    SLOT_HOURS_OVERLAP_TOTAL = "slot_hours_overlap_total":
+        "Slot-hours predicted active that really were active";
+    POLICY_DAYS_TRAINED_TOTAL = "policy_days_trained_total":
+        "Days executed with a trained habit model";
+    POLICY_DAYS_UNTRAINED_TOTAL = "policy_days_untrained_total":
+        "Days executed before the habit model had enough history";
+    SERVICE_DAYS_TOTAL = "service_days_total": "Days run through the middleware service";
+    SPECIAL_PASSTHROUGH_TOTAL = "special_passthrough_total":
+        "Activities passed through untouched as special apps";
 
-/// Slots handed to the day planner.
-pub const PLANNER_SLOTS_TOTAL: &str = "planner_slots_total";
-/// Items handed to the day planner.
-pub const PLANNER_ITEMS_TOTAL: &str = "planner_items_total";
-/// SIN-KNAP calls answered by the greedy fast path.
-pub const KNAPSACK_FASTPATH_TOTAL: &str = "knapsack_fastpath_total";
-/// SIN-KNAP calls that ran the full DP.
-pub const KNAPSACK_DP_TOTAL: &str = "knapsack_dp_total";
-/// Dispatcher calls answered exactly by branch-and-bound.
-pub const KNAPSACK_BNB_TOTAL: &str = "knapsack_bnb_total";
-/// Largest DP table (cells) any call touched.
-pub const KNAPSACK_DP_CELLS_HIGHWATER: &str = "knapsack_dp_cells_highwater";
-/// Largest choice-bitset (bits) any call touched.
-pub const KNAPSACK_CHOICE_BITS_HIGHWATER: &str = "knapsack_choice_bits_highwater";
-/// Largest sparse-DP state arena any call grew.
-pub const KNAPSACK_QDP_STATES_HIGHWATER: &str = "knapsack_qdp_states_highwater";
+    // --- Planner / solver ----------------------------------------------
+    PLANNER_SLOTS_TOTAL = "planner_slots_total": "Slots handed to the day planner";
+    PLANNER_ITEMS_TOTAL = "planner_items_total": "Items handed to the day planner";
+    KNAPSACK_FASTPATH_TOTAL = "knapsack_fastpath_total":
+        "SIN-KNAP calls answered by the greedy fast path";
+    KNAPSACK_DP_TOTAL = "knapsack_dp_total":
+        "SIN-KNAP calls solved by the full DP or the sparse quantized DP";
+    KNAPSACK_BNB_TOTAL = "knapsack_bnb_total":
+        "Dispatcher calls answered exactly by branch-and-bound";
+    KNAPSACK_DP_CELLS_HIGHWATER = "knapsack_dp_cells_highwater":
+        "Largest DP table (cells) any call touched";
+    KNAPSACK_CHOICE_BITS_HIGHWATER = "knapsack_choice_bits_highwater":
+        "Largest choice-bitset (bits) any call touched";
+    KNAPSACK_QDP_STATES_HIGHWATER = "knapsack_qdp_states_highwater":
+        "Largest sparse-DP state arena any call grew";
 
-// --- Duty cycle ------------------------------------------------------
+    // --- Duty cycle ------------------------------------------------------
+    DUTY_WAKEUPS_TOTAL = "duty_wakeups_total": "Wakeups the duty-cycle fallback scheduled";
+    DUTY_EMPTY_WAKEUPS_TOTAL = "duty_empty_wakeups_total": "Wakeups that found nothing to do";
 
-/// Wakeups the duty-cycle fallback scheduled.
-pub const DUTY_WAKEUPS_TOTAL: &str = "duty_wakeups_total";
-/// Wakeups that found nothing to do.
-pub const DUTY_EMPTY_WAKEUPS_TOTAL: &str = "duty_empty_wakeups_total";
+    // --- Mining ----------------------------------------------------------
+    MINING_REMINE_TOTAL = "mining_remine_total": "Full re-mines triggered by the incremental miner";
+    MINING_DAYS_ABSORBED_TOTAL = "mining_days_absorbed_total":
+        "Days absorbed incrementally without a re-mine";
+    MINING_DRIFT_RESETS_TOTAL = "mining_drift_resets_total":
+        "Miner resets forced by detected habit drift";
 
-// --- Mining ----------------------------------------------------------
+    // --- Journal / ledger rings ------------------------------------------
+    JOURNAL_DROPPED_TOTAL = "journal_dropped_total":
+        "Events the bounded journal ring discarded on overflow";
+    LEDGER_RECORDS_TOTAL = "ledger_records_total":
+        "Activity lifecycle records appended to the causal trace ledger";
+    LEDGER_DROPPED_TOTAL = "ledger_dropped_total":
+        "Lifecycle records the bounded ledger ring discarded on overflow";
+    JOURNAL_RING_HIGHWATER = "journal_ring_highwater":
+        "Highest fill level the journal ring reached before a drain";
+    LEDGER_RING_HIGHWATER = "ledger_ring_highwater":
+        "Highest fill level the trace-ledger ring reached before a drain";
 
-/// Full re-mines triggered by the incremental miner.
-pub const MINING_REMINE_TOTAL: &str = "mining_remine_total";
-/// Days absorbed incrementally without a re-mine.
-pub const MINING_DAYS_ABSORBED_TOTAL: &str = "mining_days_absorbed_total";
-/// Miner resets forced by detected habit drift.
-pub const MINING_DRIFT_RESETS_TOTAL: &str = "mining_drift_resets_total";
+    // --- Fleet -----------------------------------------------------------
+    FLEET_MEMBERS_TOTAL = "fleet_members_total": "Members simulated across all fleet runs";
+    FLEET_MEMBER_SECONDS = "fleet_member_seconds": "Wall-clock seconds per simulated member";
 
-// --- Journal / ledger rings ------------------------------------------
+    // --- Fleet-level outcome gauges --------------------------------------
+    FLEET_SAVING_RATIO = "fleet_saving_ratio":
+        "Mean energy-saving ratio of the most recent fleet/watch run";
 
-/// Events the bounded journal ring discarded on overflow.
-pub const JOURNAL_DROPPED_TOTAL: &str = "journal_dropped_total";
-/// Activity lifecycle records appended to the causal trace ledger.
-pub const LEDGER_RECORDS_TOTAL: &str = "ledger_records_total";
-/// Lifecycle records the bounded ledger ring discarded on overflow.
-pub const LEDGER_DROPPED_TOTAL: &str = "ledger_dropped_total";
+    // --- Metrics history store / alerting --------------------------------
+    STORE_SAMPLES_TOTAL = "store_samples_total": "Registry samples the metric store has recorded";
+    STORE_DROPPED_TOTAL = "store_dropped_total":
+        "Points the bounded metric store evicted on overflow";
+    STORE_TORN_TAIL_TOTAL = "store_torn_tail_total":
+        "Torn final history.nmts lines that read_history dropped";
+    ALERTS_FIRING = "alerts_firing": "Alert rules currently in the firing state";
 
-/// Highest fill level the journal ring reached before a drain.
-pub const JOURNAL_RING_HIGHWATER: &str = "journal_ring_highwater";
-/// Highest fill level the trace-ledger ring reached before a drain.
-pub const LEDGER_RING_HIGHWATER: &str = "ledger_ring_highwater";
+    // --- Span tree / sampling profiler -----------------------------------
+    SPANS_STARTED_TOTAL = "spans_started_total":
+        "Spans entered (every span!/timer! guard constructed)";
+    SPANS_ABANDONED_TOTAL = "spans_abandoned_total":
+        "Spans dropped mid-panic, counted here instead of their histogram";
+    TRACE_STORE_DROPPED_TOTAL = "trace_store_dropped_total":
+        "Completed span trees the bounded trace store evicted on overflow";
+    PROFILE_SAMPLES_TOTAL = "profile_samples_total":
+        "Live span stacks the sampling profiler has captured";
 
-// --- Fleet -----------------------------------------------------------
+    // --- Telemetry hub / scrape server -----------------------------------
+    HUB_MEMBERS_DONE = "hub_members_done": "Members the live run has completed so far";
+    HUB_MEMBERS_PER_SEC = "hub_members_per_sec": "Windowed EWMA of members completed per second";
+    HUB_DAYS_DONE = "hub_days_done": "Simulated days the live run has executed so far";
+    SERVE_REQUESTS_TOTAL = "serve_requests_total": "HTTP requests the scrape server has answered";
 
-/// Members simulated across all fleet runs.
-pub const FLEET_MEMBERS_TOTAL: &str = "fleet_members_total";
-/// Wall-clock seconds per simulated member (histogram).
-pub const FLEET_MEMBER_SECONDS: &str = "fleet_member_seconds";
+    // --- Latency histograms ----------------------------------------------
+    DEFERRAL_LATENCY_SECONDS = "deferral_latency_seconds":
+        "Seconds of delay each deferred activity experienced (simulated)";
+    DUTY_SERVICE_LATENCY_SECONDS = "duty_service_latency_seconds":
+        "Delay between a demand's request and its duty-cycle service";
 
-// --- Fleet-level outcome gauges --------------------------------------
-
-/// Mean energy-saving ratio of the most recent fleet/watch run.
-pub const FLEET_SAVING_RATIO: &str = "fleet_saving_ratio";
-
-// --- Metrics history store / alerting --------------------------------
-
-/// Registry samples the metric store has recorded.
-pub const STORE_SAMPLES_TOTAL: &str = "store_samples_total";
-/// Points the bounded metric store evicted on overflow.
-pub const STORE_DROPPED_TOTAL: &str = "store_dropped_total";
-/// Alert rules currently in the firing state.
-pub const ALERTS_FIRING: &str = "alerts_firing";
-
-// --- Span tree / sampling profiler -----------------------------------
-
-/// Spans entered (every `span!`/`timer!` guard constructed).
-pub const SPANS_STARTED_TOTAL: &str = "spans_started_total";
-/// Spans dropped mid-panic; counted here instead of their histogram.
-pub const SPANS_ABANDONED_TOTAL: &str = "spans_abandoned_total";
-/// Completed span trees the bounded trace store evicted on overflow.
-pub const TRACE_STORE_DROPPED_TOTAL: &str = "trace_store_dropped_total";
-/// Live span stacks the sampling profiler has captured.
-pub const PROFILE_SAMPLES_TOTAL: &str = "profile_samples_total";
-
-// --- Telemetry hub / scrape server -----------------------------------
-
-/// Members the live run has completed so far (telemetry hub gauge).
-pub const HUB_MEMBERS_DONE: &str = "hub_members_done";
-/// Windowed EWMA of members completed per second (telemetry hub gauge).
-pub const HUB_MEMBERS_PER_SEC: &str = "hub_members_per_sec";
-/// Simulated days the live run has executed so far (telemetry hub gauge).
-pub const HUB_DAYS_DONE: &str = "hub_days_done";
-/// HTTP requests the scrape server has answered.
-pub const SERVE_REQUESTS_TOTAL: &str = "serve_requests_total";
-
-// --- Latency histograms ----------------------------------------------
-
-/// Slots of delay each deferred activity experienced.
-pub const DEFERRAL_LATENCY_SECONDS: &str = "deferral_latency_seconds";
-/// Delay between a demand's request and its duty-cycle service.
-pub const DUTY_SERVICE_LATENCY_SECONDS: &str = "duty_service_latency_seconds";
-
-// --- Stage spans (`span!("<stage>")` → `stage_<stage>_seconds`) ------
-
-/// Habit mining stage.
-pub const STAGE_MINE_SECONDS: &str = "stage_mine_seconds";
-/// Usage prediction stage.
-pub const STAGE_PREDICT_SECONDS: &str = "stage_predict_seconds";
-/// Day planning stage.
-pub const STAGE_PLAN_DAY_SECONDS: &str = "stage_plan_day_seconds";
-/// Knapsack solve stage.
-pub const STAGE_SOLVE_SECONDS: &str = "stage_solve_seconds";
-/// Duty-cycle fallback stage.
-pub const STAGE_DUTYCYCLE_SECONDS: &str = "stage_dutycycle_seconds";
-/// Whole-day execution stage.
-pub const STAGE_RUN_DAY_SECONDS: &str = "stage_run_day_seconds";
+    // --- Stage spans (`span!("<stage>")` → `stage_<stage>_seconds`) ------
+    STAGE_MINE_SECONDS = "stage_mine_seconds": "Habit mining stage latency";
+    STAGE_PREDICT_SECONDS = "stage_predict_seconds": "Usage prediction stage latency";
+    STAGE_PLAN_DAY_SECONDS = "stage_plan_day_seconds": "Day planning stage latency";
+    STAGE_SOLVE_SECONDS = "stage_solve_seconds": "Knapsack solve stage latency";
+    STAGE_DUTYCYCLE_SECONDS = "stage_dutycycle_seconds": "Duty-cycle fallback stage latency";
+    STAGE_RUN_DAY_SECONDS = "stage_run_day_seconds": "Whole-day execution stage latency";
+}
 
 // --- Journal event kinds (DecisionEvent variant names) ---------------
 
@@ -183,265 +177,18 @@ pub const KIND_ALERT_FIRING: &str = "AlertFiring";
 /// A firing alert rule stopped breaching and resolved.
 pub const KIND_ALERT_RESOLVED: &str = "AlertResolved";
 
-// --- `# HELP` text ----------------------------------------------------
-
-/// One-line `# HELP` text for every registered metric, keyed by the
-/// consts above. [`Snapshot::to_prometheus`](crate::Snapshot::to_prometheus)
-/// joins this table at render time, so the exposition's HELP lines can
-/// never drift from the registry; `netmaster lint` (rule
-/// `metric-names`) checks the table covers every metric const.
-pub const HELP: &[(&str, &str)] = &[
-    (
-        SCHED_DEFERRED_TOTAL,
-        "Activities the planner deferred out of their requested slot",
-    ),
-    (
-        SCHED_PREFETCHED_TOTAL,
-        "Activities prefetched into an earlier active slot",
-    ),
-    (
-        SCHED_DUTY_SERVED_TOTAL,
-        "Activities the duty-cycle fallback served",
-    ),
-    (
-        SCHED_WRONG_DECISIONS_TOTAL,
-        "Interactions hurt by a blocked radio (wrong decisions)",
-    ),
-    (
-        PREDICTION_HITS_TOTAL,
-        "Activities served inside a correctly-predicted slot",
-    ),
-    (
-        PREDICTION_MISSES_TOTAL,
-        "Slots where the usage prediction disagreed with the trace",
-    ),
-    (
-        SLOT_HOURS_PREDICTED_TOTAL,
-        "Slot-hours the habit model predicted active",
-    ),
-    (
-        SLOT_HOURS_ACTIVE_TOTAL,
-        "Slot-hours that actually saw user activity",
-    ),
-    (
-        SLOT_HOURS_OVERLAP_TOTAL,
-        "Slot-hours predicted active that really were active",
-    ),
-    (
-        POLICY_DAYS_TRAINED_TOTAL,
-        "Days executed with a trained habit model",
-    ),
-    (
-        POLICY_DAYS_UNTRAINED_TOTAL,
-        "Days executed before the habit model had enough history",
-    ),
-    (
-        SERVICE_DAYS_TOTAL,
-        "Days run through the middleware service",
-    ),
-    (
-        SPECIAL_PASSTHROUGH_TOTAL,
-        "Activities passed through untouched as special apps",
-    ),
-    (PLANNER_SLOTS_TOTAL, "Slots handed to the day planner"),
-    (PLANNER_ITEMS_TOTAL, "Items handed to the day planner"),
-    (
-        KNAPSACK_FASTPATH_TOTAL,
-        "SIN-KNAP calls answered by the greedy fast path",
-    ),
-    (KNAPSACK_DP_TOTAL, "SIN-KNAP calls that ran the full DP"),
-    (
-        KNAPSACK_BNB_TOTAL,
-        "Dispatcher calls answered exactly by branch-and-bound",
-    ),
-    (
-        KNAPSACK_DP_CELLS_HIGHWATER,
-        "Largest DP table (cells) any call touched",
-    ),
-    (
-        KNAPSACK_CHOICE_BITS_HIGHWATER,
-        "Largest choice-bitset (bits) any call touched",
-    ),
-    (
-        KNAPSACK_QDP_STATES_HIGHWATER,
-        "Largest sparse-DP state arena any call grew",
-    ),
-    (
-        DUTY_WAKEUPS_TOTAL,
-        "Wakeups the duty-cycle fallback scheduled",
-    ),
-    (DUTY_EMPTY_WAKEUPS_TOTAL, "Wakeups that found nothing to do"),
-    (
-        MINING_REMINE_TOTAL,
-        "Full re-mines triggered by the incremental miner",
-    ),
-    (
-        MINING_DAYS_ABSORBED_TOTAL,
-        "Days absorbed incrementally without a re-mine",
-    ),
-    (
-        MINING_DRIFT_RESETS_TOTAL,
-        "Miner resets forced by detected habit drift",
-    ),
-    (
-        JOURNAL_DROPPED_TOTAL,
-        "Events the bounded journal ring discarded on overflow",
-    ),
-    (
-        LEDGER_RECORDS_TOTAL,
-        "Activity lifecycle records appended to the causal trace ledger",
-    ),
-    (
-        LEDGER_DROPPED_TOTAL,
-        "Lifecycle records the bounded ledger ring discarded on overflow",
-    ),
-    (
-        JOURNAL_RING_HIGHWATER,
-        "Highest fill level the journal ring reached before a drain",
-    ),
-    (
-        LEDGER_RING_HIGHWATER,
-        "Highest fill level the trace-ledger ring reached before a drain",
-    ),
-    (
-        FLEET_MEMBERS_TOTAL,
-        "Members simulated across all fleet runs",
-    ),
-    (
-        FLEET_MEMBER_SECONDS,
-        "Wall-clock seconds per simulated member",
-    ),
-    (
-        FLEET_SAVING_RATIO,
-        "Mean energy-saving ratio of the most recent fleet/watch run",
-    ),
-    (
-        STORE_SAMPLES_TOTAL,
-        "Registry samples the metric store has recorded",
-    ),
-    (
-        STORE_DROPPED_TOTAL,
-        "Points the bounded metric store evicted on overflow",
-    ),
-    (ALERTS_FIRING, "Alert rules currently in the firing state"),
-    (
-        SPANS_STARTED_TOTAL,
-        "Spans entered (every span!/timer! guard constructed)",
-    ),
-    (
-        SPANS_ABANDONED_TOTAL,
-        "Spans dropped mid-panic, counted here instead of their histogram",
-    ),
-    (
-        TRACE_STORE_DROPPED_TOTAL,
-        "Completed span trees the bounded trace store evicted on overflow",
-    ),
-    (
-        PROFILE_SAMPLES_TOTAL,
-        "Live span stacks the sampling profiler has captured",
-    ),
-    (
-        HUB_MEMBERS_DONE,
-        "Members the live run has completed so far",
-    ),
-    (
-        HUB_MEMBERS_PER_SEC,
-        "Windowed EWMA of members completed per second",
-    ),
-    (
-        HUB_DAYS_DONE,
-        "Simulated days the live run has executed so far",
-    ),
-    (
-        SERVE_REQUESTS_TOTAL,
-        "HTTP requests the scrape server has answered",
-    ),
-    (
-        DEFERRAL_LATENCY_SECONDS,
-        "Slots of delay each deferred activity experienced (simulated)",
-    ),
-    (
-        DUTY_SERVICE_LATENCY_SECONDS,
-        "Delay between a demand's request and its duty-cycle service",
-    ),
-    (STAGE_MINE_SECONDS, "Habit mining stage latency"),
-    (STAGE_PREDICT_SECONDS, "Usage prediction stage latency"),
-    (STAGE_PLAN_DAY_SECONDS, "Day planning stage latency"),
-    (STAGE_SOLVE_SECONDS, "Knapsack solve stage latency"),
-    (STAGE_DUTYCYCLE_SECONDS, "Duty-cycle fallback stage latency"),
-    (STAGE_RUN_DAY_SECONDS, "Whole-day execution stage latency"),
-];
-
 /// The registered `# HELP` line for `name`, when the registry knows it.
 pub fn help_for(name: &str) -> Option<&'static str> {
-    HELP.iter().find(|(n, _)| *n == name).map(|&(_, h)| h)
+    METRICS.iter().find(|(n, _)| *n == name).map(|&(_, h)| h)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn all_metrics() -> Vec<&'static str> {
-        vec![
-            SCHED_DEFERRED_TOTAL,
-            SCHED_PREFETCHED_TOTAL,
-            SCHED_DUTY_SERVED_TOTAL,
-            SCHED_WRONG_DECISIONS_TOTAL,
-            PREDICTION_HITS_TOTAL,
-            PREDICTION_MISSES_TOTAL,
-            SLOT_HOURS_PREDICTED_TOTAL,
-            SLOT_HOURS_ACTIVE_TOTAL,
-            SLOT_HOURS_OVERLAP_TOTAL,
-            DUTY_SERVICE_LATENCY_SECONDS,
-            POLICY_DAYS_TRAINED_TOTAL,
-            POLICY_DAYS_UNTRAINED_TOTAL,
-            SERVICE_DAYS_TOTAL,
-            SPECIAL_PASSTHROUGH_TOTAL,
-            PLANNER_SLOTS_TOTAL,
-            PLANNER_ITEMS_TOTAL,
-            KNAPSACK_FASTPATH_TOTAL,
-            KNAPSACK_DP_TOTAL,
-            KNAPSACK_BNB_TOTAL,
-            KNAPSACK_DP_CELLS_HIGHWATER,
-            KNAPSACK_CHOICE_BITS_HIGHWATER,
-            KNAPSACK_QDP_STATES_HIGHWATER,
-            DUTY_WAKEUPS_TOTAL,
-            DUTY_EMPTY_WAKEUPS_TOTAL,
-            JOURNAL_DROPPED_TOTAL,
-            LEDGER_RECORDS_TOTAL,
-            LEDGER_DROPPED_TOTAL,
-            MINING_REMINE_TOTAL,
-            MINING_DAYS_ABSORBED_TOTAL,
-            MINING_DRIFT_RESETS_TOTAL,
-            FLEET_MEMBERS_TOTAL,
-            FLEET_MEMBER_SECONDS,
-            FLEET_SAVING_RATIO,
-            STORE_SAMPLES_TOTAL,
-            STORE_DROPPED_TOTAL,
-            ALERTS_FIRING,
-            SPANS_STARTED_TOTAL,
-            SPANS_ABANDONED_TOTAL,
-            TRACE_STORE_DROPPED_TOTAL,
-            PROFILE_SAMPLES_TOTAL,
-            JOURNAL_RING_HIGHWATER,
-            LEDGER_RING_HIGHWATER,
-            HUB_MEMBERS_DONE,
-            HUB_MEMBERS_PER_SEC,
-            HUB_DAYS_DONE,
-            SERVE_REQUESTS_TOTAL,
-            DEFERRAL_LATENCY_SECONDS,
-            STAGE_MINE_SECONDS,
-            STAGE_PREDICT_SECONDS,
-            STAGE_PLAN_DAY_SECONDS,
-            STAGE_SOLVE_SECONDS,
-            STAGE_DUTYCYCLE_SECONDS,
-            STAGE_RUN_DAY_SECONDS,
-        ]
-    }
-
     #[test]
     fn metric_names_are_prometheus_shaped() {
-        for name in all_metrics() {
+        for (name, _) in METRICS {
             assert!(
                 name.chars()
                     .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
@@ -452,24 +199,18 @@ mod tests {
 
     #[test]
     fn help_covers_every_metric() {
-        for name in all_metrics() {
-            let help = help_for(name).unwrap_or_else(|| panic!("{name} missing from HELP"));
+        for (name, help) in METRICS {
             assert!(!help.is_empty(), "{name} has empty HELP text");
             assert!(
                 !help.contains('\n') && !help.contains('\\'),
                 "{name} HELP text needs escaping"
             );
         }
-        assert_eq!(
-            HELP.len(),
-            all_metrics().len(),
-            "HELP has entries for unlisted metrics"
-        );
     }
 
     #[test]
     fn stage_consts_match_span_expansion() {
-        // span!("solve") expands to "stage_solve_seconds"; the consts
+        // span!("<stage>") expands to "stage_<stage>_seconds"; the consts
         // must stay consistent with that shape.
         for (stage, full) in [
             ("mine", STAGE_MINE_SECONDS),

@@ -28,9 +28,8 @@
 //! [`runregistry`](crate::runregistry) — and
 //! [`read_history`] round-trips the points bit-for-bit.
 
-use crate::{BucketSnap, HistSnap, Snapshot};
+use crate::{BucketSnap, HistSnap, Ring, Snapshot};
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -115,19 +114,18 @@ pub struct Point {
 #[derive(Debug)]
 struct Series {
     kind: SeriesKind,
-    points: VecDeque<Point>,
-    /// Absolute index of `points[0]` since the series began.
-    base_index: u64,
+    /// Retained points; `points.dropped()` is the absolute index of
+    /// the oldest one since the series began.
+    points: Ring<Point>,
     /// Absolute index up to which points have been flushed to disk.
     flushed_index: u64,
 }
 
 impl Series {
-    fn new(kind: SeriesKind) -> Series {
+    fn new(kind: SeriesKind, retention: usize) -> Series {
         Series {
             kind,
-            points: VecDeque::new(),
-            base_index: 0,
+            points: Ring::new(retention),
             flushed_index: 0,
         }
     }
@@ -362,7 +360,7 @@ impl MetricStore {
         inner
             .series
             .get(metric)
-            .and_then(|s| s.points.back().map(|p| p.t_ms))
+            .and_then(|s| s.points.iter().next_back().map(|p| p.t_ms))
     }
 
     /// The newest sample of `metric` as `f64` (see
@@ -372,7 +370,7 @@ impl MetricStore {
         inner
             .series
             .get(metric)
-            .and_then(|s| s.points.back())
+            .and_then(|s| s.points.iter().next_back())
             .map(|p| match &p.value {
                 PointValue::Counter(v) => *v as f64,
                 PointValue::Gauge(v) => *v,
@@ -389,14 +387,15 @@ impl MetricStore {
         let mut lines = String::new();
         let mut segments = 0usize;
         for (name, s) in inner.series.iter_mut() {
-            let start = (s.flushed_index.saturating_sub(s.base_index)) as usize;
+            let base = s.points.dropped();
+            let start = (s.flushed_index.saturating_sub(base)) as usize;
             if start >= s.points.len() {
                 continue;
             }
             let fresh: Vec<Point> = s.points.iter().skip(start).cloned().collect();
             let payload = encode_points(s.kind, &fresh);
             lines.push_str(&segment_line(name, s.kind, fresh.len(), &payload));
-            s.flushed_index = s.base_index + s.points.len() as u64;
+            s.flushed_index = base + s.points.len() as u64;
             segments += 1;
         }
         drop(inner);
@@ -418,18 +417,15 @@ fn push_point(inner: &mut StoreInner, name: &str, kind: SeriesKind, p: Point, re
     let s = inner
         .series
         .entry(name.to_owned())
-        .or_insert_with(|| Series::new(kind));
+        .or_insert_with(|| Series::new(kind, retention));
     if s.kind != kind {
         // A name switched shape across a reset; restart the series.
-        *s = Series::new(kind);
+        *s = Series::new(kind, retention);
     }
-    if s.points.len() >= retention {
-        s.points.pop_front();
-        s.base_index += 1;
+    if s.points.push(p) {
         inner.dropped_total += 1;
         crate::counter!(crate::names::STORE_DROPPED_TOTAL);
     }
-    s.points.push_back(p);
 }
 
 /// Per-bucket cumulative difference `last − first` (union of bucket
@@ -711,6 +707,11 @@ pub struct Segment {
 
 /// Reads every segment of a `history.nmts` file, oldest first,
 /// verifying magic, point counts, and CRCs (empty when absent).
+///
+/// A final line without its trailing newline that fails to parse is a
+/// torn flush (the writer died mid-`write_all`): it is dropped, counted
+/// in `store_torn_tail_total`, and every earlier segment is returned.
+/// A bad line anywhere else is an error naming that line.
 pub fn read_history(path: &Path) -> Result<Vec<Segment>, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -718,42 +719,51 @@ pub fn read_history(path: &Path) -> Result<Vec<Segment>, String> {
         Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
     };
     let mut segments = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
+    for (lineno, chunk) in text.split_inclusive('\n').enumerate() {
+        let (line, complete) = match chunk.strip_suffix('\n') {
+            Some(line) => (line, true),
+            None => (chunk, false),
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let mut f = line.split_ascii_whitespace();
-        let err = |what: &str| format!("{}:{}: {what}", path.display(), lineno + 1);
-        match (f.next(), f.next(), f.next(), f.next(), f.next(), f.next()) {
-            (Some(FORMAT_MAGIC), Some(metric), Some(kind), Some(n), Some(crc), Some(hex)) => {
-                let kind = SeriesKind::from_tag(kind)
-                    .ok_or_else(|| err(&format!("unknown series kind {kind:?}")))?;
-                let payload = hex_decode(hex).map_err(|e| err(&e))?;
-                let want: u32 = u32::from_str_radix(crc, 16)
-                    .map_err(|_| err(&format!("bad crc field {crc:?}")))?;
-                let got = crc32(&payload);
-                if got != want {
-                    return Err(err(&format!("crc mismatch: {got:08x} != {want:08x}")));
-                }
-                let points = decode_points(kind, &payload).map_err(|e| err(&e))?;
-                let n: usize = n.parse().map_err(|_| err("bad point count"))?;
-                if points.len() != n {
-                    return Err(err(&format!(
-                        "point count mismatch: {} != {n}",
-                        points.len()
-                    )));
-                }
-                segments.push(Segment {
-                    metric: metric.to_owned(),
-                    kind,
-                    points,
-                });
-            }
-            (Some(magic), ..) => return Err(err(&format!("unknown segment magic {magic:?}"))),
-            _ => return Err(err("malformed segment line")),
+        match parse_segment(line) {
+            Ok(segment) => segments.push(segment),
+            Err(_) if !complete => crate::counter!(crate::names::STORE_TORN_TAIL_TOTAL),
+            Err(e) => return Err(format!("{}:{}: {e}", path.display(), lineno + 1)),
         }
     }
     Ok(segments)
+}
+
+/// Parses and verifies one `history.nmts` segment line.
+fn parse_segment(line: &str) -> Result<Segment, String> {
+    let mut f = line.split_ascii_whitespace();
+    match (f.next(), f.next(), f.next(), f.next(), f.next(), f.next()) {
+        (Some(FORMAT_MAGIC), Some(metric), Some(kind), Some(n), Some(crc), Some(hex)) => {
+            let kind = SeriesKind::from_tag(kind)
+                .ok_or_else(|| format!("unknown series kind {kind:?}"))?;
+            let payload = hex_decode(hex)?;
+            let want: u32 =
+                u32::from_str_radix(crc, 16).map_err(|_| format!("bad crc field {crc:?}"))?;
+            let got = crc32(&payload);
+            if got != want {
+                return Err(format!("crc mismatch: {got:08x} != {want:08x}"));
+            }
+            let points = decode_points(kind, &payload)?;
+            let n: usize = n.parse().map_err(|_| "bad point count".to_owned())?;
+            if points.len() != n {
+                return Err(format!("point count mismatch: {} != {n}", points.len()));
+            }
+            Ok(Segment {
+                metric: metric.to_owned(),
+                kind,
+                points,
+            })
+        }
+        (Some(magic), ..) => Err(format!("unknown segment magic {magic:?}")),
+        _ => Err("malformed segment line".to_owned()),
+    }
 }
 
 // --- The live sampler -------------------------------------------------
@@ -1125,6 +1135,40 @@ mod tests {
         assert!(err.contains("crc mismatch"), "{err}");
         std::fs::write(&path, "BOGUS line\n").unwrap();
         assert!(read_history(&path).unwrap_err().contains("magic"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn torn_tail_is_dropped_and_counted() {
+        let _g = crate::test_serial();
+        crate::reset();
+        let path = tmp("torn.nmts");
+        let store = MetricStore::default();
+        store.sample_at(1000, &snap(1, 0.1));
+        store.flush_to(&path).unwrap();
+        store.sample_at(2000, &snap(2, 0.2));
+        store.flush_to(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        // Cut the last segment line in half, as a crash mid-flush would.
+        let last_start = text.trim_end().rfind('\n').unwrap() + 1;
+        let cut = last_start + (text.len() - last_start) / 2;
+        std::fs::write(&path, &text[..cut]).unwrap();
+        let segments = read_history(&path).unwrap();
+        assert_eq!(
+            segments.len(),
+            3,
+            "every segment before the torn line survives"
+        );
+        if crate::ENABLED {
+            let torn = crate::snapshot().counter(crate::names::STORE_TORN_TAIL_TOTAL);
+            assert_eq!(torn, 1);
+        }
+        // The same damage followed by a newline is no longer a torn
+        // tail but a corrupt line, and is an error naming it.
+        std::fs::write(&path, format!("{}\n", &text[..cut])).unwrap();
+        let err = read_history(&path).unwrap_err();
+        assert!(err.contains(":4: "), "{err}");
+        crate::reset();
         let _ = std::fs::remove_file(&path);
     }
 

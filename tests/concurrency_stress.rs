@@ -158,7 +158,7 @@ fn scrape_burst_with_producers_and_sampler_drains_exactly() {
     // sample, after which the store goes quiet for good.
     sampler.stop();
     let samples = store.samples_total();
-    if netmaster_obs::compiled() {
+    if netmaster_obs::ENABLED {
         assert!(samples >= 1, "the final stop() tick must always sample");
     } else {
         // Compiled-out builds keep the thread topology but fold
@@ -224,7 +224,7 @@ fn profiler_ticks_account_for_every_live_stack_exactly() {
     }
 
     let report = agg.report();
-    if netmaster_obs::compiled() {
+    if netmaster_obs::ENABLED {
         let expected = PROF_THREADS as u64 * PROF_TICKS;
         assert_eq!(report.samples_total, expected);
         // Every worker holds the identical stack, so the folded

@@ -167,7 +167,7 @@ fn sample_persist_query_fire_and_resolve_round_trip() {
     // — unless observability is compiled out, where journal emission
     // no-ops while the alert state machine above still runs.
     let jsonl = engine.drain_journal_jsonl();
-    if netmaster_obs::compiled() {
+    if netmaster_obs::ENABLED {
         assert!(
             jsonl.contains(netmaster_obs::names::KIND_ALERT_FIRING),
             "{jsonl}"

@@ -71,7 +71,7 @@ fn one_trained_day_produces_the_golden_span_tree() {
     let report = svc.run_day(&trace.days[TRAIN_DAYS]);
     assert_eq!(report.day, TRAIN_DAYS);
 
-    if !netmaster_obs::compiled() {
+    if !netmaster_obs::ENABLED {
         assert!(
             TraceStore::global().is_empty(),
             "no-obs builds must capture no span trees"
