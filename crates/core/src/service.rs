@@ -6,7 +6,7 @@
 use crate::config::NetMasterConfig;
 use crate::policies::NetMasterPolicy;
 use netmaster_radio::battery::BatteryModel;
-use netmaster_radio::{apportion, LinkModel, RrcConfig, RrcModel, TailPolicy};
+use netmaster_radio::{bill_each, LinkModel, RrcConfig, RrcModel, TailPolicy};
 use netmaster_sim::{simulate, DefaultPolicy, Policy, RunMetrics, SimConfig};
 use netmaster_trace::time::Interval;
 use netmaster_trace::trace::DayTrace;
@@ -236,7 +236,7 @@ impl MiddlewareService {
                 moved_transfers: moved_today,
                 wrong_decisions: wrong_today,
             });
-        self.apportion_energy(day.day);
+        self.apportion_energy(&report);
         report
     }
 
@@ -249,10 +249,12 @@ impl MiddlewareService {
     /// while the flight recorder is off or the day is empty. Summed
     /// over a day's records, `actual_j` reproduces that day's RRC
     /// timeline energy exactly (duty-cycle empty-wakeup energy is
-    /// accounted separately and not apportioned to activities).
-    fn apportion_energy(&mut self, day: usize) {
-        type OwnedSpans = Vec<(u64, Interval)>;
-        let (actual_spans, baseline_spans): (OwnedSpans, OwnedSpans) = self
+    /// accounted separately and not apportioned to activities), and
+    /// `baseline_j` the stock counterfactual's; the `strict-invariants`
+    /// build asserts both against `report`.
+    fn apportion_energy(&mut self, report: &DayReport) {
+        let day = report.day;
+        let (actual_spans, baseline_spans): (Vec<Interval>, Vec<Interval>) = self
             .policy
             .ledger()
             .records()
@@ -260,14 +262,8 @@ impl MiddlewareService {
             .map(|r| {
                 let dur = r.duration.max(1);
                 (
-                    (
-                        r.trace_id,
-                        Interval::new(r.executed_at, r.executed_at + dur),
-                    ),
-                    (
-                        r.trace_id,
-                        Interval::new(r.natural_start, r.natural_start + dur),
-                    ),
+                    Interval::new(r.executed_at, r.executed_at + dur),
+                    Interval::new(r.natural_start, r.natural_start + dur),
                 )
             })
             .unzip();
@@ -282,13 +278,33 @@ impl MiddlewareService {
             config: self.sim.radio.clone(),
             tail_policy: TailPolicy::Full,
         };
-        let actual = apportion(&planned, &actual_spans);
-        let baseline = apportion(&stock, &baseline_spans);
-        for r in self.policy.ledger_mut().day_records_mut(day) {
+        let actual = bill_each(&planned, &actual_spans);
+        let baseline = bill_each(&stock, &baseline_spans);
+        // `day_records_mut` walks the ring with the same filter, so the
+        // bills line up with the records they were built from.
+        let records = self.policy.ledger_mut().day_records_mut(day);
+        for ((r, a), b) in records.zip(&actual).zip(&baseline) {
             r.energy = Some(netmaster_obs::EnergyShare {
-                actual_j: actual.get(&r.trace_id).map_or(0.0, |e| e.total_j()),
-                baseline_j: baseline.get(&r.trace_id).map_or(0.0, |e| e.total_j()),
+                actual_j: a.total_j(),
+                baseline_j: b.total_j(),
             });
+        }
+        #[cfg(feature = "strict-invariants")]
+        {
+            let billed = |bills: &[netmaster_radio::AppEnergy]| -> f64 {
+                bills.iter().map(|e| e.total_j()).sum()
+            };
+            let (base, spent) = (billed(&baseline), billed(&actual));
+            assert!(
+                (base - report.stock_energy_j).abs() <= 1e-9 * report.stock_energy_j,
+                "strict-invariants: day {day} baseline bills {base} J != stock energy {} J",
+                report.stock_energy_j
+            );
+            assert!(
+                spent <= report.energy_j * (1.0 + 1e-9),
+                "strict-invariants: day {day} actual bills {spent} J exceed NetMaster energy {} J",
+                report.energy_j
+            );
         }
     }
 

@@ -10,9 +10,10 @@
 //! traffic is what kept the radio lingering), and active energy splits
 //! by each app's own transfer seconds.
 
+use crate::power::RrcConfig;
 use crate::rrc::RrcModel;
 use netmaster_trace::event::AppId;
-use netmaster_trace::time::{merge_intervals, Interval};
+use netmaster_trace::time::Interval;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -78,118 +79,122 @@ pub fn attribute(model: &RrcModel, transfers: &[(AppId, Interval)]) -> HashMap<A
 ///
 /// This is [`attribute`] generalized over the owner: per-app billing
 /// uses `K = AppId`, the causal ledger apportions per-activity with
-/// `K` a trace id — each transfer then receives its own exact share of
-/// promotion, active, and tail energy, and the bill conserves
-/// [`RrcModel::account`]'s total for the same spans.
+/// `K` a trace id. It folds [`bill_each`]'s per-transfer bills by key,
+/// in input order, and conserves [`RrcModel::account`]'s total for the
+/// same spans.
 ///
 /// Conventions (eprof's last-trigger rule): the owner that wakes the
 /// radio pays the promotion, the owner whose transfer ends last pays
 /// the trailing tail, elapsed tail inside a session is paid by the
 /// owner whose transfer preceded the gap, and active energy splits
 /// proportionally to each owner's seconds inside every merged burst.
+/// A zero-length span is billed nothing (every field 0, including
+/// `transfer_secs`), though its key still gets an entry.
 pub fn apportion<K: Copy + Eq + Hash>(
     model: &RrcModel,
     transfers: &[(K, Interval)],
 ) -> HashMap<K, AppEnergy> {
-    let mut out: HashMap<K, AppEnergy> = HashMap::new();
-    if transfers.is_empty() {
-        return out;
-    }
-    let cfg = &model.config;
-    let tail_len = model.tail_secs();
-
-    // Radio sessions: merged spans further fused across tail-riding
-    // gaps (a transfer arriving inside the previous tail extends the
-    // same session, as in `account`).
     let spans: Vec<Interval> = transfers.iter().map(|&(_, s)| s).collect();
-    let merged = merge_intervals(spans);
-    let mut sessions: Vec<Interval> = Vec::new();
-    for span in merged {
-        match sessions.last_mut() {
-            Some(last) if (span.start as f64) <= last.end as f64 + tail_len => {
-                last.end = last.end.max(span.end);
-            }
-            _ => sessions.push(span),
-        }
-    }
-
-    // Raw transfer seconds are informational (they may overlap).
-    for &(key, span) in transfers {
-        out.entry(key).or_default().transfer_secs += span.len() as f64;
-    }
-    // Active energy: each merged burst is charged once (as in
-    // `account`) and split among the owners transferring during it,
-    // proportionally to their own seconds inside the burst — so
-    // concurrent transfers share rather than double-charge.
-    let bursts_all = merge_intervals(transfers.iter().map(|&(_, s)| s).collect());
-    for burst in &bursts_all {
-        let shares: Vec<(K, f64)> = transfers
-            .iter()
-            .filter_map(|&(key, s)| s.intersect(burst).map(|o| (key, o.len() as f64)))
-            .collect();
-        let total_share: f64 = shares.iter().map(|&(_, s)| s).sum();
-        if total_share <= 0.0 {
-            continue;
-        }
-        let burst_j = cfg.active_energy_j(burst.len() as f64);
-        for (key, share) in shares {
-            out.entry(key).or_default().active_j += burst_j * share / total_share;
-        }
-    }
-
-    // Overheads per session: promotion to the earliest-starting
-    // transfer's owner, tail to the latest-ending transfer's owner.
-    // The session-internal tail gaps (elapsed tail between bursts
-    // inside one session) are charged to the owner whose transfer
-    // preceded the gap. Every payer is found by construction — each
-    // session contains at least one transfer and every burst boundary
-    // is some transfer's end — so there is no fallback path.
-    for session in &sessions {
-        // Transfers inside this session, ordered by start.
-        let mut inside: Vec<&(K, Interval)> = transfers
-            .iter()
-            .filter(|(_, s)| s.overlaps(session))
-            .collect();
-        inside.sort_by_key(|(_, s)| (s.start, s.end));
-        let Some(&&(first_key, _)) = inside.first() else {
-            continue;
-        };
-        let e = out.entry(first_key).or_default();
-        e.promo_j += cfg.promo_energy_j();
-        e.wakeups += 1;
-
-        // Latest end wins; on ties the later element in start order
-        // (matching `Iterator::max_by_key`, which keeps the last max).
-        let mut last = inside[0];
-        for t in &inside[1..] {
-            if t.1.end >= last.1.end {
-                last = t;
-            }
-        }
-        out.entry(last.0).or_default().tail_j += model.tail_policy.tail_energy_j(cfg);
-
-        // Internal elapsed-tail gaps: walk the merged bursts of this
-        // session; each gap's tail-prefix energy goes to the owner
-        // whose transfer ended the preceding burst.
-        let bursts = merge_intervals(inside.iter().map(|(_, s)| *s).collect());
-        for w in bursts.windows(2) {
-            let gap = (w[1].start - w[0].end) as f64;
-            if gap <= 0.0 {
-                continue;
-            }
-            let mut payer: Option<&(K, Interval)> = None;
-            for t in &inside {
-                if t.1.end <= w[0].end && payer.is_none_or(|p| t.1.end >= p.1.end) {
-                    payer = Some(t);
-                }
-            }
-            // A burst boundary is always some transfer's end.
-            if let Some(&(key, _)) = payer {
-                out.entry(key).or_default().tail_j += cfg.tail_prefix_energy_j(gap);
-            }
-        }
+    let mut out: HashMap<K, AppEnergy> = HashMap::new();
+    for (&(key, _), bill) in transfers.iter().zip(bill_each(model, &spans)) {
+        let e = out.entry(key).or_default();
+        e.active_j += bill.active_j;
+        e.promo_j += bill.promo_j;
+        e.tail_j += bill.tail_j;
+        e.wakeups += bill.wakeups;
+        e.transfer_secs += bill.transfer_secs;
     }
     out
+}
+
+/// Bills each transfer of a timeline on its own: one [`AppEnergy`] per
+/// span, in input order. This is the core that [`apportion`] and
+/// [`attribute`] fold by owner, and that the causal ledger zips with its
+/// per-activity records directly.
+///
+/// One sort and one sweep, O(n log n): the non-empty spans are ordered
+/// by `(start, end)`, ties in input order, and a single pass closes the
+/// merged bursts and the radio sessions as it meets them. A burst's
+/// active energy splits among its members by their seconds, a session's
+/// first transfer pays its promotion, the transfer that ends a burst
+/// (latest end, ties to the later one in sort order) pays the elapsed
+/// tail of the gap after it, or the full tail when the session ends
+/// there. An empty span pays nothing: its bill is all zeros, including
+/// `transfer_secs`.
+///
+/// ```
+/// use netmaster_radio::attribution::bill_each;
+/// use netmaster_radio::{Interval, RrcModel};
+///
+/// let model = RrcModel::wcdma_default();
+/// let spans = [Interval::new(0, 10), Interval::new(15, 25), Interval::new(10, 10)];
+/// let bills = bill_each(&model, &spans);
+/// let total: f64 = bills.iter().map(|b| b.total_j()).sum();
+/// assert!((total - model.account(&spans).total_j()).abs() < 1e-9);
+/// assert_eq!(bills[0].wakeups, 1);
+/// assert_eq!(bills[2].total_j(), 0.0);
+/// ```
+pub fn bill_each(model: &RrcModel, spans: &[Interval]) -> Vec<AppEnergy> {
+    let mut bills = vec![AppEnergy::default(); spans.len()];
+    let mut order: Vec<usize> = (0..spans.len()).filter(|&i| !spans[i].is_empty()).collect();
+    order.sort_unstable_by_key(|&i| (spans[i].start, spans[i].end, i));
+    let Some(&first) = order.first() else {
+        return bills;
+    };
+    let cfg = &model.config;
+    let tail_len = model.tail_secs();
+    let full_tail_j = model.tail_policy.tail_energy_j(cfg);
+
+    // The open burst is `order[lo..pos]`, covering `burst`; `ender` is
+    // its latest-ending member.
+    let mut lo = 0;
+    let mut burst = spans[first];
+    let mut ender = first;
+    bills[first].promo_j += cfg.promo_energy_j();
+    bills[first].wakeups += 1;
+    for (pos, &i) in order.iter().enumerate() {
+        let span = spans[i];
+        if span.start > burst.end {
+            bill_burst(cfg, spans, &order[lo..pos], burst, &mut bills);
+            if span.start as f64 <= burst.end as f64 + tail_len {
+                // Rides the tail: the same session, and the burst's
+                // ender pays the tail that elapsed in the gap.
+                let gap = (span.start - burst.end) as f64;
+                bills[ender].tail_j += cfg.tail_prefix_energy_j(gap);
+            } else {
+                bills[ender].tail_j += full_tail_j;
+                bills[i].promo_j += cfg.promo_energy_j();
+                bills[i].wakeups += 1;
+            }
+            lo = pos;
+            burst = span;
+        }
+        if span.end >= burst.end {
+            burst.end = span.end;
+            ender = i;
+        }
+    }
+    bill_burst(cfg, spans, &order[lo..], burst, &mut bills);
+    bills[ender].tail_j += full_tail_j;
+    bills
+}
+
+/// Charges one merged burst's active energy to its members, split by
+/// their own seconds, and records those seconds.
+fn bill_burst(
+    cfg: &RrcConfig,
+    spans: &[Interval],
+    members: &[usize],
+    burst: Interval,
+    bills: &mut [AppEnergy],
+) {
+    let total_secs = members.iter().map(|&i| spans[i].len()).sum::<u64>() as f64;
+    let burst_j = cfg.active_energy_j(burst.len() as f64);
+    for &i in members {
+        let secs = spans[i].len() as f64;
+        bills[i].active_j = burst_j * secs / total_secs;
+        bills[i].transfer_secs = secs;
+    }
 }
 
 /// Ranks apps by total charged energy, descending.
@@ -202,6 +207,117 @@ pub fn ranked(attribution: &HashMap<AppId, AppEnergy>) -> Vec<(AppId, AppEnergy)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netmaster_trace::time::merge_intervals;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The quadratic apportionment the sweep replaced: it rescans every
+    /// transfer for each burst, session and tail gap. Kept as the
+    /// oracle for `bill_each` on timelines of non-empty spans.
+    fn apportion_quadratic<K: Copy + Eq + Hash>(
+        model: &RrcModel,
+        transfers: &[(K, Interval)],
+    ) -> HashMap<K, AppEnergy> {
+        let mut out: HashMap<K, AppEnergy> = HashMap::new();
+        if transfers.is_empty() {
+            return out;
+        }
+        let cfg = &model.config;
+        let tail_len = model.tail_secs();
+
+        // Radio sessions: merged spans further fused across tail-riding
+        // gaps (a transfer arriving inside the previous tail extends the
+        // same session, as in `account`).
+        let spans: Vec<Interval> = transfers.iter().map(|&(_, s)| s).collect();
+        let merged = merge_intervals(spans);
+        let mut sessions: Vec<Interval> = Vec::new();
+        for span in merged {
+            match sessions.last_mut() {
+                Some(last) if (span.start as f64) <= last.end as f64 + tail_len => {
+                    last.end = last.end.max(span.end);
+                }
+                _ => sessions.push(span),
+            }
+        }
+
+        // Raw transfer seconds are informational (they may overlap).
+        for &(key, span) in transfers {
+            out.entry(key).or_default().transfer_secs += span.len() as f64;
+        }
+        // Active energy: each merged burst is charged once (as in
+        // `account`) and split among the owners transferring during it,
+        // proportionally to their own seconds inside the burst — so
+        // concurrent transfers share rather than double-charge.
+        let bursts_all = merge_intervals(transfers.iter().map(|&(_, s)| s).collect());
+        for burst in &bursts_all {
+            let shares: Vec<(K, f64)> = transfers
+                .iter()
+                .filter_map(|&(key, s)| s.intersect(burst).map(|o| (key, o.len() as f64)))
+                .collect();
+            let total_share: f64 = shares.iter().map(|&(_, s)| s).sum();
+            if total_share <= 0.0 {
+                continue;
+            }
+            let burst_j = cfg.active_energy_j(burst.len() as f64);
+            for (key, share) in shares {
+                out.entry(key).or_default().active_j += burst_j * share / total_share;
+            }
+        }
+
+        // Overheads per session: promotion to the earliest-starting
+        // transfer's owner, tail to the latest-ending transfer's owner.
+        // The session-internal tail gaps (elapsed tail between bursts
+        // inside one session) are charged to the owner whose transfer
+        // preceded the gap. Every payer is found by construction — each
+        // session contains at least one transfer and every burst boundary
+        // is some transfer's end — so there is no fallback path.
+        for session in &sessions {
+            // Transfers inside this session, ordered by start.
+            let mut inside: Vec<&(K, Interval)> = transfers
+                .iter()
+                .filter(|(_, s)| s.overlaps(session))
+                .collect();
+            inside.sort_by_key(|(_, s)| (s.start, s.end));
+            let Some(&&(first_key, _)) = inside.first() else {
+                continue;
+            };
+            let e = out.entry(first_key).or_default();
+            e.promo_j += cfg.promo_energy_j();
+            e.wakeups += 1;
+
+            // Latest end wins; on ties the later element in start order
+            // (matching `Iterator::max_by_key`, which keeps the last max).
+            let mut last = inside[0];
+            for t in &inside[1..] {
+                if t.1.end >= last.1.end {
+                    last = t;
+                }
+            }
+            out.entry(last.0).or_default().tail_j += model.tail_policy.tail_energy_j(cfg);
+
+            // Internal elapsed-tail gaps: walk the merged bursts of this
+            // session; each gap's tail-prefix energy goes to the owner
+            // whose transfer ended the preceding burst.
+            let bursts = merge_intervals(inside.iter().map(|(_, s)| *s).collect());
+            for w in bursts.windows(2) {
+                let gap = (w[1].start - w[0].end) as f64;
+                if gap <= 0.0 {
+                    continue;
+                }
+                let mut payer: Option<&(K, Interval)> = None;
+                for t in &inside {
+                    if t.1.end <= w[0].end && payer.is_none_or(|p| t.1.end >= p.1.end) {
+                        payer = Some(t);
+                    }
+                }
+                // A burst boundary is always some transfer's end.
+                if let Some(&(key, _)) = payer {
+                    out.entry(key).or_default().tail_j += cfg.tail_prefix_energy_j(gap);
+                }
+            }
+        }
+        out
+    }
 
     fn iv(s: u64, e: u64) -> Interval {
         Interval::new(s, e)
@@ -283,8 +399,6 @@ mod tests {
 
     #[test]
     fn conservation_on_random_timelines() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
         let m = RrcModel::wcdma_default();
         for _ in 0..50 {
@@ -308,8 +422,6 @@ mod tests {
         // every activity gets its own exact share, and the per-activity
         // bill must conserve the timeline total — fixed seed, both tail
         // policies.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(17);
         for model in [RrcModel::wcdma_default(), RrcModel::wcdma_immediate_off()] {
             for _ in 0..20 {
@@ -370,6 +482,121 @@ mod tests {
     fn empty_input_is_empty() {
         let m = RrcModel::wcdma_default();
         assert!(attribute(&m, &[]).is_empty());
+    }
+
+    #[test]
+    fn zero_length_span_is_billed_nothing() {
+        let m = RrcModel::wcdma_default();
+        // The empty span sits exactly where the first burst ends; the
+        // tail that elapses before [15, 25) is still [0, 10)'s to pay.
+        let spans = [iv(0, 10), iv(10, 10), iv(15, 25)];
+        let bills = bill_each(&m, &spans);
+        assert_eq!(bills[1], AppEnergy::default());
+        assert!((bills[0].tail_j - 4.0).abs() < 1e-9);
+        assert!((bills[2].tail_j - 9.52).abs() < 1e-9);
+        let total: f64 = bills.iter().map(AppEnergy::total_j).sum();
+        assert!((total - m.account(&spans).total_j()).abs() < 1e-9);
+        // Folded by key, the empty span's owner still gets an entry.
+        let keyed: Vec<(u64, Interval)> = (0..).zip(spans).collect();
+        let bill = apportion(&m, &keyed);
+        assert_eq!(bill.len(), 3);
+        assert_eq!(bill[&1], AppEnergy::default());
+        assert!(bill_each(&m, &[iv(7, 7)])
+            .iter()
+            .all(|b| *b == AppEnergy::default()));
+    }
+
+    /// A random timeline of non-empty spans: dense to sparse, with
+    /// touching and duplicated spans mixed in.
+    fn random_spans(rng: &mut StdRng) -> Vec<Interval> {
+        let n = rng.random_range(1..48u64);
+        let horizon = rng.random_range(1..=n * 120);
+        let mut spans: Vec<Interval> = Vec::new();
+        for _ in 0..n {
+            let span = match spans.last() {
+                Some(&prev) if rng.random_bool(0.125) => prev,
+                Some(&prev) if rng.random_bool(0.25) => {
+                    iv(prev.end, prev.end + rng.random_range(1..60u64))
+                }
+                _ => {
+                    let s = rng.random_range(0..horizon);
+                    iv(s, s + rng.random_range(1..60u64))
+                }
+            };
+            spans.push(span);
+        }
+        spans
+    }
+
+    fn assert_close(a: &AppEnergy, b: &AppEnergy) {
+        for (x, y) in [
+            (a.active_j, b.active_j),
+            (a.promo_j, b.promo_j),
+            (a.tail_j, b.tail_j),
+        ] {
+            assert!(
+                (x - y).abs() <= 1e-9 * x.abs().max(y.abs()),
+                "{a:?} vs {b:?}"
+            );
+        }
+        assert_eq!(a.wakeups, b.wakeups);
+        assert_eq!(a.transfer_secs, b.transfer_secs);
+    }
+
+    #[test]
+    fn sweep_matches_quadratic_oracle() {
+        let bits =
+            |e: &AppEnergy| [e.active_j, e.promo_j, e.tail_j, e.transfer_secs].map(f64::to_bits);
+        let mut rng = StdRng::seed_from_u64(2014);
+        for model in [RrcModel::wcdma_default(), RrcModel::wcdma_immediate_off()] {
+            for _ in 0..2_000 {
+                let spans = random_spans(&mut rng);
+                // Unique keys (the ledger's case): bit for bit.
+                let keyed: Vec<(u64, Interval)> = (0..).zip(spans.iter().copied()).collect();
+                let oracle = apportion_quadratic(&model, &keyed);
+                let bills = bill_each(&model, &spans);
+                for (id, bill) in (0..).zip(&bills) {
+                    let want = &oracle[&id];
+                    assert_eq!(bits(bill), bits(want), "span {id} of {spans:?}");
+                    assert_eq!(bill.wakeups, want.wakeups);
+                }
+                // Repeated app keys (`attribute`): equal up to the
+                // order the fold adds each key's shares in.
+                let apps: Vec<(AppId, Interval)> = spans
+                    .iter()
+                    .map(|&s| (AppId(rng.random_range(0..5)), s))
+                    .collect();
+                let oracle = apportion_quadratic(&model, &apps);
+                let folded = attribute(&model, &apps);
+                assert_eq!(folded.len(), oracle.len());
+                for (app, e) in &folded {
+                    assert_close(e, &oracle[app]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn attribute_conserves_a_full_volunteer_trace() {
+        let m = RrcModel::wcdma_default();
+        for trace in netmaster_trace::gen::generate_volunteers(21, 7) {
+            let transfers: Vec<(AppId, Interval)> = trace
+                .days
+                .iter()
+                .flat_map(|d| d.activities.iter().map(|a| (a.app, a.span())))
+                .collect();
+            let spans: Vec<Interval> = transfers.iter().map(|&(_, s)| s).collect();
+            let total = m.account(&spans).total_j();
+            let attributed: f64 = attribute(&m, &transfers)
+                .values()
+                .map(AppEnergy::total_j)
+                .sum();
+            assert!(
+                (total - attributed).abs() <= 1e-9 * total,
+                "{} transfers: account {total} vs attributed {attributed}",
+                transfers.len()
+            );
+        }
     }
 
     #[test]

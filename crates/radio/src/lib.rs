@@ -33,7 +33,7 @@ pub mod power;
 pub mod rrc;
 pub mod timeline;
 
-pub use attribution::{apportion, attribute, ranked, AppEnergy};
+pub use attribution::{apportion, attribute, bill_each, ranked, AppEnergy};
 pub use battery::BatteryModel;
 pub use duty::DutyCycleCost;
 pub use fach::{FachConfig, SizeAwareRrc};
