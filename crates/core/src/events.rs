@@ -137,13 +137,7 @@ pub fn day_events(day: &DayTrace, cfg: &MonitorConfig) -> Vec<SystemEvent> {
         });
         // Time-triggered samples across the transfer window, on the
         // screen-state-appropriate timer.
-        let period = if day.screen_on_at(a.start) {
-            cfg.screen_on_timer
-        } else {
-            cfg.screen_off_timer
-        };
-        let dur = a.duration.max(1);
-        let n = dur.div_ceil(period).max(1);
+        let (period, n) = cfg.byte_samples(day, a);
         let per_down = a.bytes_down / n;
         let per_up = a.bytes_up / n;
         for k in 0..n {
@@ -321,21 +315,9 @@ mod tests {
         }
         recorder.db.flush();
 
-        let count_kinds = |records: &[Record]| {
-            let mut c = [0usize; 4];
-            for r in records {
-                match r {
-                    Record::Screen { .. } => c[0] += 1,
-                    Record::Foreground { .. } => c[1] += 1,
-                    Record::Bytes { .. } => c[2] += 1,
-                    Record::Network { .. } => c[3] += 1,
-                }
-            }
-            c
-        };
         assert_eq!(
-            count_kinds(recorder.db.persisted()),
-            count_kinds(direct.db.persisted()),
+            recorder.db.kind_counts(),
+            direct.db.kind_counts(),
             "bus path and direct path must record the same multiset"
         );
     }

@@ -54,7 +54,7 @@ pub use dutycycle::{idle_wakeups, run_window, DutyOutcome, SleepScheme};
 pub use events::{
     day_events, replay_day, DatabaseRecorder, EventBus, EventReceiver, SystemEvent, UsageCounter,
 };
-pub use monitoring::{Database, Monitor, MonitorConfig, Record};
+pub use monitoring::{Database, KindCounts, Monitor, MonitorConfig, Record};
 pub use service::{DayReport, MiddlewareService, ServiceSummary};
 
 /// `true` when this build compiles the `strict-invariants` runtime

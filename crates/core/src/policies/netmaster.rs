@@ -64,9 +64,15 @@ pub struct NetMasterStats {
 /// [`netmaster_knapsack::OvScratch`] — checked out of a per-thread
 /// pool, so fleet workers recycle solver tables across short-lived
 /// member policies — and the knapsack solver allocates nothing per
-/// day. Only the last two
-/// [`DayTrace`]s are retained (for habit-drift resets); memory per
-/// policy is therefore independent of how long it has been running.
+/// day.
+///
+/// What a policy retains as days pass:
+/// - the last two [`DayTrace`]s, verbatim, for habit-drift resets;
+/// - the miner's per-day history: one 24-hour interaction-count row and
+///   one habit-stability point per observed day (about 200 B a day, so
+///   memory still grows with the days the policy has run);
+/// - the monitor's write-cache model, which is a fixed set of counts;
+/// - the journal and flight-recorder rings, bounded by capacity.
 pub struct NetMasterPolicy {
     cfg: NetMasterConfig,
     decision: DecisionMaker,
