@@ -76,11 +76,9 @@ impl DutyOutcome {
     /// own arrival, whichever is later). Used for short screen-off gaps
     /// where the radio never duty-cycles and pending demands simply ride
     /// the next screen-on.
-    pub fn with_flush(mut self, arrivals: &[Timestamp], at: Timestamp) -> Self {
-        for (i, &t) in arrivals.iter().enumerate() {
-            self.served.push((i, at.max(t)));
-        }
-        self
+    pub fn flush(&mut self, arrivals: &[Timestamp], at: Timestamp) {
+        self.served
+            .extend(arrivals.iter().enumerate().map(|(i, &t)| (i, at.max(t))));
     }
 }
 
@@ -102,8 +100,24 @@ impl DutyOutcome {
 /// assert_eq!(out.empty_wakeups, 5);
 /// ```
 pub fn run_window(scheme: SleepScheme, window: Interval, arrivals: &[Timestamp]) -> DutyOutcome {
-    debug_assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "arrivals sorted");
     let mut out = DutyOutcome::default();
+    run_window_into(scheme, window, arrivals, &mut out);
+    out
+}
+
+/// [`run_window`] into a caller-owned outcome, whose buffers are
+/// cleared and reused, so a caller walking many windows allocates only
+/// while the buffers grow.
+pub(crate) fn run_window_into(
+    scheme: SleepScheme,
+    window: Interval,
+    arrivals: &[Timestamp],
+    out: &mut DutyOutcome,
+) {
+    debug_assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "arrivals sorted");
+    out.wakeups.clear();
+    out.served.clear();
+    out.empty_wakeups = 0;
     let mut rng = match scheme {
         SleepScheme::Random { seed, .. } => Some(StdRng::seed_from_u64(
             seed ^ window.start.wrapping_mul(0x9E37_79B9),
@@ -172,7 +186,6 @@ pub fn run_window(scheme: SleepScheme, window: Interval, arrivals: &[Timestamp])
         netmaster_obs::names::DUTY_EMPTY_WAKEUPS_TOTAL,
         out.empty_wakeups
     );
-    out
 }
 
 /// Wake-up instants over an idle window — the Fig. 10(b) experiment

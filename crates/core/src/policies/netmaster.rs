@@ -5,7 +5,7 @@
 
 use crate::config::NetMasterConfig;
 use crate::decision::{DayRouting, DecisionMaker, Disposition, PlanWhy, RouteReject};
-use crate::dutycycle::{run_window, SleepScheme};
+use crate::dutycycle::{run_window_into, DutyOutcome, SleepScheme};
 use crate::monitoring::Monitor;
 use netmaster_knapsack::PooledOvScratch;
 use netmaster_mining::IncrementalMiner;
@@ -17,7 +17,7 @@ use netmaster_trace::event::TraceId;
 use netmaster_trace::time::SECS_PER_DAY;
 use netmaster_trace::time::{hour_of, Interval, Timestamp};
 use netmaster_trace::trace::DayTrace;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-run diagnostics beyond what [`netmaster_sim::RunMetrics`] carries.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -95,6 +95,25 @@ pub struct NetMasterPolicy {
     /// lifecycle traces, and plan explanations; `false` runs
     /// metrics-only (counters, histograms, spans).
     flight_recorder: bool,
+    /// Planning buffers reused from day to day.
+    day_scratch: DayScratch,
+}
+
+/// Buffers `plan_day` reuses from day to day, so planning allocates
+/// only while they grow.
+#[derive(Debug, Default)]
+struct DayScratch {
+    /// Per-slot placement cursors: forward from slot start for deferred
+    /// demands, backward from slot end for prefetches.
+    fwd: Vec<u64>,
+    back: Vec<u64>,
+    /// Demands handed to the duty-cycle layer: `(arrival, activity
+    /// index)`, sorted before the window walk.
+    duty_pending: Vec<(Timestamp, usize)>,
+    /// Arrival instants of one window's pending demands.
+    arrivals: Vec<Timestamp>,
+    /// One window's duty-cycle outcome.
+    outcome: DutyOutcome,
 }
 
 impl NetMasterPolicy {
@@ -111,6 +130,7 @@ impl NetMasterPolicy {
             journal: Journal::new(),
             ledger: TraceLedger::new(),
             flight_recorder: true,
+            day_scratch: DayScratch::default(),
         }
     }
 
@@ -261,20 +281,118 @@ impl NetMasterPolicy {
     }
 
     /// Screen-off windows of a day (gaps around sessions).
-    fn screen_off_windows(day: &DayTrace) -> Vec<Interval> {
+    fn screen_off_windows(day: &DayTrace) -> impl Iterator<Item = Interval> + '_ {
         let span = day.span();
-        let mut windows = Vec::new();
         let mut cursor = span.start;
-        for s in &day.sessions {
-            if s.start > cursor {
-                windows.push(Interval::new(cursor, s.start));
+        // The gap before each session, then the gap before the day ends.
+        (0..=day.sessions.len()).filter_map(move |i| {
+            let (on, off) = day
+                .sessions
+                .get(i)
+                .map_or((span.end, span.end), |s| (s.start, s.end));
+            let gap = (on > cursor).then(|| Interval::new(cursor, on));
+            cursor = off;
+            gap
+        })
+    }
+
+    /// Duty-cycles the day's screen-off windows, serving each demand in
+    /// `scratch.duty_pending` (sorted) at a wake-up of the window it
+    /// arrived in, and appends the executions to `plan`.
+    // lint:hot-path
+    fn duty_cycle_windows(
+        &mut self,
+        day: &DayTrace,
+        scratch: &mut DayScratch,
+        plan: &mut DayPlan,
+        traces: &mut [obs::ActivityTrace],
+        record_traces: bool,
+    ) {
+        let _duty_span = obs::span!("dutycycle");
+        // Continue doubling across served wake-ups: a served background
+        // sync is not evidence more traffic is imminent, and the paper's
+        // reset-to-T rule would chase every sync with a burst of short
+        // sleeps (see the `ablation_dutycycle` bench).
+        let scheme = SleepScheme::Exponential {
+            initial: self.cfg.duty_initial_sleep,
+            reset_on_serve: false,
+        };
+        let DayScratch {
+            duty_pending,
+            arrivals,
+            outcome,
+            ..
+        } = scratch;
+        for window in Self::screen_off_windows(day) {
+            // The pending list is sorted by arrival, so the window's
+            // demands are one contiguous run.
+            let lo = duty_pending.partition_point(|&(t, _)| t < window.start);
+            let hi = lo.max(duty_pending.partition_point(|&(t, _)| t < window.end));
+            let in_window = &duty_pending[lo..hi];
+            arrivals.clear();
+            arrivals.extend(in_window.iter().map(|&(t, _)| t));
+            // Short gaps between sessions skip duty cycling: the screen
+            // returns soon enough that pending demands just flush at the
+            // window edge, and empty wake-ups would only burn energy.
+            if window.len() < self.cfg.duty_min_window {
+                run_window_into(scheme, Interval::empty_at(window.start), &[], outcome);
+                outcome.flush(arrivals, window.end);
+            } else {
+                run_window_into(scheme, window, arrivals, outcome);
             }
-            cursor = s.end;
+            plan.empty_wakeups += outcome.empty_wakeups;
+            if !arrivals.is_empty() || !outcome.wakeups.is_empty() {
+                let (n_arrivals, n_wakeups, n_empty, n_served) = (
+                    arrivals.len() as u64,
+                    outcome.wakeups.len() as u64,
+                    outcome.empty_wakeups,
+                    outcome.served.len() as u64,
+                );
+                self.journal.emit(|| DecisionEvent::DutyCycleFallback {
+                    day: day.day,
+                    window_start: window.start,
+                    arrivals: n_arrivals,
+                    wakeups: n_wakeups,
+                    empty_wakeups: n_empty,
+                    served: n_served,
+                });
+            }
+            // Demands served at the same instant run back-to-back, not
+            // in parallel — stagger so active time is counted honestly.
+            // Service instants never decrease within a window, so one
+            // running offset per instant suffices.
+            let (mut instant, mut off) = (None, 0);
+            for &(arr_idx, served_at) in &outcome.served {
+                let orig_idx = in_window[arr_idx].1;
+                let demand = &day.activities[orig_idx];
+                if instant != Some(served_at) {
+                    debug_assert!(instant < Some(served_at), "service instants decreased");
+                    instant = Some(served_at);
+                    off = 0;
+                }
+                let at = served_at + off;
+                off += demand.duration.max(1);
+                if at == demand.start {
+                    plan.executions.push(Execution::natural(demand));
+                } else {
+                    plan.executions.push(Execution::moved(demand, at));
+                }
+                if record_traces {
+                    traces[orig_idx].outcome = if at == demand.start {
+                        obs::Outcome::Natural
+                    } else {
+                        obs::Outcome::DutyServed
+                    };
+                    traces[orig_idx].executed_at = at;
+                    traces[orig_idx].latency_secs = at.abs_diff(demand.start);
+                }
+                obs::observe!(
+                    obs::names::DUTY_SERVICE_LATENCY_SECONDS,
+                    at.abs_diff(demand.start) as f64
+                );
+                self.stats.duty_served += 1;
+            }
         }
-        if cursor < span.end {
-            windows.push(Interval::new(cursor, span.end));
-        }
-        windows
     }
 }
 
@@ -366,14 +484,17 @@ impl Policy for NetMasterPolicy {
         // duty-cycle layer despite a usable routing.
         let mut misses: u64 = 0;
 
-        let mut plan = DayPlan::default();
-        // Per-slot placement cursors: forward from slot start for
-        // deferred demands, backward from slot end for prefetches.
-        let mut fwd: HashMap<usize, u64> = HashMap::new();
-        let mut back: HashMap<usize, u64> = HashMap::new();
+        let mut plan = DayPlan {
+            executions: Vec::with_capacity(day.activities.len()),
+            ..DayPlan::default()
+        };
+        let mut scratch = std::mem::take(&mut self.day_scratch);
+        scratch.fwd.clear();
+        scratch.fwd.resize(routing.slots.len(), 0);
+        scratch.back.clear();
+        scratch.back.resize(routing.slots.len(), 0);
+        scratch.duty_pending.clear();
         let mut hour_seq = [0usize; 24];
-        // Demands handed to the duty-cycle layer, by arrival time.
-        let mut duty_pending: Vec<(Timestamp, usize)> = Vec::new();
 
         for (idx, a) in day.activities.iter().enumerate() {
             if day.screen_on_at(a.start) {
@@ -392,7 +513,7 @@ impl Policy for NetMasterPolicy {
                     // slots timely", §IV-C2) and the demand rides the
                     // next screen-on or duty wake-up — which is imminent,
                     // since the user is predicted to be around.
-                    duty_pending.push((a.start, idx));
+                    scratch.duty_pending.push((a.start, idx));
                     if record_traces {
                         traces[idx].plan = obs::PlanReason::InActiveSlot;
                     }
@@ -406,7 +527,7 @@ impl Policy for NetMasterPolicy {
                 }
                 Disposition::DeferTo { slot } => {
                     let s = routing.slots[slot];
-                    let off = fwd.entry(slot).or_insert(0);
+                    let off = &mut scratch.fwd[slot];
                     let at = (s.start + *off).min(s.end.saturating_sub(1));
                     *off += a.duration.max(1);
                     plan.executions.push(Execution::moved(a, at));
@@ -437,7 +558,7 @@ impl Policy for NetMasterPolicy {
                 }
                 Disposition::PrefetchIn { slot } => {
                     let s = routing.slots[slot];
-                    let off = back.entry(slot).or_insert(0);
+                    let off = &mut scratch.back[slot];
                     let dur = a.duration.max(1);
                     let at = s.end.saturating_sub(*off + dur).max(s.start);
                     *off += dur;
@@ -467,7 +588,7 @@ impl Policy for NetMasterPolicy {
                     obs::observe!(obs::names::DEFERRAL_LATENCY_SECONDS, latency_secs as f64);
                 }
                 Disposition::DutyCycle => {
-                    duty_pending.push((a.start, idx));
+                    scratch.duty_pending.push((a.start, idx));
                     if record_traces {
                         traces[idx].plan = if trained {
                             let reason = match routing.why_for(h, k).and_then(|w| w.reject) {
@@ -500,80 +621,9 @@ impl Policy for NetMasterPolicy {
 
         // Real-time adjustment: duty-cycle the screen-off windows,
         // serving the pending demands at wake-ups.
-        duty_pending.sort_unstable();
-        // Continue doubling across served wake-ups: a served background
-        // sync is not evidence more traffic is imminent, and the paper's
-        // reset-to-T rule would chase every sync with a burst of short
-        // sleeps (see the `ablation_dutycycle` bench).
-        let scheme = SleepScheme::Exponential {
-            initial: self.cfg.duty_initial_sleep,
-            reset_on_serve: false,
-        };
-        let _duty_span = obs::span!("dutycycle");
-        for window in Self::screen_off_windows(day) {
-            let in_window: Vec<(Timestamp, usize)> = duty_pending
-                .iter()
-                .copied()
-                .filter(|&(t, _)| window.contains(t))
-                .collect();
-            let arrivals: Vec<Timestamp> = in_window.iter().map(|&(t, _)| t).collect();
-            // Short gaps between sessions skip duty cycling: the screen
-            // returns soon enough that pending demands just flush at the
-            // window edge, and empty wake-ups would only burn energy.
-            let outcome = if window.len() < self.cfg.duty_min_window {
-                run_window(scheme, Interval::empty_at(window.start), &[])
-                    .with_flush(&arrivals, window.end)
-            } else {
-                run_window(scheme, window, &arrivals)
-            };
-            plan.empty_wakeups += outcome.empty_wakeups;
-            if !arrivals.is_empty() || !outcome.wakeups.is_empty() {
-                let (n_arrivals, n_wakeups, n_empty, n_served) = (
-                    arrivals.len() as u64,
-                    outcome.wakeups.len() as u64,
-                    outcome.empty_wakeups,
-                    outcome.served.len() as u64,
-                );
-                self.journal.emit(|| DecisionEvent::DutyCycleFallback {
-                    day: day.day,
-                    window_start: window.start,
-                    arrivals: n_arrivals,
-                    wakeups: n_wakeups,
-                    empty_wakeups: n_empty,
-                    served: n_served,
-                });
-            }
-            // Demands served at the same instant run back-to-back, not
-            // in parallel — stagger so active time is counted honestly.
-            let mut stagger: HashMap<Timestamp, u64> = HashMap::new();
-            for (arr_idx, served_at) in outcome.served {
-                let orig_idx = in_window[arr_idx].1;
-                let demand = &day.activities[orig_idx];
-                let off = stagger.entry(served_at).or_insert(0);
-                let at = served_at + *off;
-                *off += demand.duration.max(1);
-                if at == demand.start {
-                    plan.executions.push(Execution::natural(demand));
-                } else {
-                    plan.executions.push(Execution::moved(demand, at));
-                }
-                if record_traces {
-                    traces[orig_idx].outcome = if at == demand.start {
-                        obs::Outcome::Natural
-                    } else {
-                        obs::Outcome::DutyServed
-                    };
-                    traces[orig_idx].executed_at = at;
-                    traces[orig_idx].latency_secs = at.abs_diff(demand.start);
-                }
-                obs::observe!(
-                    obs::names::DUTY_SERVICE_LATENCY_SECONDS,
-                    at.abs_diff(demand.start) as f64
-                );
-                self.stats.duty_served += 1;
-            }
-        }
-        drop(_duty_span);
+        scratch.duty_pending.sort_unstable();
+        self.duty_cycle_windows(day, &mut scratch, &mut plan, &mut traces, record_traces);
+        self.day_scratch = scratch;
 
         // User-experience accounting: an interaction that needs the
         // network while the radio is blocked is a wrong decision unless
@@ -774,7 +824,7 @@ mod tests {
     fn screen_off_windows_cover_gaps() {
         let trace = volunteer_trace(1);
         let day = &trace.days[0];
-        let windows = NetMasterPolicy::screen_off_windows(day);
+        let windows: Vec<Interval> = NetMasterPolicy::screen_off_windows(day).collect();
         // Windows and sessions partition the day.
         let total: u64 = windows.iter().map(Interval::len).sum::<u64>() + day.screen_on_seconds();
         assert_eq!(total, SECS_PER_DAY);

@@ -1,10 +1,13 @@
 //! Small, dependency-free samplers for the distributions the trace
-//! generator needs (Poisson, log-normal, exponential, truncated normal,
-//! discrete weighted choice).
+//! generator needs (Poisson, log-normal, exponential, discrete weighted
+//! choice).
 //!
 //! The offline dependency set does not include `rand_distr`, so these are
 //! implemented from first principles; each sampler carries unit tests
-//! pinning its moments on a seeded stream.
+//! pinning its moments on a seeded stream. Following `rand_distr`, a
+//! distribution with fixed parameters is an object built once
+//! ([`LogNormal`], [`Poisson`], [`WeightedIndex`]) that precomputes what
+//! every draw would otherwise recompute.
 
 use rand::Rng;
 
@@ -21,23 +24,33 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
     mean + sd * standard_normal(rng)
 }
 
-/// Normal truncated to `[lo, hi]` by resampling (max 64 tries, then clamp).
-pub fn truncated_normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64, lo: f64, hi: f64) -> f64 {
-    debug_assert!(lo <= hi);
-    for _ in 0..64 {
-        let x = normal(rng, mean, sd);
-        if (lo..=hi).contains(&x) {
-            return x;
-        }
-    }
-    normal(rng, mean, sd).clamp(lo, hi)
-}
-
 /// Log-normal parameterized by the *target* median `m` and shape `sigma`
 /// (the sd of the underlying normal). Mean is `m * exp(sigma^2 / 2)`.
-pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, median: f64, sigma: f64) -> f64 {
-    debug_assert!(median > 0.0);
-    (median.ln() + sigma * standard_normal(rng)).exp()
+///
+/// Built once per parameter set, like `rand_distr`'s distributions:
+/// `ln(m)` is taken at construction, not on every draw.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LogNormal {
+    ln_median: f64,
+    sigma: f64,
+}
+
+impl LogNormal {
+    /// Log-normal with median `median` (> 0) and shape `sigma`.
+    pub fn new(median: f64, sigma: f64) -> Self {
+        LogNormal {
+            ln_median: median.ln(),
+            sigma,
+        }
+    }
+
+    /// Draws one value (two uniforms, via [`standard_normal`]).
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        // `ln(m) > -inf` exactly when `m > 0`.
+        debug_assert!(self.ln_median > f64::NEG_INFINITY, "median must be > 0");
+        (self.ln_median + self.sigma * standard_normal(rng)).exp()
+    }
 }
 
 /// Exponential with the given mean (`1/rate`).
@@ -47,58 +60,84 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
     -mean * u.ln()
 }
 
-/// Poisson sample. Knuth's product method for small means; for large
+/// Poisson distribution. Knuth's product method for small means, with
+/// its `exp(-mean)` stopping limit taken at construction; for large
 /// means a rounded normal approximation (fine for count generation).
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
-    if mean <= 0.0 {
-        return 0;
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Poisson {
+    mean: f64,
+    limit: f64,
+}
+
+impl Poisson {
+    /// Poisson with the given mean; a mean `<= 0` always draws 0.
+    pub fn new(mean: f64) -> Self {
+        let limit = if mean > 0.0 && mean < 30.0 {
+            (-mean).exp()
+        } else {
+            0.0
+        };
+        Poisson { mean, limit }
     }
-    if mean < 30.0 {
-        let limit = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0f64;
-        loop {
-            p *= rng.random::<f64>();
-            if p <= limit {
-                return k;
+
+    /// Draws one count.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        if self.mean <= 0.0 {
+            return 0;
+        }
+        if self.mean < 30.0 {
+            let mut k = 0u64;
+            let mut p = 1.0f64;
+            loop {
+                p *= rng.random::<f64>();
+                if p <= self.limit {
+                    return k;
+                }
+                k += 1;
             }
-            k += 1;
+        } else {
+            normal(rng, self.mean, self.mean.sqrt()).round().max(0.0) as u64
         }
-    } else {
-        normal(rng, mean, mean.sqrt()).round().max(0.0) as u64
     }
 }
 
-/// Bounded Pareto (power-law) on `[lo, hi]` with shape `alpha > 0`.
-/// Heavy-tailed sizes for content downloads.
-pub fn bounded_pareto<R: Rng + ?Sized>(rng: &mut R, alpha: f64, lo: f64, hi: f64) -> f64 {
-    debug_assert!(alpha > 0.0 && lo > 0.0 && hi > lo);
-    let u: f64 = rng.random();
-    let la = lo.powf(alpha);
-    let ha = hi.powf(alpha);
-    // Inverse CDF of the bounded Pareto.
-    (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
+/// Discrete choice of an index proportionally to fixed `weights` (need
+/// not be normalized; non-positive weights are never chosen). The total
+/// is summed once at construction, not on every draw.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WeightedIndex {
+    weights: Vec<f64>,
+    total: f64,
 }
 
-/// Samples an index proportionally to `weights` (need not be normalized).
-/// Returns `None` when all weights are zero or the slice is empty.
-pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<usize> {
-    let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
-    if total <= 0.0 {
-        return None;
+impl WeightedIndex {
+    /// Table over `weights`.
+    pub fn new(weights: Vec<f64>) -> Self {
+        let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
+        WeightedIndex { weights, total }
     }
-    let mut x = rng.random::<f64>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        if w <= 0.0 {
-            continue;
+
+    /// Draws an index. Returns `None`, without consuming randomness,
+    /// when all weights are zero or the table is empty.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
+        if self.total <= 0.0 {
+            return None;
         }
-        x -= w;
-        if x <= 0.0 {
-            return Some(i);
+        let mut x = rng.random::<f64>() * self.total;
+        for (i, &w) in self.weights.iter().enumerate() {
+            if w <= 0.0 {
+                continue;
+            }
+            x -= w;
+            if x <= 0.0 {
+                return Some(i);
+            }
         }
+        // Floating-point slack: return last positive-weight index.
+        self.weights.iter().rposition(|&w| w > 0.0)
     }
-    // Floating-point slack: return last positive-weight index.
-    weights.iter().rposition(|&w| w > 0.0)
 }
 
 /// Bernoulli trial with probability `p` (clamped to `[0,1]`).
@@ -132,20 +171,10 @@ mod tests {
     }
 
     #[test]
-    fn truncated_normal_respects_bounds() {
-        let mut r = rng();
-        for _ in 0..5_000 {
-            let x = truncated_normal(&mut r, 0.0, 10.0, -1.0, 1.0);
-            assert!((-1.0..=1.0).contains(&x));
-        }
-    }
-
-    #[test]
     fn log_normal_median() {
         let mut r = rng();
-        let mut xs: Vec<f64> = (0..20_001)
-            .map(|_| log_normal(&mut r, 100.0, 0.8))
-            .collect();
+        let d = LogNormal::new(100.0, 0.8);
+        let mut xs: Vec<f64> = (0..20_001).map(|_| d.sample(&mut r)).collect();
         xs.sort_by(f64::total_cmp);
         let median = xs[xs.len() / 2];
         assert!((median / 100.0 - 1.0).abs() < 0.1, "median {median}");
@@ -160,14 +189,14 @@ mod tests {
 
     #[test]
     fn poisson_small_mean() {
-        let (mean, var) = sample_stats(|r| poisson(r, 3.5) as f64, 20_000);
+        let (mean, var) = sample_stats(|r| Poisson::new(3.5).sample(r) as f64, 20_000);
         assert!((mean - 3.5).abs() < 0.1, "mean {mean}");
         assert!((var - 3.5).abs() < 0.25, "var {var}");
     }
 
     #[test]
     fn poisson_large_mean_uses_normal_branch() {
-        let (mean, var) = sample_stats(|r| poisson(r, 200.0) as f64, 20_000);
+        let (mean, var) = sample_stats(|r| Poisson::new(200.0).sample(r) as f64, 20_000);
         assert!((mean - 200.0).abs() < 1.0, "mean {mean}");
         assert!((var - 200.0).abs() < 15.0, "var {var}");
     }
@@ -175,39 +204,17 @@ mod tests {
     #[test]
     fn poisson_zero_mean_is_zero() {
         let mut r = rng();
-        assert_eq!(poisson(&mut r, 0.0), 0);
-        assert_eq!(poisson(&mut r, -1.0), 0);
-    }
-
-    #[test]
-    fn bounded_pareto_stays_in_bounds() {
-        let mut r = rng();
-        for _ in 0..5_000 {
-            let x = bounded_pareto(&mut r, 1.2, 1e3, 1e7);
-            assert!((1e3..=1e7).contains(&x), "{x}");
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_is_heavy_tailed() {
-        let mut r = rng();
-        let xs: Vec<f64> = (0..20_000)
-            .map(|_| bounded_pareto(&mut r, 1.2, 1e3, 1e7))
-            .collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let mut sorted = xs.clone();
-        sorted.sort_by(f64::total_cmp);
-        let median = sorted[sorted.len() / 2];
-        assert!(mean > 2.0 * median, "mean {mean} median {median}");
+        assert_eq!(Poisson::new(0.0).sample(&mut r), 0);
+        assert_eq!(Poisson::new(-1.0).sample(&mut r), 0);
     }
 
     #[test]
     fn weighted_index_distribution() {
         let mut r = rng();
-        let w = [1.0, 0.0, 3.0];
+        let w = WeightedIndex::new(vec![1.0, 0.0, 3.0]);
         let mut counts = [0u32; 3];
         for _ in 0..40_000 {
-            counts[weighted_index(&mut r, &w).unwrap()] += 1;
+            counts[w.sample(&mut r).unwrap()] += 1;
         }
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;
@@ -217,9 +224,9 @@ mod tests {
     #[test]
     fn weighted_index_degenerate_cases() {
         let mut r = rng();
-        assert_eq!(weighted_index(&mut r, &[]), None);
-        assert_eq!(weighted_index(&mut r, &[0.0, 0.0]), None);
-        assert_eq!(weighted_index(&mut r, &[0.0, 2.0]), Some(1));
+        assert_eq!(WeightedIndex::new(vec![]).sample(&mut r), None);
+        assert_eq!(WeightedIndex::new(vec![0.0, 0.0]).sample(&mut r), None);
+        assert_eq!(WeightedIndex::new(vec![0.0, 2.0]).sample(&mut r), Some(1));
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl fmt::Display for AppId {
 /// A `TraceId` names the activity positionally: `(day, index)` where
 /// `index` is the activity's position in its day's `activities` vector
 /// *after* [`DayTrace::normalize`](crate::trace::DayTrace::normalize)
-/// (the generator always normalizes, so ids are assigned at
+/// (the generator emits days in that order, so ids are assigned at
 /// generation). Because generation and normalization are deterministic,
 /// the same `(profile, seed)` always yields the same id for the same
 /// logical transfer — the property the causal ledger needs to join

@@ -8,7 +8,7 @@
 //!
 //! Generation is fully deterministic given `(profile, seed)`.
 
-use crate::dist;
+use crate::dist::{self, LogNormal, Poisson, WeightedIndex};
 use crate::event::{ActivityCause, AppId, Interaction, NetworkActivity, ScreenSession};
 use crate::profile::UserProfile;
 use crate::time::{DayIndex, DayKind, Timestamp, HOURS_PER_DAY, SECS_PER_DAY, SECS_PER_HOUR};
@@ -93,24 +93,149 @@ impl TraceGenerator {
         let mut rng = StdRng::seed_from_u64(
             self.seed ^ (self.profile.user_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
+        let mut days_gen = DayGenerator::new(&self.profile, self.options, app_ids);
+        trace.days.reserve_exact(days);
         for day in 0..days {
-            let d = self.generate_day(&mut rng, day, &app_ids);
-            debug_assert_eq!(d.validate(), Ok(()));
-            trace.days.push(d);
+            days_gen.draw_day(&mut rng, day);
+            debug_assert_eq!(days_gen.day.validate(), Ok(()));
+            // A clone sizes each event vector to its exact length.
+            trace.days.push(days_gen.day.clone());
         }
         trace
     }
+}
 
-    /// Generates a single day.
-    fn generate_day(&self, rng: &mut StdRng, day: DayIndex, app_ids: &[AppId]) -> DayTrace {
-        let p = &self.profile;
-        let weekend = DayKind::of_day(day).is_weekend();
+/// Foreground traffic of one app: what an interaction with it may send.
+#[derive(Debug)]
+struct ForegroundModel {
+    app: AppId,
+    /// Chance that an interaction needs the network.
+    fires: f64,
+    bytes: LogNormal,
+    uplink_fraction: f64,
+}
+
+/// Background syncs of one app.
+#[derive(Debug)]
+struct BackgroundModel {
+    app: AppId,
+    /// Mean seconds between sync events, options applied.
+    period: f64,
+    /// Activities per sync event, minus one.
+    extra_in_burst: Poisson,
+    bytes: LogNormal,
+    jitter: LogNormal,
+    burst_spread: f64,
+    uplink_fraction: f64,
+}
+
+/// Everything a trace's days draw from, built once per trace: the
+/// profile's distributions with their constants precomputed, a
+/// per-hour app-choice table, and buffers reused from day to day,
+/// the drawn day among them.
+///
+/// Each day makes exactly the random draws, in the order, and with the
+/// float expressions of drawing from the profile directly, so the
+/// output does not depend on this hoisting.
+struct DayGenerator<'a> {
+    profile: &'a UserProfile,
+    intensity_scale: f64,
+    day_factor: LogNormal,
+    scatter_chance: f64,
+    hour_noise: LogNormal,
+    extra_in_session: Poisson,
+    session_len: LogNormal,
+    /// App choice for an interaction in a session starting at hour `h`.
+    app_by_hour: [WeightedIndex; HOURS_PER_DAY],
+    foreground: Vec<ForegroundModel>,
+    fg_rate: LogNormal,
+    background: Vec<BackgroundModel>,
+    bg_rate: LogNormal,
+    /// Sessions as drawn: `(start, len, interactions)`.
+    raw_sessions: Vec<(Timestamp, u64, u64)>,
+    /// Interactions per kept session.
+    session_k: Vec<u64>,
+    /// The last day drawn.
+    day: DayTrace,
+}
+
+impl<'a> DayGenerator<'a> {
+    fn new(p: &'a UserProfile, options: GenOptions, app_ids: Vec<AppId>) -> Self {
         let noise = 1.0 - p.regularity;
+        let app_by_hour = std::array::from_fn(|hour| {
+            WeightedIndex::new(
+                p.apps
+                    .iter()
+                    .map(|a| a.popularity * a.hourly_affinity[hour])
+                    .collect(),
+            )
+        });
+        let foreground = p
+            .apps
+            .iter()
+            .zip(&app_ids)
+            .map(|(app, &id)| ForegroundModel {
+                app: id,
+                fires: app.fg_network_prob * options.fg_prob_scale,
+                bytes: LogNormal::new(app.fg_bytes_median.max(256.0), app.fg_bytes_sigma),
+                uplink_fraction: app.fg_uplink_fraction,
+            })
+            .collect();
+        let background = p
+            .apps
+            .iter()
+            .zip(&app_ids)
+            .filter_map(|(app, &id)| {
+                let bg = app.background.as_ref()?;
+                Some(BackgroundModel {
+                    app: id,
+                    period: bg.period * options.bg_period_scale,
+                    extra_in_burst: Poisson::new((bg.burst_mean - 1.0).max(0.0)),
+                    bytes: LogNormal::new(bg.bytes_median, bg.bytes_sigma),
+                    jitter: LogNormal::new(1.0, bg.jitter),
+                    burst_spread: bg.burst_spread,
+                    uplink_fraction: bg.uplink_fraction,
+                })
+            })
+            .collect();
+        DayGenerator {
+            profile: p,
+            intensity_scale: options.intensity_scale,
+            day_factor: LogNormal::new(1.0, noise * 0.45),
+            scatter_chance: noise * 0.3,
+            hour_noise: LogNormal::new(1.0, noise * 0.35),
+            extra_in_session: Poisson::new((p.session.interactions_per_session - 1.0).max(0.0)),
+            session_len: LogNormal::new(p.session.duration_median, p.session.duration_sigma),
+            app_by_hour,
+            foreground,
+            fg_rate: LogNormal::new(p.session.fg_rate_median, 0.5),
+            background,
+            bg_rate: LogNormal::new(p.session.bg_rate_median, 0.5),
+            raw_sessions: Vec::new(),
+            session_k: Vec::new(),
+            day: DayTrace::default(),
+        }
+    }
+
+    /// Draws day `day` into `self.day`.
+    ///
+    /// Every event vector comes out in [`DayTrace::normalize`] order
+    /// without a whole-day sort of sessions or interactions: sessions
+    /// are drawn hour by hour and sorted within their hour, and the
+    /// interactions and foreground activities of one session are sorted
+    /// within the session. Hours and sessions are disjoint and in time
+    /// order, so these block sorts give what one stable sort of the day
+    /// would. One stable sort remains, merging the foreground run with
+    /// each app's background syncs.
+    // lint:hot-path
+    fn draw_day(&mut self, rng: &mut StdRng, day: DayIndex) {
+        let p = self.profile;
+        let weekend = DayKind::of_day(day).is_weekend();
 
         // Day-level modulation: overall mood plus occasional scattered
         // days whose shape is shifted and damped.
-        let day_factor = dist::log_normal(rng, 1.0, noise * 0.45);
-        let scattered = dist::coin(rng, noise * 0.3);
+        let day_factor = self.day_factor.sample(rng);
+        let scattered = dist::coin(rng, self.scatter_chance);
         let shift: i64 = if scattered {
             rng.random_range(-3..=3)
         } else {
@@ -123,95 +248,112 @@ impl TraceGenerator {
         for (h, count) in hour_counts.iter_mut().enumerate() {
             let src = ((h as i64 + shift).rem_euclid(HOURS_PER_DAY as i64)) as usize;
             let lambda = p.intensity(weekend, src)
-                * self.options.intensity_scale
+                * self.intensity_scale
                 * day_factor
                 * scatter_damp
-                * dist::log_normal(rng, 1.0, noise * 0.35);
-            *count = dist::poisson(rng, lambda);
+                * self.hour_noise.sample(rng);
+            *count = Poisson::new(lambda).sample(rng);
         }
 
-        // Cluster interactions into sessions.
+        // Cluster interactions into sessions, sorted by start.
         let day_start = crate::time::day_start(day);
         let day_end = day_start + SECS_PER_DAY;
-        let mut raw_sessions: Vec<(Timestamp, u64, u64)> = Vec::new(); // (start, len, k)
+        self.raw_sessions.clear();
         for (h, &n) in hour_counts.iter().enumerate() {
+            let hour_block = self.raw_sessions.len();
             let mut remaining = n;
             while remaining > 0 {
-                let k =
-                    (1 + dist::poisson(rng, (p.session.interactions_per_session - 1.0).max(0.0)))
-                        .min(remaining);
+                let k = (1 + self.extra_in_session.sample(rng)).min(remaining);
                 remaining -= k;
                 let start =
                     day_start + h as u64 * SECS_PER_HOUR + rng.random_range(0..SECS_PER_HOUR);
-                let len = dist::log_normal(rng, p.session.duration_median, p.session.duration_sigma)
+                let len = self
+                    .session_len
+                    .sample(rng)
                     .round()
                     .max((k * SECS_PER_INTERACTION) as f64) as u64;
                 let len = len.clamp(MIN_SESSION_SECS, MAX_SESSION_SECS);
-                raw_sessions.push((start, len, k));
+                self.raw_sessions.push((start, len, k));
             }
+            self.raw_sessions[hour_block..].sort_by_key(|&(s, ..)| s);
         }
-        raw_sessions.sort_by_key(|&(s, ..)| s);
+
+        self.day.day = day;
+        let DayTrace {
+            sessions,
+            interactions,
+            activities,
+            ..
+        } = &mut self.day;
+        sessions.clear();
+        interactions.clear();
+        activities.clear();
 
         // Resolve overlaps by pushing sessions later; drop any that fall
         // off the end of the day.
-        let mut sessions: Vec<ScreenSession> = Vec::with_capacity(raw_sessions.len());
-        let mut session_k: Vec<u64> = Vec::with_capacity(raw_sessions.len());
+        self.session_k.clear();
         let mut cursor = day_start;
-        for (start, len, k) in raw_sessions {
+        for &(start, len, k) in &self.raw_sessions {
             let start = start.max(cursor.saturating_add(1));
             let end = start.saturating_add(len);
             if end >= day_end {
                 break;
             }
             sessions.push(ScreenSession { start, end });
-            session_k.push(k);
+            self.session_k.push(k);
             cursor = end;
         }
 
         // Place interactions inside sessions, pick apps, spawn
         // foreground network activities.
-        let mut interactions: Vec<Interaction> = Vec::new();
-        let mut activities: Vec<NetworkActivity> = Vec::new();
-        for (s, &k) in sessions.iter().zip(&session_k) {
-            let hour = crate::time::hour_of(s.start);
-            let weights: Vec<f64> = p
-                .apps
-                .iter()
-                .map(|a| a.popularity * a.hourly_affinity[hour])
-                .collect();
+        for (s, &k) in sessions.iter().zip(&self.session_k) {
+            let apps = &self.app_by_hour[crate::time::hour_of(s.start)];
+            let (i0, a0) = (interactions.len(), activities.len());
             for _ in 0..k {
-                let Some(app_idx) = dist::weighted_index(rng, &weights) else {
+                let Some(app_idx) = apps.sample(rng) else {
                     continue;
                 };
-                let app = &p.apps[app_idx];
+                let fg = &self.foreground[app_idx];
                 let at = rng.random_range(s.start..s.end);
-                let fires = dist::coin(rng, app.fg_network_prob * self.options.fg_prob_scale);
+                let fires = dist::coin(rng, fg.fires);
                 interactions.push(Interaction {
                     at,
-                    app: app_ids[app_idx],
+                    app: fg.app,
                     needs_network: fires,
                 });
                 if fires {
-                    activities.push(self.foreground_activity(rng, at, app_idx, app_ids));
+                    let bytes = fg.bytes.sample(rng).max(128.0);
+                    let rate = self.fg_rate.sample(rng).max(256.0);
+                    let duration = (bytes / rate).round().clamp(1.0, 90.0) as u64;
+                    let up = (bytes * fg.uplink_fraction) as u64;
+                    let down = bytes as u64 - up;
+                    activities.push(NetworkActivity {
+                        start: at,
+                        duration,
+                        bytes_down: down,
+                        bytes_up: up,
+                        app: fg.app,
+                        cause: ActivityCause::Foreground,
+                    });
                 }
             }
+            interactions[i0..].sort_by_key(|i| i.at);
+            activities[a0..].sort_by_key(|a| a.start);
         }
 
         // Background syncs, all day, regardless of screen state. Each
         // sync event is a burst of one or more activities a few seconds
         // apart (DNS + per-endpoint connections of one logical sync).
-        for (app_idx, app) in p.apps.iter().enumerate() {
-            let Some(bg) = &app.background else { continue };
-            let period = bg.period * self.options.bg_period_scale;
-            let mut t = day_start as f64 + rng.random::<f64>() * period;
+        for bg in &self.background {
+            let mut t = day_start as f64 + rng.random::<f64>() * bg.period;
             while (t as Timestamp) < day_end {
-                let n_sub = 1 + dist::poisson(rng, (bg.burst_mean - 1.0).max(0.0));
-                let total_bytes = dist::log_normal(rng, bg.bytes_median, bg.bytes_sigma).max(64.0);
+                let n_sub = 1 + bg.extra_in_burst.sample(rng);
+                let total_bytes = bg.bytes.sample(rng).max(64.0);
                 let mut sub_t = t;
                 for _ in 0..n_sub {
                     let at = sub_t as Timestamp;
                     let bytes = (total_bytes / n_sub as f64).max(64.0);
-                    let rate = dist::log_normal(rng, p.session.bg_rate_median, 0.5).max(64.0);
+                    let rate = self.bg_rate.sample(rng).max(64.0);
                     let duration = (bytes / rate).round().clamp(1.0, 60.0) as u64;
                     let up = (bytes * bg.uplink_fraction) as u64;
                     let down = bytes as u64 - up;
@@ -221,50 +363,16 @@ impl TraceGenerator {
                             duration,
                             bytes_down: down,
                             bytes_up: up,
-                            app: app_ids[app_idx],
+                            app: bg.app,
                             cause: ActivityCause::Background,
                         });
                     }
                     sub_t += dist::exponential(rng, bg.burst_spread).max(1.0);
                 }
-                t += period * dist::log_normal(rng, 1.0, bg.jitter);
+                t += bg.period * bg.jitter.sample(rng);
             }
         }
-
-        let mut d = DayTrace {
-            day,
-            sessions,
-            interactions,
-            activities,
-        };
-        d.normalize();
-        d
-    }
-
-    /// A foreground transfer riding on an interaction at `at`.
-    fn foreground_activity(
-        &self,
-        rng: &mut StdRng,
-        at: Timestamp,
-        app_idx: usize,
-        app_ids: &[AppId],
-    ) -> NetworkActivity {
-        let p = &self.profile;
-        let app = &p.apps[app_idx];
-        let bytes =
-            dist::log_normal(rng, app.fg_bytes_median.max(256.0), app.fg_bytes_sigma).max(128.0);
-        let rate = dist::log_normal(rng, p.session.fg_rate_median, 0.5).max(256.0);
-        let duration = (bytes / rate).round().clamp(1.0, 90.0) as u64;
-        let up = (bytes * app.fg_uplink_fraction) as u64;
-        let down = bytes as u64 - up;
-        NetworkActivity {
-            start: at,
-            duration,
-            bytes_down: down,
-            bytes_up: up,
-            app: app_ids[app_idx],
-            cause: ActivityCause::Foreground,
-        }
+        activities.sort_by_key(|a| a.start);
     }
 }
 
@@ -330,6 +438,18 @@ mod tests {
             .count();
         assert!(fg > 10, "only {fg} foreground activities in a week");
         assert!(bg > 10, "only {bg} background activities in a week");
+    }
+
+    #[test]
+    fn days_come_out_in_normalized_order() {
+        for p in UserProfile::panel() {
+            let t = TraceGenerator::new(p).with_seed(5).generate(7);
+            for d in &t.days {
+                let mut sorted = d.clone();
+                sorted.normalize();
+                assert_eq!(&sorted, d, "day {} needed a re-sort", d.day);
+            }
+        }
     }
 
     #[test]

@@ -256,12 +256,14 @@ impl Trace {
 
     /// Sub-trace containing days `[from, to)` (re-indexed from 0 is NOT
     /// performed; day indices keep their absolute values so weekday math
-    /// stays correct).
+    /// stays correct). Days past the end are absent, so a range that
+    /// starts past the end, or ends before it starts, yields no days.
     pub fn slice_days(&self, from: DayIndex, to: DayIndex) -> Trace {
+        let to = to.min(self.days.len());
         Trace {
             user_id: self.user_id,
             apps: self.apps.clone(),
-            days: self.days[from..to.min(self.days.len())].to_vec(),
+            days: self.days.get(from..to).unwrap_or_default().to_vec(),
         }
     }
 
@@ -388,6 +390,21 @@ mod tests {
         assert_eq!(s.days[0].day, 1);
         assert!(s.validate().is_ok());
         assert_eq!(s.total_bytes(), (200, 0));
+    }
+
+    #[test]
+    fn slicing_out_of_range_yields_no_days() {
+        let mut t = Trace::new(7);
+        t.apps.register("com.example");
+        for day in 0..5 {
+            t.days.push(DayTrace::new(day));
+        }
+        for (from, to) in [(25, 30), (5, 9), (7, 3), (3, 2), (9, 0)] {
+            let s = t.slice_days(from, to);
+            assert_eq!(s.num_days(), 0, "slice_days({from}, {to})");
+            assert_eq!((s.user_id, &s.apps), (7, &t.apps));
+        }
+        assert_eq!(t.slice_days(3, 30).num_days(), 2, "the end is clamped");
     }
 
     #[test]
