@@ -85,9 +85,9 @@ pub struct DayRouting {
     /// cycle.
     pub route: Vec<Vec<Disposition>>,
     /// Causal explanations for the planner-routed (non-`Immediate`)
-    /// entries of `route`, hour-tagged, in plan push order — one flat
-    /// allocation instead of a per-hour table, because this rides the
-    /// per-day hot path. Populated only while observability is
+    /// entries of `route`, hour-tagged, in plan push order (ascending
+    /// by hour) — one flat allocation instead of a per-hour table,
+    /// because this rides the per-day hot path. Populated only while observability is
     /// runtime-enabled; empty otherwise.
     pub why: Vec<(u8, PlanWhy)>,
     /// Total planner profit (ΔE − ΔP over scheduled predicted items).
@@ -133,15 +133,16 @@ impl DayRouting {
             return None;
         }
         // Ordinal of this entry among the hour's planner-routed ones —
-        // `why` holds them in the same order `route[hour]` does.
+        // `why` holds them in the same order `route[hour]` does, hour
+        // by hour, so the hour's entries start at its partition point.
         let ord = list[..k]
             .iter()
             .filter(|d| !matches!(d, Disposition::Immediate))
             .count();
+        let first = self.why.partition_point(|&(h, _)| (h as usize) < hour);
         self.why
-            .iter()
-            .filter(|(h, _)| *h as usize == hour)
-            .nth(ord)
+            .get(first + ord)
+            .filter(|&&(h, _)| h as usize == hour)
             .map(|&(_, w)| w)
     }
 
@@ -640,6 +641,56 @@ mod tests {
         let json = serde_json::to_string(&routing).unwrap();
         let back: DayRouting = serde_json::from_str(&json).unwrap();
         assert_eq!(back, routing);
+    }
+
+    #[test]
+    fn why_lookup_matches_a_scan_of_the_hour() {
+        // The lookup `why_for` replaced: filter the hour's entries and
+        // take the ordinal-th.
+        let scan = |r: &DayRouting, hour: usize, k: usize| -> Option<PlanWhy> {
+            let list = r.route.get(hour).filter(|l| !l.is_empty())?;
+            let k = k % list.len();
+            if r.why.is_empty() || matches!(list[k], Disposition::Immediate) {
+                return None;
+            }
+            let ord = list[..k]
+                .iter()
+                .filter(|d| !matches!(d, Disposition::Immediate))
+                .count();
+            r.why
+                .iter()
+                .filter(|(h, _)| *h as usize == hour)
+                .nth(ord)
+                .map(|&(_, w)| w)
+        };
+        let pred = two_slot_prediction();
+        let net = network_with_hours(&[
+            (0, 2.0, 4_000.0),
+            (3, 3.0, 9_000.0),
+            (8, 2.0, 2_000.0),
+            (12, 4.0, 40_000.0),
+            (18, 1.0, 1_000.0),
+            (22, 5.0, 80_000.0),
+        ]);
+        let mut slow = maker();
+        slow.link.avg_down_bps = 2.0;
+        slow.link.avg_up_bps = 1.0;
+        for m in [maker(), slow] {
+            let routing = m.plan_day(0, &pred, &net);
+            if netmaster_obs::runtime_enabled() {
+                assert!(routing.slots.len() >= 2, "{routing:?}");
+                assert!(routing.why.len() > 10, "{routing:?}");
+            }
+            for hour in 0..HOURS_PER_DAY + 1 {
+                for k in 0..16 {
+                    assert_eq!(
+                        routing.why_for(hour, k),
+                        scan(&routing, hour, k),
+                        "hour {hour}, k {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

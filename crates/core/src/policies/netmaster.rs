@@ -456,14 +456,15 @@ impl Policy for NetMasterPolicy {
 
         // Flight recorder: one causal lifecycle record per activity,
         // built in lockstep with the decisions below, finalized by the
-        // duty-cycle loop, and appended to the ledger at the end of the
-        // day. Screen-on/Natural is the default; branches overwrite.
+        // duty-cycle loop, and handed to the ledger at the end of the
+        // day as that day's chunk. Screen-on/Natural is the default;
+        // branches overwrite.
         let record_traces = self.flight_recorder && obs::runtime_enabled();
-        let mut traces: Vec<obs::ActivityTrace> = Vec::new();
-        if record_traces {
-            traces.reserve(day.activities.len());
-            for (idx, a) in day.activities.iter().enumerate() {
-                traces.push(obs::ActivityTrace {
+        let mut traces: Vec<obs::ActivityTrace> = if record_traces {
+            day.activities
+                .iter()
+                .enumerate()
+                .map(|(idx, a)| obs::ActivityTrace {
                     trace_id: TraceId::new(day.day, idx).raw(),
                     day: day.day,
                     app: a.app.0,
@@ -476,9 +477,11 @@ impl Policy for NetMasterPolicy {
                     executed_at: a.start,
                     latency_secs: 0,
                     energy: None,
-                });
-            }
-        }
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
 
         // Trained-prediction misses: demands that still fell to the
         // duty-cycle layer despite a usable routing.
@@ -656,12 +659,10 @@ impl Policy for NetMasterPolicy {
         self.learn(day);
         plan.executions.sort_by_key(|e| e.start);
 
-        // Append today's lifecycle records to the flight recorder (the
-        // service fills in the energy apportionment lazily, off the
-        // simulation hot path).
-        for t in traces {
-            self.ledger.record(|| t);
-        }
+        // Hand today's lifecycle records to the flight recorder as one
+        // chunk (the service prices them in place, off the simulation
+        // hot path).
+        self.ledger.record_day(traces);
 
         // Batched telemetry: one relaxed atomic add per counter per day
         // (the per-demand hot loop above only touches the journal).

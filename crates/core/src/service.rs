@@ -147,6 +147,11 @@ pub struct MiddlewareService {
     sim: SimConfig,
     battery: BatteryModel,
     summary: ServiceSummary,
+    /// The radio the flight recorder prices executed transfers on (the
+    /// policy's tail policy).
+    planned_radio: RrcModel,
+    /// The stock radio it prices natural-time transfers on.
+    stock_radio: RrcModel,
 }
 
 impl MiddlewareService {
@@ -161,12 +166,17 @@ impl MiddlewareService {
 
     /// New service with explicit configuration.
     pub fn with_config(cfg: NetMasterConfig, radio: RrcConfig, link: LinkModel) -> Self {
-        let model = RrcModel {
+        let stock_radio = RrcModel {
             config: radio.clone(),
-            tail_policy: netmaster_radio::TailPolicy::Full,
+            tail_policy: TailPolicy::Full,
+        };
+        let policy = NetMasterPolicy::new(cfg, link, stock_radio.clone());
+        let planned_radio = RrcModel {
+            config: radio.clone(),
+            tail_policy: policy.tail_policy(),
         };
         MiddlewareService {
-            policy: NetMasterPolicy::new(cfg, link, model),
+            policy,
             sim: SimConfig {
                 radio,
                 link,
@@ -174,6 +184,8 @@ impl MiddlewareService {
             },
             battery: BatteryModel::htc_one_x(),
             summary: ServiceSummary::default(),
+            planned_radio,
+            stock_radio,
         }
     }
 
@@ -240,50 +252,34 @@ impl MiddlewareService {
         report
     }
 
-    /// The flight recorder's lazy pricing pass: apportions the day's
-    /// radio energy back to each of today's ledger records — actual
-    /// joules under the NetMaster plan (immediate tail release) and the
-    /// joules the same activity would have cost at its natural time on
-    /// the stock radio (full inactivity timers). Runs after the
-    /// simulation, outside the measured planning hot path; a no-op
-    /// while the flight recorder is off or the day is empty. Summed
-    /// over a day's records, `actual_j` reproduces that day's RRC
-    /// timeline energy exactly (duty-cycle empty-wakeup energy is
-    /// accounted separately and not apportioned to activities), and
-    /// `baseline_j` the stock counterfactual's; the `strict-invariants`
-    /// build asserts both against `report`.
+    /// The flight recorder's pricing pass: apportions the day's radio
+    /// energy back to each of today's ledger records, in place in the
+    /// day's chunk — actual joules under the NetMaster plan (immediate
+    /// tail release) and the joules the same activity would have cost
+    /// at its natural time on the stock radio (full inactivity timers).
+    /// Runs after the simulation, outside the measured planning hot
+    /// path; a no-op while the flight recorder is off or the day is
+    /// empty. Summed over a day's records, `actual_j` reproduces that
+    /// day's RRC timeline energy exactly (duty-cycle empty-wakeup
+    /// energy is accounted separately and not apportioned to
+    /// activities), and `baseline_j` the stock counterfactual's; the
+    /// `strict-invariants` build asserts both against `report`.
     fn apportion_energy(&mut self, report: &DayReport) {
         let day = report.day;
-        let (actual_spans, baseline_spans): (Vec<Interval>, Vec<Interval>) = self
-            .policy
-            .ledger()
-            .records()
-            .filter(|r| r.day == day)
-            .map(|r| {
-                let dur = r.duration.max(1);
-                (
-                    Interval::new(r.executed_at, r.executed_at + dur),
-                    Interval::new(r.natural_start, r.natural_start + dur),
-                )
-            })
-            .unzip();
-        if actual_spans.is_empty() {
+        let Some(records) = self.policy.ledger_mut().day_mut(day) else {
             return;
-        }
-        let planned = RrcModel {
-            config: self.sim.radio.clone(),
-            tail_policy: self.policy.tail_policy(),
         };
-        let stock = RrcModel {
-            config: self.sim.radio.clone(),
-            tail_policy: TailPolicy::Full,
-        };
-        let actual = bill_each(&planned, &actual_spans);
-        let baseline = bill_each(&stock, &baseline_spans);
-        // `day_records_mut` walks the ring with the same filter, so the
-        // bills line up with the records they were built from.
-        let records = self.policy.ledger_mut().day_records_mut(day);
-        for ((r, a), b) in records.zip(&actual).zip(&baseline) {
+        let span =
+            |at: u64, r: &netmaster_obs::ActivityTrace| Interval::new(at, at + r.duration.max(1));
+        let actual = bill_each(
+            &self.planned_radio,
+            records.iter().map(|r| span(r.executed_at, r)),
+        );
+        let baseline = bill_each(
+            &self.stock_radio,
+            records.iter().map(|r| span(r.natural_start, r)),
+        );
+        for ((r, a), b) in records.iter_mut().zip(&actual).zip(&baseline) {
             r.energy = Some(netmaster_obs::EnergyShare {
                 actual_j: a.total_j(),
                 baseline_j: b.total_j(),

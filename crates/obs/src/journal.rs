@@ -243,7 +243,7 @@ impl Journal {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.ring.push(JournalEntry { seq, event: f() }) {
+        if self.ring.push(JournalEntry { seq, event: f() }) > 0 {
             crate::counter!(crate::names::JOURNAL_DROPPED_TOTAL);
         }
     }
@@ -272,13 +272,12 @@ impl Journal {
     }
 
     /// Takes every buffered entry, oldest first. Publishes the ring's
-    /// high-water mark as a gauge (drain is the cold path; `emit` only
-    /// maintains a local max).
+    /// high-water mark as a gauge when it has risen since the last
+    /// drain (`emit` only maintains a local max).
     pub fn drain(&mut self) -> Vec<JournalEntry> {
-        crate::gauge_max(
-            crate::names::JOURNAL_RING_HIGHWATER,
-            self.ring.high_water() as f64,
-        );
+        if let Some(hw) = self.ring.high_water_rise() {
+            crate::gauge_max(crate::names::JOURNAL_RING_HIGHWATER, hw as f64);
+        }
         self.ring.drain().collect()
     }
 }
@@ -341,6 +340,17 @@ mod tests {
             vec![2, 3, 4]
         );
         assert_eq!(entries[0].event, sample(2));
+        // Later drains publish only a rise, and the gauge keeps reading
+        // the ring's high water.
+        let gauge = || crate::snapshot().gauge(crate::names::JOURNAL_RING_HIGHWATER);
+        j.emit(|| sample(5));
+        assert_eq!(j.drain().len(), 1);
+        assert_eq!(gauge(), Some(3.0));
+        let mut big = Journal::with_capacity(8);
+        (0..5).for_each(|day| big.emit(|| sample(day)));
+        big.drain();
+        assert_eq!((gauge(), big.high_water()), (Some(5.0), 5));
+        crate::reset();
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use registry::{
     counter_handle, gauge_max, gauge_set, hist_handle, reset, snapshot, BucketSnap, Counter,
     CounterSnap, GaugeSnap, Hist, HistSnap, Snapshot, FINITE_BUCKETS, HIST_BUCKETS,
 };
-pub use ring::Ring;
+pub use ring::{Chunk, One, Ring, Weight};
 pub use runregistry::{RunRecord, RunRegistry, RUN_SCHEMA_VERSION};
 pub use serve::{
     healthz_report, http_get, http_get_with_timeout, HealthzReport, ObsServer, ServeOptions,

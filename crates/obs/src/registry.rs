@@ -38,9 +38,10 @@ fn bucket_of(ns: u64) -> usize {
     ((ceil_log - MIN_EXP) as usize).min(HIST_BUCKETS - 1)
 }
 
-/// One histogram shard: per-bucket counts plus count/sum.
+/// One histogram shard: per-bucket counts plus the sum. The total
+/// count is the sum of the buckets, overflow included, so a scrape
+/// racing an observation can never see a total below its buckets.
 pub(crate) struct HistCell {
-    count: AtomicU64,
     sum_ns: AtomicU64,
     buckets: [AtomicU64; HIST_BUCKETS],
 }
@@ -48,15 +49,13 @@ pub(crate) struct HistCell {
 impl HistCell {
     fn new() -> Self {
         HistCell {
-            count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
     fn zero(&self) {
-        self.count.store(0, Ordering::Relaxed); // lint:allow(atomic-ordering) shard cells are reached under the registry Mutex, whose unlock edge orders resets against merges; racing Relaxed increments are statistical
-        self.sum_ns.store(0, Ordering::Relaxed);
+        self.sum_ns.store(0, Ordering::Relaxed); // lint:allow(atomic-ordering) shard cells are reached under the registry Mutex, whose unlock edge orders resets against merges; racing Relaxed increments are statistical
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed); // lint:allow(atomic-ordering) shard cells are reached under the registry Mutex, whose unlock edge orders resets against merges; racing Relaxed increments are statistical
         }
@@ -102,7 +101,6 @@ impl Hist {
             (secs * 1e9).min(u64::MAX as f64) as u64
         };
         let cell = &self.0;
-        cell.count.fetch_add(1, Ordering::Relaxed);
         cell.sum_ns.fetch_add(ns, Ordering::Relaxed);
         cell.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
     }
@@ -323,12 +321,11 @@ pub fn snapshot() -> Snapshot {
         *counters.entry(name).or_insert(0) += c.load(Ordering::Relaxed); // lint:allow(atomic-ordering) shard cells are reached under the registry Mutex, whose unlock edge orders resets against merges; racing Relaxed increments are statistical
     }
 
-    let mut hists: BTreeMap<&'static str, (u64, u64, [u64; HIST_BUCKETS])> = BTreeMap::new();
+    let mut hists: BTreeMap<&'static str, (u64, [u64; HIST_BUCKETS])> = BTreeMap::new();
     for (name, h) in r.hists.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-        let entry = hists.entry(name).or_insert((0, 0, [0; HIST_BUCKETS]));
-        entry.0 += h.count.load(Ordering::Relaxed); // lint:allow(atomic-ordering) shard cells are reached under the registry Mutex, whose unlock edge orders resets against merges; racing Relaxed increments are statistical
-        entry.1 += h.sum_ns.load(Ordering::Relaxed);
-        for (acc, b) in entry.2.iter_mut().zip(&h.buckets) {
+        let entry = hists.entry(name).or_insert((0, [0; HIST_BUCKETS]));
+        entry.0 += h.sum_ns.load(Ordering::Relaxed); // lint:allow(atomic-ordering) shard cells are reached under the registry Mutex, whose unlock edge orders resets against merges; racing Relaxed increments are statistical
+        for (acc, b) in entry.1.iter_mut().zip(&h.buckets) {
             *acc += b.load(Ordering::Relaxed); // lint:allow(atomic-ordering) shard cells are reached under the registry Mutex, whose unlock edge orders resets against merges; racing Relaxed increments are statistical
         }
     }
@@ -354,8 +351,9 @@ pub fn snapshot() -> Snapshot {
             .collect(),
         histograms: hists
             .into_iter()
-            .filter(|&(_, (count, _, _))| count > 0)
-            .map(|(name, (count, sum_ns, buckets))| HistSnap {
+            .map(|(name, (sum_ns, buckets))| (name, sum_ns, buckets.iter().sum(), buckets))
+            .filter(|&(_, _, count, _)| count > 0)
+            .map(|(name, sum_ns, count, buckets)| HistSnap {
                 name: name.to_owned(),
                 count,
                 sum_secs: sum_ns as f64 / 1e9,
@@ -553,6 +551,34 @@ mod tests {
         assert_eq!(snapshot().gauge("test_poison_gauge"), Some(7.5));
         reset();
         assert_eq!(snapshot().gauge("test_poison_gauge"), None);
+    }
+
+    #[test]
+    fn torn_histogram_shard_still_scrapes_cumulative() {
+        let _g = crate::test_serial();
+        if !crate::ENABLED {
+            return;
+        }
+        reset();
+        // A shard as a scrape finds it mid-burst: bucket increments
+        // have landed (two of them past the last finite bound) whose
+        // sums have not. A total read apart from the buckets would lag
+        // them and close the exposition with `+Inf` below the last
+        // finite bucket; the total is their sum instead.
+        let h = hist_handle("test_torn_seconds");
+        h.0.buckets[3].store(4, Ordering::Relaxed);
+        h.0.buckets[HIST_BUCKETS - 1].store(2, Ordering::Relaxed);
+        h.0.sum_ns.store(1_000, Ordering::Relaxed);
+        let snap = snapshot();
+        let hs = snap.histogram("test_torn_seconds").expect("scraped");
+        assert_eq!(hs.count, 6);
+        let text = snap.to_prometheus();
+        crate::validate_prometheus(&text).unwrap();
+        assert!(
+            text.contains("test_torn_seconds_bucket{le=\"+Inf\"} 6"),
+            "{text}"
+        );
+        reset();
     }
 
     #[test]

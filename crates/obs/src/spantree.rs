@@ -468,7 +468,7 @@ impl TraceStore {
             }
             None => inner.exemplars.push((root.name.clone(), root.clone())),
         }
-        if inner.ring.push(root) {
+        if inner.ring.push(root) > 0 {
             crate::counter!(crate::names::TRACE_STORE_DROPPED_TOTAL);
         }
     }

@@ -422,7 +422,7 @@ fn push_point(inner: &mut StoreInner, name: &str, kind: SeriesKind, p: Point, re
         // A name switched shape across a reset; restart the series.
         *s = Series::new(kind, retention);
     }
-    if s.points.push(p) {
+    if s.points.push(p) > 0 {
         inner.dropped_total += 1;
         crate::counter!(crate::names::STORE_DROPPED_TOTAL);
     }

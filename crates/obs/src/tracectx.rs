@@ -12,12 +12,15 @@
 //! ([`EnergyShare`]).
 //!
 //! Records live in a bounded ring ([`TraceLedger`]) mirroring the
-//! journal's discipline: `record` takes a closure that never runs when
-//! observability is compiled out or runtime-disabled, overflow evicts
-//! oldest-first and counts drops (`ledger_dropped_total`), and every
-//! append bumps `ledger_records_total`.
+//! journal's discipline: overflow evicts oldest-first and counts drops
+//! (`ledger_dropped_total`), and every append bumps
+//! `ledger_records_total`. The policy writes a day's records once, into
+//! one `Vec` that becomes that day's chunk of the ring; the service
+//! prices the chunk in place, and a drain of one buffered day hands the
+//! same `Vec` back out.
 
-use crate::{runtime_enabled, Ring};
+use crate::ring::{Chunk, Ring};
+use crate::runtime_enabled;
 use serde::{Deserialize, Serialize};
 
 /// Default ring capacity: several weeks of single-user activity.
@@ -187,11 +190,11 @@ impl ActivityTrace {
     }
 }
 
-/// Bounded ring of [`ActivityTrace`] records. One ledger per policy,
-/// like the journal.
+/// Bounded ring of [`ActivityTrace`] records, one chunk per recorded
+/// day. One ledger per policy, like the journal.
 #[derive(Debug)]
 pub struct TraceLedger {
-    ring: Ring<ActivityTrace>,
+    ring: Ring<Vec<ActivityTrace>, Chunk>,
 }
 
 impl Default for TraceLedger {
@@ -213,17 +216,15 @@ impl TraceLedger {
         }
     }
 
-    /// Appends the record produced by `f`. When observability is
-    /// compiled out (or switched off at run time) `f` never runs.
-    #[inline]
-    pub fn record(&mut self, f: impl FnOnce() -> ActivityTrace) {
+    /// Appends one day's records, as written, in one chunk. A no-op
+    /// when observability is compiled out or switched off at run time.
+    pub fn record_day(&mut self, records: Vec<ActivityTrace>) {
         if !runtime_enabled() {
             return;
         }
-        if self.ring.push(f()) {
-            crate::counter!(crate::names::LEDGER_DROPPED_TOTAL);
-        }
-        crate::counter!(crate::names::LEDGER_RECORDS_TOTAL);
+        let n = records.len() as u64;
+        crate::counter!(crate::names::LEDGER_DROPPED_TOTAL, self.ring.push(records));
+        crate::counter!(crate::names::LEDGER_RECORDS_TOTAL, n);
     }
 
     /// Buffered records.
@@ -248,23 +249,27 @@ impl TraceLedger {
 
     /// Buffered records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &ActivityTrace> {
-        self.ring.iter()
+        self.ring.records()
     }
 
-    /// Mutable records of one day (the service fills [`EnergyShare`]s
-    /// in after pricing that day's timeline).
-    pub fn day_records_mut(&mut self, day: usize) -> impl Iterator<Item = &mut ActivityTrace> {
-        self.ring.iter_mut().filter(move |r| r.day == day)
+    /// The newest recorded day's records, when they belong to `day`
+    /// (the service fills their [`EnergyShare`]s in after pricing that
+    /// day's timeline).
+    pub fn day_mut(&mut self, day: usize) -> Option<&mut [ActivityTrace]> {
+        self.ring
+            .back_mut()
+            .filter(|chunk| chunk.first().is_some_and(|r| r.day == day))
+            .map(Vec::as_mut_slice)
     }
 
-    /// Takes every buffered record, oldest first. Publishes the ring's
-    /// high-water mark as a gauge (drain is the cold path).
+    /// Takes every buffered record, oldest first; a lone buffered day
+    /// is handed over without a copy. Publishes the ring's high-water
+    /// mark as a gauge when it has risen since the last drain.
     pub fn drain(&mut self) -> Vec<ActivityTrace> {
-        crate::gauge_max(
-            crate::names::LEDGER_RING_HIGHWATER,
-            self.ring.high_water() as f64,
-        );
-        self.ring.drain().collect()
+        if let Some(hw) = self.ring.high_water_rise() {
+            crate::gauge_max(crate::names::LEDGER_RING_HIGHWATER, hw as f64);
+        }
+        self.ring.drain_records()
     }
 }
 
@@ -326,25 +331,36 @@ mod tests {
         }
         crate::reset();
         let mut l = TraceLedger::with_capacity(3);
-        for i in 0..5 {
-            l.record(|| rec(0, i));
-        }
+        l.record_day((0..2).map(|i| rec(0, i)).collect());
+        l.record_day(Vec::new());
+        l.record_day((0..3).map(|i| rec(1, i)).collect());
         let snap = crate::snapshot();
         assert_eq!(snap.counter(crate::names::LEDGER_RECORDS_TOTAL), 5);
         assert_eq!(snap.counter(crate::names::LEDGER_DROPPED_TOTAL), 2);
+        assert_eq!((l.len(), l.dropped(), l.high_water()), (3, 2, 3));
+        let drained = l.drain();
+        assert_eq!(drained, (0..3).map(|i| rec(1, i)).collect::<Vec<_>>());
+        let gauge = || crate::snapshot().gauge(crate::names::LEDGER_RING_HIGHWATER);
+        assert_eq!(gauge(), Some(3.0));
+        // A drain with no new high water leaves the gauge where it was.
+        l.record_day(vec![rec(2, 0)]);
+        assert_eq!(l.drain().len(), 1);
+        assert_eq!(gauge(), Some(3.0));
         crate::reset();
     }
 
     #[test]
-    fn day_records_are_mutable_in_place() {
+    fn newest_day_is_mutable_in_place() {
         let _g = crate::test_serial();
         if !crate::ENABLED {
             return;
         }
         let mut l = TraceLedger::new();
-        l.record(|| rec(0, 0));
-        l.record(|| rec(1, 0));
-        for r in l.day_records_mut(1) {
+        l.record_day(vec![rec(0, 0)]);
+        assert!(l.day_mut(1).is_none(), "day 1 has not been recorded");
+        l.record_day(vec![rec(1, 0), rec(1, 1)]);
+        assert!(l.day_mut(0).is_none(), "day 0 is no longer the newest");
+        for r in l.day_mut(1).expect("day 1 is the newest") {
             r.energy = Some(EnergyShare {
                 actual_j: 1.0,
                 baseline_j: 3.0,
@@ -352,8 +368,9 @@ mod tests {
         }
         let recs = l.drain();
         assert!(l.is_empty());
+        assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].energy.unwrap().baseline_j, 18.62);
-        assert_eq!(recs[1].energy.unwrap().saved_j(), 2.0);
+        assert_eq!(recs[2].energy.unwrap().saved_j(), 2.0);
     }
 
     #[test]
@@ -429,7 +446,7 @@ mod tests {
             return;
         }
         let mut l = TraceLedger::new();
-        l.record(|| unreachable!("record must not be constructed when disabled"));
+        l.record_day(vec![rec(0, 0)]);
         assert!(l.is_empty());
         assert_eq!(l.dropped(), 0);
     }

@@ -15,6 +15,7 @@ use crate::rrc::RrcModel;
 use netmaster_trace::event::AppId;
 use netmaster_trace::time::Interval;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -94,9 +95,9 @@ pub fn apportion<K: Copy + Eq + Hash>(
     model: &RrcModel,
     transfers: &[(K, Interval)],
 ) -> HashMap<K, AppEnergy> {
-    let spans: Vec<Interval> = transfers.iter().map(|&(_, s)| s).collect();
     let mut out: HashMap<K, AppEnergy> = HashMap::new();
-    for (&(key, _), bill) in transfers.iter().zip(bill_each(model, &spans)) {
+    let bills = bill_each(model, transfers.iter().map(|&(_, s)| s));
+    for (&(key, _), bill) in transfers.iter().zip(bills) {
         let e = out.entry(key).or_default();
         e.active_j += bill.active_j;
         e.promo_j += bill.promo_j;
@@ -110,12 +111,15 @@ pub fn apportion<K: Copy + Eq + Hash>(
 /// Bills each transfer of a timeline on its own: one [`AppEnergy`] per
 /// span, in input order. This is the core that [`apportion`] and
 /// [`attribute`] fold by owner, and that the causal ledger zips with its
-/// per-activity records directly.
+/// per-activity records directly. `spans` is anything that yields the
+/// spans in order: a slice, or an iterator that builds them on the fly.
 ///
-/// One sort and one sweep, O(n log n): the non-empty spans are ordered
-/// by `(start, end)`, ties in input order, and a single pass closes the
-/// merged bursts and the radio sessions as it meets them. A burst's
-/// active energy splits among its members by their seconds, a session's
+/// One sort and one sweep, O(n log n): the non-empty spans become
+/// `(start, end, index)` keys in one `Vec`, sorted unless they already
+/// arrive in order (a stock timeline always arrives sorted by start),
+/// so ties fall in input order, and a single pass closes the merged
+/// bursts and the radio sessions as it meets them. A burst's active
+/// energy splits among its members by their seconds, a session's
 /// first transfer pays its promotion, the transfer that ends a burst
 /// (latest end, ties to the later one in sort order) pays the elapsed
 /// tail of the gap after it, or the full tail when the session ends
@@ -134,32 +138,46 @@ pub fn apportion<K: Copy + Eq + Hash>(
 /// assert_eq!(bills[0].wakeups, 1);
 /// assert_eq!(bills[2].total_j(), 0.0);
 /// ```
-pub fn bill_each(model: &RrcModel, spans: &[Interval]) -> Vec<AppEnergy> {
-    let mut bills = vec![AppEnergy::default(); spans.len()];
-    let mut order: Vec<usize> = (0..spans.len()).filter(|&i| !spans[i].is_empty()).collect();
-    order.sort_unstable_by_key(|&i| (spans[i].start, spans[i].end, i));
-    let Some(&first) = order.first() else {
+pub fn bill_each<I>(model: &RrcModel, spans: I) -> Vec<AppEnergy>
+where
+    I: IntoIterator,
+    I::Item: Borrow<Interval>,
+{
+    let spans = spans.into_iter();
+    let mut keys: Vec<Key> = Vec::with_capacity(spans.size_hint().0);
+    let mut n = 0;
+    for (i, span) in spans.enumerate() {
+        let span = *span.borrow();
+        if !span.is_empty() {
+            keys.push((span.start, span.end, i));
+        }
+        n = i + 1;
+    }
+    let mut bills = vec![AppEnergy::default(); n];
+    if !keys.is_sorted() {
+        keys.sort_unstable();
+    }
+    let Some(&(start, end, first)) = keys.first() else {
         return bills;
     };
     let cfg = &model.config;
     let tail_len = model.tail_secs();
     let full_tail_j = model.tail_policy.tail_energy_j(cfg);
 
-    // The open burst is `order[lo..pos]`, covering `burst`; `ender` is
+    // The open burst is `keys[lo..pos]`, covering `burst`; `ender` is
     // its latest-ending member.
     let mut lo = 0;
-    let mut burst = spans[first];
+    let mut burst = Interval::new(start, end);
     let mut ender = first;
     bills[first].promo_j += cfg.promo_energy_j();
     bills[first].wakeups += 1;
-    for (pos, &i) in order.iter().enumerate() {
-        let span = spans[i];
-        if span.start > burst.end {
-            bill_burst(cfg, spans, &order[lo..pos], burst, &mut bills);
-            if span.start as f64 <= burst.end as f64 + tail_len {
+    for (pos, &(start, end, i)) in keys.iter().enumerate() {
+        if start > burst.end {
+            bill_burst(cfg, &keys[lo..pos], burst, &mut bills);
+            if start as f64 <= burst.end as f64 + tail_len {
                 // Rides the tail: the same session, and the burst's
                 // ender pays the tail that elapsed in the gap.
-                let gap = (span.start - burst.end) as f64;
+                let gap = (start - burst.end) as f64;
                 bills[ender].tail_j += cfg.tail_prefix_energy_j(gap);
             } else {
                 bills[ender].tail_j += full_tail_j;
@@ -167,31 +185,28 @@ pub fn bill_each(model: &RrcModel, spans: &[Interval]) -> Vec<AppEnergy> {
                 bills[i].wakeups += 1;
             }
             lo = pos;
-            burst = span;
+            burst = Interval::new(start, end);
         }
-        if span.end >= burst.end {
-            burst.end = span.end;
+        if end >= burst.end {
+            burst.end = end;
             ender = i;
         }
     }
-    bill_burst(cfg, spans, &order[lo..], burst, &mut bills);
+    bill_burst(cfg, &keys[lo..], burst, &mut bills);
     bills[ender].tail_j += full_tail_j;
     bills
 }
 
+/// A non-empty span as a sort key: `(start, end, input index)`.
+type Key = (u64, u64, usize);
+
 /// Charges one merged burst's active energy to its members, split by
 /// their own seconds, and records those seconds.
-fn bill_burst(
-    cfg: &RrcConfig,
-    spans: &[Interval],
-    members: &[usize],
-    burst: Interval,
-    bills: &mut [AppEnergy],
-) {
-    let total_secs = members.iter().map(|&i| spans[i].len()).sum::<u64>() as f64;
+fn bill_burst(cfg: &RrcConfig, members: &[Key], burst: Interval, bills: &mut [AppEnergy]) {
+    let total_secs = members.iter().map(|&(s, e, _)| e - s).sum::<u64>() as f64;
     let burst_j = cfg.active_energy_j(burst.len() as f64);
-    for &i in members {
-        let secs = spans[i].len() as f64;
+    for &(s, e, i) in members {
+        let secs = (e - s) as f64;
         bills[i].active_j = burst_j * secs / total_secs;
         bills[i].transfer_secs = secs;
     }
@@ -572,6 +587,26 @@ mod tests {
                 for (app, e) in &folded {
                     assert_close(e, &oracle[app]);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_timelines_match_the_oracle() {
+        // Stock timelines arrive sorted, so the sweep skips its sort;
+        // the bills must not depend on which way the keys got ordered.
+        let bits =
+            |e: &AppEnergy| [e.active_j, e.promo_j, e.tail_j, e.transfer_secs].map(f64::to_bits);
+        let mut rng = StdRng::seed_from_u64(29);
+        let model = RrcModel::wcdma_default();
+        for _ in 0..500 {
+            let mut spans = random_spans(&mut rng);
+            spans.sort_by_key(|s| (s.start, s.end));
+            let keyed: Vec<(u64, Interval)> = (0..).zip(spans.iter().copied()).collect();
+            let oracle = apportion_quadratic(&model, &keyed);
+            for (id, bill) in (0..).zip(bill_each(&model, &spans)) {
+                assert_eq!(bits(&bill), bits(&oracle[&id]), "span {id} of {spans:?}");
+                assert_eq!(bill.wakeups, oracle[&id].wakeups);
             }
         }
     }
