@@ -114,6 +114,9 @@ struct DayScratch {
     arrivals: Vec<Timestamp>,
     /// One window's duty-cycle outcome.
     outcome: DutyOutcome,
+    /// When each of the day's activities ran, by activity index: what
+    /// the middleware service prices the planned arm from.
+    executed: Vec<Timestamp>,
 }
 
 impl NetMasterPolicy {
@@ -200,6 +203,19 @@ impl NetMasterPolicy {
     /// Takes every buffered lifecycle record, oldest first.
     pub fn drain_ledger(&mut self) -> Vec<obs::ActivityTrace> {
         self.ledger.drain()
+    }
+
+    /// The radio spans of the last planned day's executions, one per
+    /// activity of `day` in activity order: the multiset of
+    /// `plan.executions`' spans, indexed like the day's ledger records.
+    /// Kept whether or not the flight recorder is on; `day` must be the
+    /// day last passed to `plan_day`.
+    pub fn executed_spans<'a>(&'a self, day: &'a DayTrace) -> impl Iterator<Item = Interval> + 'a {
+        debug_assert_eq!(self.day_scratch.executed.len(), day.activities.len());
+        day.activities
+            .iter()
+            .zip(&self.day_scratch.executed)
+            .map(|(a, &at)| Interval::new(at, at + a.duration.max(1)))
     }
 
     /// Maps a routing-table explanation onto the ledger's plan reason.
@@ -321,6 +337,7 @@ impl NetMasterPolicy {
             duty_pending,
             arrivals,
             outcome,
+            executed,
             ..
         } = scratch;
         for window in Self::screen_off_windows(day) {
@@ -372,6 +389,7 @@ impl NetMasterPolicy {
                 }
                 let at = served_at + off;
                 off += demand.duration.max(1);
+                executed[orig_idx] = at;
                 if at == demand.start {
                     plan.executions.push(Execution::natural(demand));
                 } else {
@@ -497,6 +515,10 @@ impl Policy for NetMasterPolicy {
         scratch.back.clear();
         scratch.back.resize(routing.slots.len(), 0);
         scratch.duty_pending.clear();
+        scratch.executed.clear();
+        scratch
+            .executed
+            .extend(day.activities.iter().map(|a| a.start));
         let mut hour_seq = [0usize; 24];
 
         for (idx, a) in day.activities.iter().enumerate() {
@@ -534,6 +556,7 @@ impl Policy for NetMasterPolicy {
                     let at = (s.start + *off).min(s.end.saturating_sub(1));
                     *off += a.duration.max(1);
                     plan.executions.push(Execution::moved(a, at));
+                    scratch.executed[idx] = at;
                     self.stats.deferred += 1;
                     let from = a.start;
                     let latency_secs = at.abs_diff(from);
@@ -566,6 +589,7 @@ impl Policy for NetMasterPolicy {
                     let at = s.end.saturating_sub(*off + dur).max(s.start);
                     *off += dur;
                     plan.executions.push(Execution::moved(a, at));
+                    scratch.executed[idx] = at;
                     self.stats.prefetched += 1;
                     let from = a.start;
                     let latency_secs = at.abs_diff(from);

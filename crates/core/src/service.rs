@@ -6,7 +6,7 @@
 use crate::config::NetMasterConfig;
 use crate::policies::NetMasterPolicy;
 use netmaster_radio::battery::BatteryModel;
-use netmaster_radio::{bill_each, LinkModel, RrcConfig, RrcModel, TailPolicy};
+use netmaster_radio::{AppEnergy, EnergyBreakdown, LinkModel, RrcConfig, RrcModel, TailPolicy};
 use netmaster_sim::{simulate, DefaultPolicy, Policy, RunMetrics, SimConfig};
 use netmaster_trace::time::Interval;
 use netmaster_trace::trace::DayTrace;
@@ -99,6 +99,17 @@ impl DayReport {
             Some(self.slot_hours_overlap as f64 / self.slot_hours_predicted as f64)
         }
     }
+}
+
+/// One day's two arms, each priced once.
+struct DayPrice {
+    /// The natural spans on the stock radio.
+    stock: EnergyBreakdown,
+    /// The executed spans on the planned radio.
+    spent: EnergyBreakdown,
+    /// Per-activity bills `(stock, planned)`, by activity index, while
+    /// the flight recorder holds the day's records.
+    bills: Option<(Vec<AppEnergy>, Vec<AppEnergy>)>,
 }
 
 /// Cumulative summary over the service lifetime.
@@ -203,26 +214,38 @@ impl MiddlewareService {
     }
 
     /// Executes one observed day under the middleware and reports.
+    ///
+    /// The policy plans the day, then each arm is priced once with one
+    /// RRC sweep: the day's natural spans on the stock radio (the
+    /// stock-device counterfactual) and the policy's executed spans on
+    /// the planned radio. The same sweeps bill each activity when the
+    /// flight recorder holds records for the day.
     pub fn run_day(&mut self, day: &DayTrace) -> DayReport {
         let _run_span = netmaster_obs::span!("run_day");
         netmaster_obs::span_attr!("day", day.day);
         netmaster_obs::counter!(netmaster_obs::names::SERVICE_DAYS_TOTAL);
         let trained = self.policy.trained();
-        let stock = simulate(std::slice::from_ref(day), &mut DefaultPolicy, &self.sim);
         let before = self.policy.stats();
-        let m = simulate(std::slice::from_ref(day), &mut self.policy, &self.sim);
+        let plan = self.policy.plan_day(day);
         let stats = self.policy.stats();
+        #[cfg(feature = "strict-invariants")]
+        self.check_executed_spans(day, &plan);
+        let (moved_today, empty_wakeups) = (plan.moved_count(), plan.empty_wakeups);
+        // The plan is not needed past its counts; free it before pricing.
+        drop(plan);
+        let priced = self.price_day(day);
+        let stock_energy_j = self.energy_j(&priced.stock, 0);
+        let energy_j = self.energy_j(&priced.spent, empty_wakeups);
         let wrong_today = stats.wrong_decisions - before.wrong_decisions;
         let hits_today =
             (stats.deferred - before.deferred) + (stats.prefetched - before.prefetched);
         let misses_today = stats.prediction_misses - before.prediction_misses;
         let latency_today = stats.deferral_latency_secs - before.deferral_latency_secs;
-        let moved_today = m.moved_transfers;
-        let saved_j = (stock.energy_j - m.energy_j).max(0.0);
+        let saved_j = (stock_energy_j - energy_j).max(0.0);
         let report = DayReport {
             day: day.day,
-            stock_energy_j: stock.energy_j,
-            energy_j: m.energy_j,
+            stock_energy_j,
+            energy_j,
             battery_points_saved: self.battery.percent_saved_per_day(saved_j),
             moved_transfers: moved_today,
             wrong_decisions: wrong_today,
@@ -235,8 +258,8 @@ impl MiddlewareService {
             slot_hours_overlap: stats.slot_hours_overlap - before.slot_hours_overlap,
         };
         self.summary.days += 1;
-        self.summary.stock_energy_j += stock.energy_j;
-        self.summary.energy_j += m.energy_j;
+        self.summary.stock_energy_j += stock_energy_j;
+        self.summary.energy_j += energy_j;
         self.summary.battery_points_saved += report.battery_points_saved;
         self.summary.moved_transfers += moved_today;
         self.summary.wrong_decisions += wrong_today;
@@ -248,59 +271,104 @@ impl MiddlewareService {
                 moved_transfers: moved_today,
                 wrong_decisions: wrong_today,
             });
-        self.apportion_energy(&report);
+        self.apportion_energy(day.day, &priced);
         report
     }
 
-    /// The flight recorder's pricing pass: apportions the day's radio
-    /// energy back to each of today's ledger records, in place in the
-    /// day's chunk — actual joules under the NetMaster plan (immediate
-    /// tail release) and the joules the same activity would have cost
-    /// at its natural time on the stock radio (full inactivity timers).
-    /// Runs after the simulation, outside the measured planning hot
-    /// path; a no-op while the flight recorder is off or the day is
-    /// empty. Summed over a day's records, `actual_j` reproduces that
-    /// day's RRC timeline energy exactly (duty-cycle empty-wakeup
+    /// A day's energy on the simulator's terms: the RRC timeline plus
+    /// the duty cycle's empty wake-ups (the sum `simulate` reports).
+    fn energy_j(&self, rrc: &EnergyBreakdown, empty_wakeups: u64) -> f64 {
+        rrc.total_j() + self.sim.duty.total_empty_j(&self.sim.radio, empty_wakeups)
+    }
+
+    /// Checks that the per-activity spans the planned arm is priced
+    /// from are the same multiset as the plan's execution spans.
+    #[cfg(feature = "strict-invariants")]
+    fn check_executed_spans(&self, day: &DayTrace, plan: &netmaster_sim::DayPlan) {
+        let sorted = |it: &mut dyn Iterator<Item = Interval>| {
+            let mut v: Vec<(u64, u64)> = it.map(|s| (s.start, s.end)).collect();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(
+            sorted(&mut self.policy.executed_spans(day)),
+            sorted(&mut plan.executions.iter().map(|e| e.span())),
+            "strict-invariants: day {} per-activity spans differ from the plan's executions",
+            day.day
+        );
+    }
+
+    /// Prices both arms of the day just planned, one sweep each: the
+    /// day's natural spans on the stock radio and the policy's executed
+    /// spans on the planned radio. While the flight recorder holds the
+    /// day's records, the sweeps also bill each activity. The sort keys
+    /// and bills live for the day only: held across days they raised
+    /// `watch-drift`'s peak heap and bought no speed.
+    fn price_day(&mut self, day: &DayTrace) -> DayPrice {
+        let n = day.activities.len();
+        let billing = self.policy.ledger_mut().day_mut(day.day).is_some();
+        let mut bills = billing.then(|| (Vec::with_capacity(n), Vec::with_capacity(n)));
+        let mut keys = Vec::with_capacity(n);
+        let natural = day
+            .activities
+            .iter()
+            .map(|a| Interval::new(a.start, a.start + a.duration.max(1)));
+        let stock = self
+            .stock_radio
+            .sweep(natural, &mut keys, bills.as_mut().map(|b| &mut b.0));
+        let spent = self.planned_radio.sweep(
+            self.policy.executed_spans(day),
+            &mut keys,
+            bills.as_mut().map(|b| &mut b.1),
+        );
+        #[cfg(feature = "strict-invariants")]
+        if let Some((stock_bills, planned_bills)) = &bills {
+            for (arm, bills, rrc) in [
+                ("stock", stock_bills, &stock),
+                ("planned", planned_bills, &spent),
+            ] {
+                let billed: f64 = bills.iter().map(AppEnergy::total_j).sum();
+                let total = rrc.total_j();
+                assert!(
+                    (billed - total).abs() <= 1e-9 * total,
+                    "strict-invariants: day {} {arm} bills {billed} J != {arm} energy {total} J",
+                    day.day
+                );
+            }
+        }
+        DayPrice {
+            stock,
+            spent,
+            bills,
+        }
+    }
+
+    /// The flight recorder's pricing pass: gives each of today's ledger
+    /// records its bills from [`price_day`](Self::price_day)'s sweeps,
+    /// in place in the day's chunk — actual joules under the NetMaster
+    /// plan (immediate tail release) and the joules the same activity
+    /// would have cost at its natural time on the stock radio (full
+    /// inactivity timers). A record takes the bills of its activity
+    /// index, so a chunk trimmed at the front by the ledger bound keeps
+    /// whole-day prices. A no-op while the flight recorder is off or the
+    /// day is empty. Summed over a day's records, `actual_j` reproduces
+    /// that day's RRC timeline energy exactly (duty-cycle empty-wakeup
     /// energy is accounted separately and not apportioned to
     /// activities), and `baseline_j` the stock counterfactual's; the
-    /// `strict-invariants` build asserts both against `report`.
-    fn apportion_energy(&mut self, report: &DayReport) {
-        let day = report.day;
+    /// `strict-invariants` build asserts both in `price_day`.
+    fn apportion_energy(&mut self, day: usize, priced: &DayPrice) {
+        let Some((stock_bills, planned_bills)) = &priced.bills else {
+            return;
+        };
         let Some(records) = self.policy.ledger_mut().day_mut(day) else {
             return;
         };
-        let span =
-            |at: u64, r: &netmaster_obs::ActivityTrace| Interval::new(at, at + r.duration.max(1));
-        let actual = bill_each(
-            &self.planned_radio,
-            records.iter().map(|r| span(r.executed_at, r)),
-        );
-        let baseline = bill_each(
-            &self.stock_radio,
-            records.iter().map(|r| span(r.natural_start, r)),
-        );
-        for ((r, a), b) in records.iter_mut().zip(&actual).zip(&baseline) {
+        for r in records {
+            let i = r.index();
             r.energy = Some(netmaster_obs::EnergyShare {
-                actual_j: a.total_j(),
-                baseline_j: b.total_j(),
+                actual_j: planned_bills[i].total_j(),
+                baseline_j: stock_bills[i].total_j(),
             });
-        }
-        #[cfg(feature = "strict-invariants")]
-        {
-            let billed = |bills: &[netmaster_radio::AppEnergy]| -> f64 {
-                bills.iter().map(|e| e.total_j()).sum()
-            };
-            let (base, spent) = (billed(&baseline), billed(&actual));
-            assert!(
-                (base - report.stock_energy_j).abs() <= 1e-9 * report.stock_energy_j,
-                "strict-invariants: day {day} baseline bills {base} J != stock energy {} J",
-                report.stock_energy_j
-            );
-            assert!(
-                spent <= report.energy_j * (1.0 + 1e-9),
-                "strict-invariants: day {day} actual bills {spent} J exceed NetMaster energy {} J",
-                report.energy_j
-            );
         }
     }
 
@@ -310,7 +378,7 @@ impl MiddlewareService {
     }
 
     /// The causal flight recorder (per-activity lifecycle records,
-    /// energy-apportioned after each executed day).
+    /// priced as each day is executed).
     pub fn ledger(&self) -> &netmaster_obs::TraceLedger {
         self.policy.ledger()
     }

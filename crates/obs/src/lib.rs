@@ -93,7 +93,7 @@ pub use serve::{
     healthz_report, http_get, http_get_with_timeout, HealthzReport, ObsServer, ServeOptions,
     ServeState,
 };
-pub use spantree::{set_trace_capture, trace_capture_enabled, SpanNode, TraceStore};
+pub use spantree::{set_trace_capture, trace_capture_enabled, AttrValue, SpanNode, TraceStore};
 pub use store::{read_history, MetricStore, Sampler, StoreOptions};
 pub use tracectx::{
     trace_from_jsonl, trace_to_jsonl, ActivityTrace, EnergyShare, Outcome, PlanReason,
@@ -309,7 +309,7 @@ macro_rules! timer {
 macro_rules! span_attr {
     ($key:literal, $value:expr) => {{
         if $crate::spantree::trace_capture_enabled() {
-            $crate::spantree::set_attr($key, &$value);
+            $crate::spantree::set_attr($key, $value);
         }
     }};
 }

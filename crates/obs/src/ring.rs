@@ -1,6 +1,5 @@
 //! [`Ring`]: the one bounded drop-oldest buffer behind every obs ring
-//! (journal, trace ledger, hub journal tail, span-tree store, and
-//! metric-store series).
+//! (journal, trace ledger, hub journal tail and metric-store series).
 //!
 //! The ring's capacity counts *records*. Most rings hold one record
 //! per slot ([`One`]); the trace ledger holds one slot per recorded

@@ -568,10 +568,26 @@ pub fn encode_points(kind: SeriesKind, points: &[Point]) -> Vec<u8> {
 }
 
 /// Decodes a payload produced by [`encode_points`].
+///
+/// A corrupt or hostile payload gives an `Err`, never a panic or an
+/// allocation larger than the payload warrants: every count is checked
+/// against the bytes left (each item takes at least one), and every
+/// delta is summed with checked arithmetic.
 pub fn decode_points(kind: SeriesKind, bytes: &[u8]) -> Result<Vec<Point>, String> {
     let mut pos = 0usize;
     let bad = || "truncated history payload".to_owned();
-    let n = get_varint(bytes, &mut pos).ok_or_else(bad)? as usize;
+    let overflow = || "history payload delta overflows".to_owned();
+    // Each of `n` items takes at least one more byte.
+    let count = |n: u64, pos: usize, what: &str| -> Result<usize, String> {
+        let left = bytes.len() - pos;
+        match usize::try_from(n) {
+            Ok(n) if n <= left => Ok(n),
+            _ => Err(format!(
+                "history payload claims {n} {what} but has {left} bytes left"
+            )),
+        }
+    };
+    let n = count(get_varint(bytes, &mut pos).ok_or_else(bad)?, pos, "points")?;
     let mut times = Vec::with_capacity(n);
     let mut prev_t = 0i64;
     let mut prev_delta = 0i64;
@@ -580,22 +596,24 @@ pub fn decode_points(kind: SeriesKind, bytes: &[u8]) -> Result<Vec<Point>, Strin
             0 => get_varint(bytes, &mut pos).ok_or_else(bad)? as i64,
             1 => {
                 prev_delta = get_signed(bytes, &mut pos).ok_or_else(bad)?;
-                prev_t + prev_delta
+                prev_t.checked_add(prev_delta).ok_or_else(overflow)?
             }
             _ => {
-                prev_delta += get_signed(bytes, &mut pos).ok_or_else(bad)?;
-                prev_t + prev_delta
+                let dod = get_signed(bytes, &mut pos).ok_or_else(bad)?;
+                prev_delta = prev_delta.checked_add(dod).ok_or_else(overflow)?;
+                prev_t.checked_add(prev_delta).ok_or_else(overflow)?
             }
         };
         times.push(t.max(0) as u64);
         prev_t = t;
     }
-    let mut points = Vec::with_capacity(n);
+    let mut points = Vec::with_capacity(count(n as u64, pos, "values")?);
     match kind {
         SeriesKind::Counter => {
             let mut prev = 0i64;
             for &t_ms in &times {
-                prev += get_signed(bytes, &mut pos).ok_or_else(bad)?;
+                let delta = get_signed(bytes, &mut pos).ok_or_else(bad)?;
+                prev = prev.checked_add(delta).ok_or_else(overflow)?;
                 points.push(Point {
                     t_ms,
                     value: PointValue::Counter(prev.max(0) as u64),
@@ -619,18 +637,21 @@ pub fn decode_points(kind: SeriesKind, bytes: &[u8]) -> Result<Vec<Point>, Strin
                     Some(q) => (q.count as i64, q.sum_secs.to_bits(), q.buckets.clone()),
                     None => (0, 0, Vec::new()),
                 };
-                let count = (pc + get_signed(bytes, &mut pos).ok_or_else(bad)?).max(0) as u64;
+                let delta = get_signed(bytes, &mut pos).ok_or_else(bad)?;
+                let count_now = pc.checked_add(delta).ok_or_else(overflow)?.max(0) as u64;
                 let sum_bits = ps ^ get_varint(bytes, &mut pos).ok_or_else(bad)?;
-                let n_buckets = get_varint(bytes, &mut pos).ok_or_else(bad)? as usize;
+                let n_buckets = get_varint(bytes, &mut pos).ok_or_else(bad)?;
+                let n_buckets = count(n_buckets, pos, "buckets")?;
                 let mut buckets = Vec::with_capacity(n_buckets);
                 for i in 0..n_buckets {
                     let (ple, pcnt) = pb.get(i).copied().unwrap_or((0.0, 0));
                     let le_bits = ple.to_bits() ^ get_varint(bytes, &mut pos).ok_or_else(bad)?;
-                    let c = (pcnt as i64 + get_signed(bytes, &mut pos).ok_or_else(bad)?).max(0);
-                    buckets.push((f64::from_bits(le_bits), c as u64));
+                    let delta = get_signed(bytes, &mut pos).ok_or_else(bad)?;
+                    let c = (pcnt as i64).checked_add(delta).ok_or_else(overflow)?;
+                    buckets.push((f64::from_bits(le_bits), c.max(0) as u64));
                 }
                 let h = HistPoint {
-                    count,
+                    count: count_now,
                     sum_secs: f64::from_bits(sum_bits),
                     buckets,
                 };
@@ -904,6 +925,108 @@ mod tests {
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }
+    }
+
+    /// A payload written field by field: `(signed, value)` pairs.
+    fn payload(fields: &[(bool, u64)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &(signed, v) in fields {
+            if signed {
+                put_signed(&mut out, v as i64);
+            } else {
+                put_varint(&mut out, v);
+            }
+        }
+        out
+    }
+
+    fn assert_refused(kind: SeriesKind, bytes: &[u8], why: &str) {
+        match decode_points(kind, bytes) {
+            Err(e) => assert!(e.contains(why), "{e:?} should say {why:?}"),
+            Ok(points) => panic!("decoded {} points from a hostile payload", points.len()),
+        }
+    }
+
+    #[test]
+    fn hostile_point_count_is_refused_before_allocating() {
+        // 2^60 points in a 9-byte payload.
+        assert_refused(
+            SeriesKind::Counter,
+            &payload(&[(false, 1 << 60)]),
+            "claims 1152921504606846976 points",
+        );
+        assert_refused(SeriesKind::Gauge, &payload(&[(false, u64::MAX)]), "claims");
+    }
+
+    #[test]
+    fn hostile_value_count_is_refused_before_allocating() {
+        // Three whole timestamps, then no byte left for the values.
+        let bytes = payload(&[(false, 3), (false, 1_000), (true, 5), (true, 0)]);
+        assert_refused(
+            SeriesKind::Counter,
+            &bytes,
+            "claims 3 values but has 0 bytes left",
+        );
+    }
+
+    #[test]
+    fn hostile_bucket_count_is_refused_before_allocating() {
+        // One histogram point claiming 2^62 buckets.
+        let bytes = payload(&[
+            (false, 1),
+            (false, 0),
+            (true, 1),
+            (false, 0),
+            (false, 1 << 62),
+        ]);
+        assert_refused(
+            SeriesKind::Histogram,
+            &bytes,
+            "claims 4611686018427387904 buckets",
+        );
+    }
+
+    #[test]
+    fn overflowing_deltas_are_refused() {
+        let max = i64::MAX as u64;
+        // Timestamp: t1 = t0 + delta.
+        let ts = payload(&[(false, 2), (false, max), (true, max), (true, 0), (true, 0)]);
+        assert_refused(SeriesKind::Counter, &ts, "overflows");
+        // Timestamp: the delta of deltas.
+        let dod = payload(&[(false, 3), (false, 0), (true, max), (true, max)]);
+        assert_refused(SeriesKind::Counter, &dod, "overflows");
+        // Counter value.
+        let counter = payload(&[(false, 2), (false, 0), (true, 1), (true, max), (true, max)]);
+        assert_refused(SeriesKind::Counter, &counter, "overflows");
+        // Histogram count, then a histogram bucket.
+        let hist_count = payload(&[
+            (false, 2),
+            (false, 0),
+            (true, 1),
+            (true, max),
+            (false, 0),
+            (false, 0),
+            (true, max),
+            (false, 0),
+            (false, 0),
+        ]);
+        assert_refused(SeriesKind::Histogram, &hist_count, "overflows");
+        let bucket = payload(&[
+            (false, 2),
+            (false, 0),
+            (true, 1),
+            (true, 0),
+            (false, 0),
+            (false, 1),
+            (false, 0),
+            (true, max),
+            (true, 0),
+            (false, 0),
+            (false, 1),
+            (false, 0),
+            (true, max),
+        ]);
+        assert_refused(SeriesKind::Histogram, &bucket, "overflows");
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! traffic is what kept the radio lingering), and active energy splits
 //! by each app's own transfer seconds.
 
-use crate::power::RrcConfig;
 use crate::rrc::RrcModel;
 use netmaster_trace::event::AppId;
 use netmaster_trace::time::Interval;
@@ -110,21 +109,15 @@ pub fn apportion<K: Copy + Eq + Hash>(
 
 /// Bills each transfer of a timeline on its own: one [`AppEnergy`] per
 /// span, in input order. This is the core that [`apportion`] and
-/// [`attribute`] fold by owner, and that the causal ledger zips with its
-/// per-activity records directly. `spans` is anything that yields the
+/// [`attribute`] fold by owner. `spans` is anything that yields the
 /// spans in order: a slice, or an iterator that builds them on the fly.
 ///
-/// One sort and one sweep, O(n log n): the non-empty spans become
-/// `(start, end, index)` keys in one `Vec`, sorted unless they already
-/// arrive in order (a stock timeline always arrives sorted by start),
-/// so ties fall in input order, and a single pass closes the merged
-/// bursts and the radio sessions as it meets them. A burst's active
-/// energy splits among its members by their seconds, a session's
-/// first transfer pays its promotion, the transfer that ends a burst
-/// (latest end, ties to the later one in sort order) pays the elapsed
-/// tail of the gap after it, or the full tail when the session ends
-/// there. An empty span pays nothing: its bill is all zeros, including
-/// `transfer_secs`.
+/// It runs [`RrcModel::sweep`] with bills, so the rules are the
+/// sweep's: a burst's active energy splits among its members by their
+/// seconds, a session's first transfer pays its promotion, the
+/// transfer that ends a burst pays the elapsed tail of the gap after
+/// it, or the full tail when the session ends there, and an empty span
+/// pays nothing (its bill is all zeros, including `transfer_secs`).
 ///
 /// ```
 /// use netmaster_radio::attribution::bill_each;
@@ -143,73 +136,9 @@ where
     I: IntoIterator,
     I::Item: Borrow<Interval>,
 {
-    let spans = spans.into_iter();
-    let mut keys: Vec<Key> = Vec::with_capacity(spans.size_hint().0);
-    let mut n = 0;
-    for (i, span) in spans.enumerate() {
-        let span = *span.borrow();
-        if !span.is_empty() {
-            keys.push((span.start, span.end, i));
-        }
-        n = i + 1;
-    }
-    let mut bills = vec![AppEnergy::default(); n];
-    if !keys.is_sorted() {
-        keys.sort_unstable();
-    }
-    let Some(&(start, end, first)) = keys.first() else {
-        return bills;
-    };
-    let cfg = &model.config;
-    let tail_len = model.tail_secs();
-    let full_tail_j = model.tail_policy.tail_energy_j(cfg);
-
-    // The open burst is `keys[lo..pos]`, covering `burst`; `ender` is
-    // its latest-ending member.
-    let mut lo = 0;
-    let mut burst = Interval::new(start, end);
-    let mut ender = first;
-    bills[first].promo_j += cfg.promo_energy_j();
-    bills[first].wakeups += 1;
-    for (pos, &(start, end, i)) in keys.iter().enumerate() {
-        if start > burst.end {
-            bill_burst(cfg, &keys[lo..pos], burst, &mut bills);
-            if start as f64 <= burst.end as f64 + tail_len {
-                // Rides the tail: the same session, and the burst's
-                // ender pays the tail that elapsed in the gap.
-                let gap = (start - burst.end) as f64;
-                bills[ender].tail_j += cfg.tail_prefix_energy_j(gap);
-            } else {
-                bills[ender].tail_j += full_tail_j;
-                bills[i].promo_j += cfg.promo_energy_j();
-                bills[i].wakeups += 1;
-            }
-            lo = pos;
-            burst = Interval::new(start, end);
-        }
-        if end >= burst.end {
-            burst.end = end;
-            ender = i;
-        }
-    }
-    bill_burst(cfg, &keys[lo..], burst, &mut bills);
-    bills[ender].tail_j += full_tail_j;
+    let mut bills = Vec::new();
+    model.sweep(spans, &mut Vec::new(), Some(&mut bills));
     bills
-}
-
-/// A non-empty span as a sort key: `(start, end, input index)`.
-type Key = (u64, u64, usize);
-
-/// Charges one merged burst's active energy to its members, split by
-/// their own seconds, and records those seconds.
-fn bill_burst(cfg: &RrcConfig, members: &[Key], burst: Interval, bills: &mut [AppEnergy]) {
-    let total_secs = members.iter().map(|&(s, e, _)| e - s).sum::<u64>() as f64;
-    let burst_j = cfg.active_energy_j(burst.len() as f64);
-    for &(s, e, i) in members {
-        let secs = (e - s) as f64;
-        bills[i].active_j = burst_j * secs / total_secs;
-        bills[i].transfer_secs = secs;
-    }
 }
 
 /// Ranks apps by total charged energy, descending.
@@ -563,7 +492,11 @@ mod tests {
         let bits =
             |e: &AppEnergy| [e.active_j, e.promo_j, e.tail_j, e.transfer_secs].map(f64::to_bits);
         let mut rng = StdRng::seed_from_u64(2014);
-        for model in [RrcModel::wcdma_default(), RrcModel::wcdma_immediate_off()] {
+        for model in [
+            RrcModel::wcdma_default(),
+            RrcModel::wcdma_immediate_off(),
+            RrcModel::lte_default(),
+        ] {
             for _ in 0..2_000 {
                 let spans = random_spans(&mut rng);
                 // Unique keys (the ledger's case): bit for bit.

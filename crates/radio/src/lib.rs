@@ -39,7 +39,7 @@ pub use duty::DutyCycleCost;
 pub use fach::{FachConfig, SizeAwareRrc};
 pub use link::LinkModel;
 pub use power::{Milliwatts, RrcConfig, TailPhase, TailPolicy};
-pub use rrc::{EnergyBreakdown, RrcModel};
+pub use rrc::{EnergyBreakdown, RrcModel, SpanKey};
 pub use timeline::{RadioState, Segment, Timeline};
 
 // Re-export the interval type the accounting API speaks.

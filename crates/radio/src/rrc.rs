@@ -7,9 +7,11 @@
 //! activity to a whole timeline (overlapping transfers share radio-on
 //! time; back-to-back transfers ride each other's tails).
 
+use crate::attribution::AppEnergy;
 use crate::power::{RrcConfig, TailPolicy};
 use netmaster_trace::time::{merge_intervals, Interval};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Where the radio's time and energy went over a timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -58,6 +60,10 @@ impl EnergyBreakdown {
     }
 }
 
+/// A non-empty span as a sort key of [`RrcModel::sweep`]:
+/// `(start, end, input index)`.
+pub type SpanKey = (u64, u64, usize);
+
 /// An RRC power model bound to a tail policy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RrcModel {
@@ -103,44 +109,136 @@ impl RrcModel {
     /// `transfers` need not be sorted or disjoint; they are merged
     /// first. A transfer arriving while a previous tail is still
     /// running re-activates the radio without a promotion (the radio
-    /// is still in a connected state) and the tail is truncated.
+    /// is still in a connected state) and the tail is truncated. This
+    /// is [`RrcModel::sweep`] without bills.
     pub fn account(&self, transfers: &[Interval]) -> EnergyBreakdown {
+        self.sweep(transfers, &mut Vec::new(), None)
+    }
+
+    /// The RRC state machine: one sort and one sweep over a transfer
+    /// timeline that returns its [`EnergyBreakdown`] and, when `bills`
+    /// is given, fills it with one [`AppEnergy`] per span, in input
+    /// order (the per-transfer bills of
+    /// [`bill_each`](crate::attribution::bill_each)).
+    ///
+    /// The non-empty spans become `(start, end, index)` keys in `keys`
+    /// (cleared first, so a caller can reuse it), sorted unless they
+    /// already arrive in order, so ties fall in input order. The sweep
+    /// meets the merged bursts in time order. A burst arriving inside
+    /// the previous burst's tail rides it: no promotion, and only the
+    /// elapsed part of the tail is paid. Otherwise the previous tail
+    /// runs in full and the radio promotes again.
+    ///
+    /// The breakdown adds the same terms in the same order as merging
+    /// the spans and walking the merged list would, so it depends only
+    /// on the multiset of spans, bit for bit. Bills follow eprof's
+    /// last-trigger rule: a burst's active energy splits among its
+    /// members by their seconds, a session's first transfer pays its
+    /// promotion, and the transfer that ends a burst (latest end, ties
+    /// to the later one in sort order) pays the elapsed tail of the gap
+    /// after it, or the full tail when the session ends there. An empty
+    /// span pays nothing: its bill is all zeros, including
+    /// `transfer_secs`. O(n log n), and O(n) on ordered input.
+    ///
+    /// ```
+    /// use netmaster_radio::{Interval, RrcModel};
+    ///
+    /// let model = RrcModel::wcdma_default();
+    /// let spans = [Interval::new(0, 10), Interval::new(15, 25)];
+    /// let (mut keys, mut bills) = (Vec::new(), Vec::new());
+    /// let energy = model.sweep(&spans, &mut keys, Some(&mut bills));
+    /// assert_eq!(energy, model.account(&spans));
+    /// let billed: f64 = bills.iter().map(|b| b.total_j()).sum();
+    /// assert!((billed - energy.total_j()).abs() < 1e-9);
+    /// ```
+    pub fn sweep<I>(
+        &self,
+        spans: I,
+        keys: &mut Vec<SpanKey>,
+        bills: Option<&mut Vec<AppEnergy>>,
+    ) -> EnergyBreakdown
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Interval>,
+    {
+        let spans = spans.into_iter();
+        keys.clear();
+        keys.reserve(spans.size_hint().0);
+        let mut n = 0;
+        for (i, span) in spans.enumerate() {
+            let span = *span.borrow();
+            if !span.is_empty() {
+                keys.push((span.start, span.end, i));
+            }
+            n = i + 1;
+        }
+        let mut bills = bills.map(|b| {
+            b.clear();
+            b.resize(n, AppEnergy::default());
+            b.as_mut_slice()
+        });
+        if !keys.is_sorted() {
+            keys.sort_unstable();
+        }
+        let mut out = EnergyBreakdown::default();
+        let Some(&(start, end, first)) = keys.first() else {
+            return out;
+        };
         let cfg = &self.config;
         let tail_len = self.tail_secs();
-        let merged = merge_intervals(transfers.to_vec());
-        let mut out = EnergyBreakdown::default();
+        let full_tail_j = self.tail_policy.tail_energy_j(cfg);
+        let promo_j = cfg.promo_energy_j();
+        let wake = |out: &mut EnergyBreakdown, bills: Option<&mut [AppEnergy]>, i: usize| {
+            out.wakeups += 1;
+            out.promo_secs += cfg.promo_secs;
+            out.promo_j += promo_j;
+            if let Some(bills) = bills {
+                bills[i].promo_j += promo_j;
+                bills[i].wakeups += 1;
+            }
+        };
 
-        let mut tail_until: Option<f64> = None; // end of the running tail
-        for span in &merged {
-            let (s, e) = (span.start as f64, span.end as f64);
-            match tail_until {
-                Some(t_end) if s <= t_end => {
-                    // Arrived inside the previous tail: pay only the
-                    // portion of tail actually elapsed before `s`.
-                    let prev_active_end = t_end - tail_len;
-                    let elapsed = (s - prev_active_end).max(0.0);
+        // The open burst is `keys[lo..pos]`, covering `burst`; `ender`
+        // is its latest-ending member.
+        let mut lo = 0;
+        let mut burst = Interval::new(start, end);
+        let mut ender = first;
+        wake(&mut out, bills.as_deref_mut(), first);
+        for (pos, &(start, end, i)) in keys.iter().enumerate() {
+            if start > burst.end {
+                close_burst(cfg, &keys[lo..pos], burst, &mut out, bills.as_deref_mut());
+                let (s, tail_until) = (start as f64, burst.end as f64 + tail_len);
+                if s <= tail_until {
+                    // Rides the tail: the same session, and the burst's
+                    // ender pays the tail that elapsed in the gap.
+                    let elapsed = (s - (tail_until - tail_len)).max(0.0);
                     out.tail_secs += elapsed;
                     out.tail_j += cfg.tail_prefix_energy_j(elapsed);
-                }
-                _ => {
-                    // Fresh wake-up: close out the previous tail fully,
-                    // then promote.
-                    if tail_until.is_some() {
-                        out.tail_secs += tail_len;
-                        out.tail_j += self.tail_policy.tail_energy_j(cfg);
+                    if let Some(bills) = bills.as_deref_mut() {
+                        let gap = (start - burst.end) as f64;
+                        bills[ender].tail_j += cfg.tail_prefix_energy_j(gap);
                     }
-                    out.wakeups += 1;
-                    out.promo_secs += cfg.promo_secs;
-                    out.promo_j += cfg.promo_energy_j();
+                } else {
+                    out.tail_secs += tail_len;
+                    out.tail_j += full_tail_j;
+                    if let Some(bills) = bills.as_deref_mut() {
+                        bills[ender].tail_j += full_tail_j;
+                    }
+                    wake(&mut out, bills.as_deref_mut(), i);
                 }
+                lo = pos;
+                burst = Interval::new(start, end);
             }
-            out.active_secs += e - s;
-            out.active_j += cfg.active_energy_j(e - s);
-            tail_until = Some(e + tail_len);
+            if end >= burst.end {
+                burst.end = end;
+                ender = i;
+            }
         }
-        if tail_until.is_some() {
-            out.tail_secs += tail_len;
-            out.tail_j += self.tail_policy.tail_energy_j(cfg);
+        close_burst(cfg, &keys[lo..], burst, &mut out, bills.as_deref_mut());
+        out.tail_secs += tail_len;
+        out.tail_j += full_tail_j;
+        if let Some(bills) = bills {
+            bills[ender].tail_j += full_tail_j;
         }
         out
     }
@@ -177,12 +275,154 @@ impl RrcModel {
     }
 }
 
+/// Closes one merged burst of the sweep: adds its active time and
+/// energy to `out` and, with bills, charges the energy to its members,
+/// split by their own seconds, and records those seconds.
+fn close_burst(
+    cfg: &RrcConfig,
+    members: &[SpanKey],
+    burst: Interval,
+    out: &mut EnergyBreakdown,
+    bills: Option<&mut [AppEnergy]>,
+) {
+    let secs = burst.end as f64 - burst.start as f64;
+    out.active_secs += secs;
+    out.active_j += cfg.active_energy_j(secs);
+    let Some(bills) = bills else { return };
+    let total_secs = members.iter().map(|&(s, e, _)| e - s).sum::<u64>() as f64;
+    let burst_j = cfg.active_energy_j(burst.len() as f64);
+    for &(s, e, i) in members {
+        let secs = (e - s) as f64;
+        bills[i].active_j = burst_j * secs / total_secs;
+        bills[i].transfer_secs = secs;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn iv(s: u64, e: u64) -> Interval {
         Interval::new(s, e)
+    }
+
+    /// The accountant the sweep replaced: merge the spans, then walk the
+    /// merged list. Kept as the oracle for the sweep's breakdown.
+    fn account_merged(model: &RrcModel, transfers: &[Interval]) -> EnergyBreakdown {
+        let cfg = &model.config;
+        let tail_len = model.tail_secs();
+        let merged = merge_intervals(transfers.to_vec());
+        let mut out = EnergyBreakdown::default();
+
+        let mut tail_until: Option<f64> = None; // end of the running tail
+        for span in &merged {
+            let (s, e) = (span.start as f64, span.end as f64);
+            match tail_until {
+                Some(t_end) if s <= t_end => {
+                    // Arrived inside the previous tail: pay only the
+                    // portion of tail actually elapsed before `s`.
+                    let prev_active_end = t_end - tail_len;
+                    let elapsed = (s - prev_active_end).max(0.0);
+                    out.tail_secs += elapsed;
+                    out.tail_j += cfg.tail_prefix_energy_j(elapsed);
+                }
+                _ => {
+                    // Fresh wake-up: close out the previous tail fully,
+                    // then promote.
+                    if tail_until.is_some() {
+                        out.tail_secs += tail_len;
+                        out.tail_j += model.tail_policy.tail_energy_j(cfg);
+                    }
+                    out.wakeups += 1;
+                    out.promo_secs += cfg.promo_secs;
+                    out.promo_j += cfg.promo_energy_j();
+                }
+            }
+            out.active_secs += e - s;
+            out.active_j += cfg.active_energy_j(e - s);
+            tail_until = Some(e + tail_len);
+        }
+        if tail_until.is_some() {
+            out.tail_secs += tail_len;
+            out.tail_j += model.tail_policy.tail_energy_j(cfg);
+        }
+        out
+    }
+
+    fn bits(b: &EnergyBreakdown) -> [u64; 7] {
+        [
+            b.wakeups,
+            b.promo_secs.to_bits(),
+            b.active_secs.to_bits(),
+            b.tail_secs.to_bits(),
+            b.promo_j.to_bits(),
+            b.active_j.to_bits(),
+            b.tail_j.to_bits(),
+        ]
+    }
+
+    /// A seeded timeline mixing what the sweep must get right: exact
+    /// duplicates (ties), zero-length spans, overlaps, back-to-back
+    /// spans and gaps on both sides of the tail length.
+    fn random_timeline(rng: &mut StdRng) -> Vec<Interval> {
+        let n = rng.random_range(0..40usize);
+        let mut spans: Vec<Interval> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let span = match spans.last().copied() {
+                Some(prev) if rng.random_bool(0.1) => prev,
+                Some(prev) if rng.random_bool(0.1) => iv(prev.end, prev.end),
+                Some(prev) if rng.random_bool(0.2) => {
+                    let s = rng.random_range(prev.start..=prev.end);
+                    iv(s, s + rng.random_range(0..40u64))
+                }
+                Some(prev) if rng.random_bool(0.3) => {
+                    // A gap from 0 to 30 s: inside, at and past the
+                    // WCDMA (17 s) and LTE (11.6 s) tails.
+                    let s = prev.end + rng.random_range(0..=30u64);
+                    iv(s, s + rng.random_range(1..40u64))
+                }
+                _ => {
+                    let s = rng.random_range(0..5_000u64);
+                    iv(s, s + rng.random_range(0..40u64))
+                }
+            };
+            spans.push(span);
+        }
+        spans
+    }
+
+    #[test]
+    fn sweep_matches_the_merged_walk_bit_for_bit() {
+        let models = [
+            RrcModel::wcdma_default(),
+            RrcModel::wcdma_immediate_off(),
+            RrcModel::lte_default(),
+        ];
+        let mut rng = StdRng::seed_from_u64(2014);
+        let (mut keys, mut bills) = (Vec::new(), Vec::new());
+        for model in &models {
+            for _ in 0..3_000 {
+                let mut spans = random_timeline(&mut rng);
+                if rng.random_bool(0.3) {
+                    spans.sort_by_key(|s| (s.start, s.end));
+                }
+                let want = bits(&account_merged(model, &spans));
+                assert_eq!(bits(&model.account(&spans)), want, "{spans:?}");
+                let billed = model.sweep(&spans, &mut keys, Some(&mut bills));
+                assert_eq!(bits(&billed), want, "{spans:?}");
+                // Dirty reused buffers give a fresh call's bills, and
+                // the bills conserve the breakdown's total.
+                assert_eq!(bills, crate::attribution::bill_each(model, &spans));
+                let sum: f64 = bills.iter().map(AppEnergy::total_j).sum();
+                let total = billed.total_j();
+                assert!((sum - total).abs() <= 1e-9 * total, "{sum} vs {total}");
+                // The breakdown depends on the multiset only.
+                spans.reverse();
+                assert_eq!(bits(&model.sweep(&spans, &mut keys, None)), want);
+            }
+        }
     }
 
     #[test]

@@ -25,14 +25,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod fleet;
 pub mod metrics;
 pub mod par;
 pub mod plan;
 pub mod runner;
 
-pub use batch::SolverBatch;
 pub use fleet::{
     run_fleet, run_fleet_streaming, run_fleet_streaming_with, FleetHealth, FleetLedger,
     FleetMember, FleetReport, UserLedgerRollup,
