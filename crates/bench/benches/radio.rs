@@ -1,7 +1,7 @@
 //! Criterion benches for the RRC energy accountant.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use netmaster_radio::attribution::{apportion, attribute};
+use netmaster_radio::attribution::apportion;
 use netmaster_radio::{Interval, RrcModel, Timeline};
 use netmaster_trace::event::AppId;
 use rand::rngs::StdRng;
@@ -51,12 +51,12 @@ fn bench_timeline_and_attribution(c: &mut Criterion) {
     });
     let tagged = tag_apps(&sp, 20, 4);
     c.bench_function("attribute_2000_spans_20_apps", |b| {
-        b.iter(|| black_box(attribute(&wcdma, &tagged)))
+        b.iter(|| black_box(apportion(&wcdma, &tagged)))
     });
     // A full trace's worth of transfers, billed per app.
     let trace = tag_apps(&spans_over(21, 20_000, 6), 20, 7);
     c.bench_function("attribute_20000_spans_21_days", |b| {
-        b.iter(|| black_box(attribute(&wcdma, &trace)))
+        b.iter(|| black_box(apportion(&wcdma, &trace)))
     });
     // One watch-drift-sized day billed per activity, as the service
     // prices its flight recorder (unique trace-id keys).

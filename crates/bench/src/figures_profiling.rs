@@ -344,6 +344,25 @@ mod tests {
     }
 
     #[test]
+    fn fig2_ratios_are_pinned_bit_for_bit() {
+        // Radio-on spans are a view of the RRC timeline; a change to how
+        // they are derived must not move the figure by a single bit.
+        let f = fig2();
+        assert_eq!(
+            f.avg_ratio.to_bits(),
+            0x3fe0_066d_023b_de16,
+            "{}",
+            f.avg_ratio
+        );
+        assert_eq!(
+            f.avg_payload_ratio.to_bits(),
+            0x3fc6_be31_3421_2b4d,
+            "{}",
+            f.avg_payload_ratio
+        );
+    }
+
+    #[test]
     fn fig3_low_fig4_high() {
         let f3 = fig3();
         let f4 = fig4();

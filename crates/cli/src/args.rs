@@ -26,7 +26,7 @@ const FLAGS: &[&str] = &[
 ];
 
 impl Args {
-    /// Parses an argument vector (excluding argv[0]).
+    /// Parses an argument vector (excluding `argv[0]`).
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
         let mut args = Args::default();
         let mut it = argv.into_iter().peekable();

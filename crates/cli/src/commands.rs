@@ -462,7 +462,7 @@ fn compare_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 }
 
 fn devourers_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    use netmaster_radio::attribution::{attribute, ranked};
+    use netmaster_radio::attribution::{apportion, ranked};
     use netmaster_trace::time::Interval;
 
     let trace = load_trace(args)?;
@@ -470,7 +470,7 @@ fn devourers_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let (_, radio) = radio_config(args)?;
     let transfers: Vec<(netmaster_trace::event::AppId, Interval)> =
         trace.all_activities().map(|a| (a.app, a.span())).collect();
-    let att = attribute(&radio, &transfers);
+    let att = apportion(&radio, &transfers);
     let total: f64 = att.values().map(|e| e.total_j()).sum();
     writeln!(
         out,
@@ -1976,6 +1976,12 @@ mod tests {
             24
         );
         assert!(out.contains('#'), "a normal day has transfers:\n{out}");
+        // The whole rendering is pinned: the strip is drawn from the RRC
+        // timeline's segments, so any drift in them shows here.
+        assert_eq!(
+            out,
+            include_str!("../testdata/timeline_volunteer3_seed12_day5.txt")
+        );
         // Out-of-range day errors.
         assert!(run_to_string(&args(&format!("timeline {path} --day 99"))).is_err());
     }

@@ -30,7 +30,7 @@ pub enum Disposition {
         slot: usize,
     },
     /// The demand was pre-served during the given (earlier) active slot
-    /// (predictive sync, like background email pre-fetch [15]).
+    /// (predictive sync, like background email pre-fetch \[15\]).
     PrefetchIn {
         /// Index into [`DayRouting::slots`].
         slot: usize,

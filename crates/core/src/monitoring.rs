@@ -7,7 +7,7 @@
 //! bytes) every second while the screen is on and every 30 s while it
 //! is off. Records pass through a 500 KB write cache before hitting
 //! "flash", because frequent small flash writes are slow and
-//! energy-hungry [15]; the flush count is the proxy for that cost.
+//! energy-hungry \[15\]; the flush count is the proxy for that cost.
 
 use netmaster_trace::event::{AppId, NetworkActivity};
 use netmaster_trace::time::{Seconds, Timestamp};

@@ -34,7 +34,7 @@ pub struct DayReport {
     pub prediction_hits: u64,
     /// Prediction misses today: trained demands that fell through to
     /// the duty-cycle layer (per-activity metric; see
-    /// [`NetMasterStats`](crate::NetMasterStats)).
+    /// [`NetMasterStats`](crate::policies::NetMasterStats)).
     pub prediction_misses: u64,
     /// Total simulated seconds today's deferred/prefetched demands were
     /// moved by.

@@ -3,7 +3,7 @@
 //! Knapsack machinery behind NetMaster's scheduling component:
 //!
 //! * [`solvers::sin_knap`] — the Ibarra–Kim profit-scaling FPTAS the
-//!   paper calls `SinKnap` [13], a `(1−ε)`-approximation for 0/1
+//!   paper calls `SinKnap` \[13\], a `(1−ε)`-approximation for 0/1
 //!   knapsack;
 //! * [`overlapped::solve`] — the paper's Algorithm 1 for multiple
 //!   knapsacks with *overlapped itemsets* (each screen-off network
@@ -17,7 +17,7 @@
 //! [`scratch::SolverScratch`] / [`scratch::OvScratch`] for the
 //! fleet-simulation hot path (zero DP-table allocations per solve, a
 //! bit-packed choice matrix, and an exact fast path when capacity has
-//! slack). The original implementations are preserved in [`reference`]
+//! slack). The original implementations are preserved in [`reference`](mod@reference)
 //! as equivalence oracles and perf baselines.
 //!
 //! ```

@@ -1,5 +1,5 @@
 //! Single 0/1-knapsack solvers: brute force, capacity DP, greedy, and
-//! the Ibarra–Kim profit-scaling FPTAS — the paper's `SinKnap` [13].
+//! the Ibarra–Kim profit-scaling FPTAS — the paper's `SinKnap` \[13\].
 //!
 //! The DP solvers come in two forms: the classic signature
 //! ([`sin_knap`], [`dp_by_capacity`]) which allocates a fresh workspace
@@ -612,7 +612,7 @@ const BNB_NODES_PER_ITEM: usize = 64;
 ///
 /// * **Slack fast path** — every eligible item fits together: take them
 ///   all (exact, no search).
-/// * **Exact branch-and-bound** — at most [`BNB_MAX_N`] eligible items:
+/// * **Exact branch-and-bound** — at most `BNB_MAX_N` (40) eligible items:
 ///   budgeted iterative search; optimal when it completes.
 /// * **Quantized FPTAS** — everything else (and exhausted budgets):
 ///   [`quantized_dp`], guarantee `(1 − ε)·OPT`.

@@ -1,5 +1,5 @@
 //! The rule catalogue. Each rule is a function over the analyzed
-//! [`Workspace`] appending [`Finding`]s to the report; waiver matching
+//! [`Workspace`](crate::Workspace) appending [`Finding`]s to the report; waiver matching
 //! and accounting is centralized in [`emit`].
 
 mod atomic_ordering;

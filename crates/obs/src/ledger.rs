@@ -1,4 +1,4 @@
-//! The energy ledger: rolls [`ActivityTrace`](crate::ActivityTrace)
+//! The energy ledger: rolls [`ActivityTrace`]
 //! lifecycle records into per-app / per-day energy bills
 //! (baseline-vs-NetMaster deltas) and exemplar links — from the
 //! aggregate latency/saving histograms down to the worst offending

@@ -1,5 +1,5 @@
 //! The scrape server: a std-only HTTP/1.1 endpoint over the metrics
-//! registry and a [`TelemetryHub`](crate::hub::TelemetryHub).
+//! registry and a [`TelemetryHub`].
 //!
 //! | Endpoint         | Body                                             |
 //! |------------------|--------------------------------------------------|

@@ -1,4 +1,4 @@
-//! Hierarchical span-tree tracing: the causal layer under [`span!`]
+//! Hierarchical span-tree tracing: the causal layer under [`span!`](crate::span!)
 //! and [`timer!`](crate::timer).
 //!
 //! Every thread keeps two views of its in-flight spans:

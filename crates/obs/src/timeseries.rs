@@ -120,8 +120,8 @@ impl Ewma {
     }
 }
 
-/// Buckets in a [`LogSketch`]: upper bounds double from [`LogSketch::min`],
-/// with the last bucket catching overflow.
+/// Buckets in a [`LogSketch`]: upper bounds double from the `min` given
+/// to [`LogSketch::new`], with the last bucket catching overflow.
 pub const SKETCH_BUCKETS: usize = 48;
 
 /// A mergeable log-bucket quantile sketch over non-negative values.

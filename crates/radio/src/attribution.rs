@@ -1,5 +1,5 @@
 //! Per-app energy attribution — eprof-style fine-grained accounting
-//! (Pathak et al., the paper's ref [9]): which apps are the *energy
+//! (Pathak et al., the paper's ref \[9\]): which apps are the *energy
 //! devourers* of the title.
 //!
 //! The hard part of attributing cellular energy is the shared state
@@ -49,21 +49,24 @@ impl AppEnergy {
     }
 }
 
-/// Attributes the energy of a transfer timeline to apps.
+/// Apportions a transfer timeline's energy to owner keys.
 ///
-/// `transfers` are `(app, span)` pairs (need not be sorted). The sum of
-/// all apps' totals equals [`RrcModel::account`]'s total for the same
-/// spans exactly (conservation is unit-tested).
+/// `transfers` are `(owner, span)` pairs (need not be sorted). Per-app
+/// billing uses `K = AppId`; the causal ledger apportions per activity
+/// with `K` a trace id. It folds [`bill_each`]'s per-transfer bills by
+/// key, in input order, and conserves [`RrcModel::account`]'s total for
+/// the same spans. A zero-length span is billed nothing, though its
+/// key still gets an entry.
 ///
 /// ```
-/// use netmaster_radio::attribution::attribute;
+/// use netmaster_radio::attribution::apportion;
 /// use netmaster_radio::{Interval, RrcModel};
 /// use netmaster_trace::event::AppId;
 ///
 /// let model = RrcModel::wcdma_default();
 /// // The chat app wakes the radio; the mail app's sync rides along
 /// // and ends last, so it owns the tail.
-/// let att = attribute(&model, &[
+/// let att = apportion(&model, &[
 ///     (AppId(1), Interval::new(0, 10)),
 ///     (AppId(2), Interval::new(10, 25)),
 /// ]);
@@ -71,25 +74,6 @@ impl AppEnergy {
 /// assert_eq!(att[&AppId(2)].promo_j, 0.0);
 /// assert!(att[&AppId(2)].tail_j > att[&AppId(1)].tail_j);
 /// ```
-pub fn attribute(model: &RrcModel, transfers: &[(AppId, Interval)]) -> HashMap<AppId, AppEnergy> {
-    apportion(model, transfers)
-}
-
-/// Apportions a transfer timeline's energy to arbitrary owner keys.
-///
-/// This is [`attribute`] generalized over the owner: per-app billing
-/// uses `K = AppId`, the causal ledger apportions per-activity with
-/// `K` a trace id. It folds [`bill_each`]'s per-transfer bills by key,
-/// in input order, and conserves [`RrcModel::account`]'s total for the
-/// same spans.
-///
-/// Conventions (eprof's last-trigger rule): the owner that wakes the
-/// radio pays the promotion, the owner whose transfer ends last pays
-/// the trailing tail, elapsed tail inside a session is paid by the
-/// owner whose transfer preceded the gap, and active energy splits
-/// proportionally to each owner's seconds inside every merged burst.
-/// A zero-length span is billed nothing (every field 0, including
-/// `transfer_secs`), though its key still gets an entry.
 pub fn apportion<K: Copy + Eq + Hash>(
     model: &RrcModel,
     transfers: &[(K, Interval)],
@@ -108,16 +92,11 @@ pub fn apportion<K: Copy + Eq + Hash>(
 }
 
 /// Bills each transfer of a timeline on its own: one [`AppEnergy`] per
-/// span, in input order. This is the core that [`apportion`] and
-/// [`attribute`] fold by owner. `spans` is anything that yields the
-/// spans in order: a slice, or an iterator that builds them on the fly.
-///
-/// It runs [`RrcModel::sweep`] with bills, so the rules are the
-/// sweep's: a burst's active energy splits among its members by their
-/// seconds, a session's first transfer pays its promotion, the
-/// transfer that ends a burst pays the elapsed tail of the gap after
-/// it, or the full tail when the session ends there, and an empty span
-/// pays nothing (its bill is all zeros, including `transfer_secs`).
+/// span, in input order, which [`apportion`] folds by owner. `spans` is
+/// anything that yields the spans in order: a slice, or an iterator
+/// that builds them on the fly. It runs [`RrcModel::sweep`] with bills,
+/// so the billing rules are the sweep's; an empty span's bill is all
+/// zeros, including `transfer_secs`.
 ///
 /// ```
 /// use netmaster_radio::attribution::bill_each;
@@ -270,7 +249,7 @@ mod tests {
     fn conservation_check(model: &RrcModel, transfers: &[(AppId, Interval)]) {
         let spans: Vec<Interval> = transfers.iter().map(|&(_, s)| s).collect();
         let total = model.account(&spans).total_j();
-        let attributed: f64 = attribute(model, transfers)
+        let attributed: f64 = apportion(model, transfers)
             .values()
             .map(AppEnergy::total_j)
             .sum();
@@ -284,7 +263,7 @@ mod tests {
     fn lone_app_pays_everything() {
         let m = RrcModel::wcdma_default();
         let t = [(AppId(1), iv(100, 110))];
-        let a = attribute(&m, &t);
+        let a = apportion(&m, &t);
         let e = a[&AppId(1)];
         assert!((e.active_j - 8.0).abs() < 1e-9);
         assert!((e.promo_j - 1.1).abs() < 1e-9);
@@ -298,7 +277,7 @@ mod tests {
         let m = RrcModel::wcdma_default();
         // App 1 wakes the radio; app 2's transfer ends last.
         let t = [(AppId(1), iv(0, 10)), (AppId(2), iv(10, 30))];
-        let a = attribute(&m, &t);
+        let a = apportion(&m, &t);
         assert!(
             (a[&AppId(1)].promo_j - 1.1).abs() < 1e-9,
             "initiator pays promo"
@@ -319,7 +298,7 @@ mod tests {
         let m = RrcModel::wcdma_default();
         // App 1's transfer, 5 s of its tail elapse, app 2 rides it.
         let t = [(AppId(1), iv(0, 10)), (AppId(2), iv(15, 25))];
-        let a = attribute(&m, &t);
+        let a = apportion(&m, &t);
         // App 1: promo + its 5 s elapsed-tail gap (5 × 0.8 = 4 J).
         assert!((a[&AppId(1)].promo_j - 1.1).abs() < 1e-9);
         assert!((a[&AppId(1)].tail_j - 4.0).abs() < 1e-9);
@@ -332,7 +311,7 @@ mod tests {
     fn separate_sessions_pay_separately() {
         let m = RrcModel::wcdma_default();
         let t = [(AppId(1), iv(0, 10)), (AppId(2), iv(5_000, 5_010))];
-        let a = attribute(&m, &t);
+        let a = apportion(&m, &t);
         for app in [AppId(1), AppId(2)] {
             assert!((a[&app].promo_j - 1.1).abs() < 1e-9);
             assert!((a[&app].tail_j - 9.52).abs() < 1e-9);
@@ -390,32 +369,13 @@ mod tests {
     }
 
     #[test]
-    fn apportion_matches_attribute_for_app_keys() {
-        // `attribute` is `apportion` specialized to AppId; the two must
-        // agree field-for-field on a shared-session timeline.
-        let m = RrcModel::wcdma_default();
-        let t = [
-            (AppId(1), iv(0, 10)),
-            (AppId(2), iv(15, 25)),
-            (AppId(1), iv(20, 30)),
-            (AppId(3), iv(9_000, 9_005)),
-        ];
-        let a = attribute(&m, &t);
-        let b = apportion(&m, &t);
-        assert_eq!(a.len(), b.len());
-        for (app, e) in &a {
-            assert_eq!(b[app], *e);
-        }
-    }
-
-    #[test]
     fn ranking_orders_by_total() {
         let m = RrcModel::wcdma_default();
         let t = [
             (AppId(1), iv(0, 100)),       // heavy
             (AppId(2), iv(5_000, 5_002)), // light
         ];
-        let r = ranked(&attribute(&m, &t));
+        let r = ranked(&apportion(&m, &t));
         assert_eq!(r[0].0, AppId(1));
         assert!(r[0].1.total_j() > r[1].1.total_j());
         // Light app's bill is overhead-dominated.
@@ -425,7 +385,7 @@ mod tests {
     #[test]
     fn empty_input_is_empty() {
         let m = RrcModel::wcdma_default();
-        assert!(attribute(&m, &[]).is_empty());
+        assert!(apportion::<AppId>(&m, &[]).is_empty());
     }
 
     #[test]
@@ -434,7 +394,7 @@ mod tests {
         // The empty span sits exactly where the first burst ends; the
         // tail that elapses before [15, 25) is still [0, 10)'s to pay.
         let spans = [iv(0, 10), iv(10, 10), iv(15, 25)];
-        let bills = bill_each(&m, &spans);
+        let bills = bill_each(&m, spans);
         assert_eq!(bills[1], AppEnergy::default());
         assert!((bills[0].tail_j - 4.0).abs() < 1e-9);
         assert!((bills[2].tail_j - 9.52).abs() < 1e-9);
@@ -445,7 +405,7 @@ mod tests {
         let bill = apportion(&m, &keyed);
         assert_eq!(bill.len(), 3);
         assert_eq!(bill[&1], AppEnergy::default());
-        assert!(bill_each(&m, &[iv(7, 7)])
+        assert!(bill_each(&m, [iv(7, 7)])
             .iter()
             .all(|b| *b == AppEnergy::default()));
     }
@@ -508,14 +468,14 @@ mod tests {
                     assert_eq!(bits(bill), bits(want), "span {id} of {spans:?}");
                     assert_eq!(bill.wakeups, want.wakeups);
                 }
-                // Repeated app keys (`attribute`): equal up to the
+                // Repeated app keys: equal up to the
                 // order the fold adds each key's shares in.
                 let apps: Vec<(AppId, Interval)> = spans
                     .iter()
                     .map(|&s| (AppId(rng.random_range(0..5)), s))
                     .collect();
                 let oracle = apportion_quadratic(&model, &apps);
-                let folded = attribute(&model, &apps);
+                let folded = apportion(&model, &apps);
                 assert_eq!(folded.len(), oracle.len());
                 for (app, e) in &folded {
                     assert_close(e, &oracle[app]);
@@ -555,7 +515,7 @@ mod tests {
                 .collect();
             let spans: Vec<Interval> = transfers.iter().map(|&(_, s)| s).collect();
             let total = m.account(&spans).total_j();
-            let attributed: f64 = attribute(&m, &transfers)
+            let attributed: f64 = apportion(&m, &transfers)
                 .values()
                 .map(AppEnergy::total_j)
                 .sum();
@@ -571,7 +531,7 @@ mod tests {
     fn immediate_off_attributes_no_tail() {
         let m = RrcModel::wcdma_immediate_off();
         let t = [(AppId(1), iv(0, 10)), (AppId(2), iv(10, 20))];
-        let a = attribute(&m, &t);
+        let a = apportion(&m, &t);
         assert_eq!(a[&AppId(1)].tail_j + a[&AppId(2)].tail_j, 0.0);
         conservation_check(&m, &t);
     }

@@ -3,14 +3,14 @@
 //! The real 3G RRC machine does not promote straight to DCH for every
 //! byte — transfers whose burst fits the FACH uplink/downlink buffers
 //! (a few hundred bytes) are served in CELL_FACH at roughly half the
-//! power, with a cheaper IDLE→FACH promotion (Qian et al. [10] measure
+//! power, with a cheaper IDLE→FACH promotion (Qian et al. \[10\] measure
 //! both paths). The baseline [`RrcModel`](crate::RrcModel) charges DCH
 //! for everything, which slightly *overstates* the stock device's cost
 //! on keepalive-heavy workloads; this module quantifies the difference
 //! so EXPERIMENTS.md can bound the modelling error.
 
 use crate::power::RrcConfig;
-use crate::rrc::EnergyBreakdown;
+use crate::rrc::{sorted_keys, walk, EnergyBreakdown, Event};
 use netmaster_trace::time::Interval;
 use serde::{Deserialize, Serialize};
 
@@ -72,89 +72,53 @@ impl SizeAwareRrc {
 
     /// Accounts a timeline of `(span, bytes)` transfers.
     ///
-    /// Bursts are formed by merging overlapping/adjacent spans; a burst
-    /// whose *total* bytes fit the FACH buffer runs entirely in FACH
-    /// (cheaper promotion, FACH power, FACH tail); anything larger
-    /// promotes to DCH and pays the standard costs. Tail-riding works
-    /// per-path: a transfer arriving inside a previous burst's tail
-    /// skips its promotion.
+    /// A sink of the RRC walk of [`sweep`](crate::RrcModel::sweep), so
+    /// bursts and empty spans are as there. A burst whose *total* bytes
+    /// fit the FACH buffer runs entirely in FACH (cheaper promotion,
+    /// FACH power, FACH tail); a larger one pays the stock DCH model, so
+    /// an all-DCH timeline prices as [`account`](crate::RrcModel::account)
+    /// does, bit for bit. A burst inside the previous burst's tail rides
+    /// it on that burst's path.
     pub fn account_sized(&self, transfers: &[(Interval, u64)]) -> EnergyBreakdown {
-        let mut sorted: Vec<(Interval, u64)> = transfers.to_vec();
-        sorted.sort_by_key(|(s, _)| (s.start, s.end));
-        // Merge into bursts, accumulating bytes.
-        let mut bursts: Vec<(Interval, u64)> = Vec::new();
-        for (span, bytes) in sorted {
-            match bursts.last_mut() {
-                Some((last, b)) if span.start <= last.end => {
-                    last.end = last.end.max(span.end);
-                    *b += bytes;
-                }
-                _ => bursts.push((span, bytes)),
-            }
-        }
-
+        let (fach, dch) = (&self.fach, &self.dch);
+        let mut keys = Vec::new();
+        sorted_keys(transfers.iter().map(|&(span, _)| span), &mut keys);
         let mut out = EnergyBreakdown::default();
-        let mut tail_until: Option<f64> = None;
-        let mut last_tail_len = 0.0f64;
-        let mut last_tail_mw = 0.0f64;
-        for (span, bytes) in &bursts {
-            let small = *bytes <= self.fach.threshold_bytes;
-            let (active_mw, promo_secs, promo_mw, tail_len, tail_mw) = if small {
-                (
-                    self.fach.fach_mw,
-                    self.fach.promo_secs,
-                    self.fach.promo_mw,
-                    self.fach.tail_secs,
-                    self.fach.fach_mw,
-                )
-            } else {
-                // DCH path: approximate the two-phase tail with its
-                // energy-equivalent mean power so the breakdown stays
-                // one-dimensional.
-                let t = self.dch.tail_secs();
-                let mw = if t > 0.0 {
-                    1_000.0 * self.dch.tail_energy_j() / t
-                } else {
-                    0.0
-                };
-                (
-                    self.dch.active_mw,
-                    self.dch.promo_secs,
-                    self.dch.promo_mw,
-                    t,
-                    mw,
-                )
-            };
-            let (s, e) = (span.start as f64, span.end as f64);
-            match tail_until {
-                Some(t_end) if s <= t_end => {
-                    // Riding the previous burst's tail: pay the elapsed
-                    // portion at the previous tail's power.
-                    let prev_active_end = t_end - last_tail_len;
-                    let elapsed = (s - prev_active_end).max(0.0);
-                    out.tail_secs += elapsed;
-                    out.tail_j += elapsed * last_tail_mw / 1_000.0;
-                }
-                _ => {
-                    if tail_until.is_some() {
-                        out.tail_secs += last_tail_len;
-                        out.tail_j += last_tail_len * last_tail_mw / 1_000.0;
+        // The open burst woke the radio, so its path prices a promotion;
+        // the last closed burst ran in FACH.
+        let (mut cold, mut small) = (false, false);
+        walk(&keys, |event| {
+            match event {
+                Event::Wake(_) => cold = true,
+                Event::Burst(members, burst) => {
+                    let bytes: u64 = members.iter().map(|&(.., i)| transfers[i].1).sum();
+                    small = bytes <= fach.threshold_bytes;
+                    let (active_mw, promo_secs, promo_mw, tail_len) = if small {
+                        (fach.fach_mw, fach.promo_secs, fach.promo_mw, fach.tail_secs)
+                    } else {
+                        (dch.active_mw, dch.promo_secs, dch.promo_mw, dch.tail_secs())
+                    };
+                    if std::mem::take(&mut cold) {
+                        out.wakeups += 1;
+                        out.promo_secs += promo_secs;
+                        out.promo_j += promo_secs * promo_mw / 1_000.0;
                     }
-                    out.wakeups += 1;
-                    out.promo_secs += promo_secs;
-                    out.promo_j += promo_secs * promo_mw / 1_000.0;
+                    let secs = burst.end as f64 - burst.start as f64;
+                    out.active_secs += secs;
+                    out.active_j += secs * active_mw / 1_000.0;
+                    return tail_len;
+                }
+                // A DCH tail of `len` seconds is the stock model's full tail.
+                Event::Elapsed { secs, .. } | Event::Full { len: secs, .. } => {
+                    out.tail_secs += secs;
+                    out.tail_j += match small {
+                        true => secs * fach.fach_mw / 1_000.0,
+                        false => dch.tail_prefix_energy_j(secs),
+                    };
                 }
             }
-            out.active_secs += e - s;
-            out.active_j += (e - s) * active_mw / 1_000.0;
-            tail_until = Some(e + tail_len);
-            last_tail_len = tail_len;
-            last_tail_mw = tail_mw;
-        }
-        if tail_until.is_some() {
-            out.tail_secs += last_tail_len;
-            out.tail_j += last_tail_len * last_tail_mw / 1_000.0;
-        }
+            0.0
+        });
         out
     }
 }
@@ -185,6 +149,28 @@ mod tests {
         let plain = RrcModel::wcdma_default().account(&[iv(0, 10)]);
         assert!((sized.total_j() - plain.total_j()).abs() < 1e-9);
         assert!((sized.radio_on_secs() - plain.radio_on_secs()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn all_dch_bursts_equal_the_stock_accountant() {
+        // With every burst over the FACH buffer the size-aware model is
+        // the stock WCDMA model, tails included, bit for bit.
+        use crate::rrc::tests::random_timeline;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let m = SizeAwareRrc::wcdma();
+        let stock = RrcModel::wcdma_default();
+        let mut rng = StdRng::seed_from_u64(2018);
+        for _ in 0..3_000 {
+            let spans = random_timeline(&mut rng);
+            let sized: Vec<(Interval, u64)> = spans
+                .iter()
+                .map(|&s| (s, m.fach.threshold_bytes + rng.random_range(1..100_000u64)))
+                .collect();
+            let (got, want) = (m.account_sized(&sized), stock.account(&spans));
+            assert_eq!(got, want, "{spans:?}");
+            assert_eq!(got.total_j().to_bits(), want.total_j().to_bits());
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! link rates and slot capacities, and duty-cycle wake-up pricing.
 //!
 //! The paper estimates energy with exactly this model-based approach
-//! (§VI-A: "we adopt the power model proposed in [5, 8, 11]"), so this
+//! (§VI-A: "we adopt the power model proposed in \[5, 8, 11\]"), so this
 //! crate is a reimplementation of the published model rather than an
 //! approximation of hardware measurements.
 //!
@@ -33,7 +33,7 @@ pub mod power;
 pub mod rrc;
 pub mod timeline;
 
-pub use attribution::{apportion, attribute, bill_each, ranked, AppEnergy};
+pub use attribution::{apportion, bill_each, ranked, AppEnergy};
 pub use battery::BatteryModel;
 pub use duty::DutyCycleCost;
 pub use fach::{FachConfig, SizeAwareRrc};

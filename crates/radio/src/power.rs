@@ -1,8 +1,8 @@
 //! Radio power-model configuration.
 //!
 //! NetMaster estimates energy with the *model-based* approach of its
-//! references (Huang et al. MobiSys'12 [11], Schulman et al. [8], Maier
-//! et al. [5]): the cellular radio is a state machine whose states burn
+//! references (Huang et al. MobiSys'12 \[11\], Schulman et al. \[8\], Maier
+//! et al. \[5\]): the cellular radio is a state machine whose states burn
 //! fixed power, promotions cost time and energy, and inactivity timers
 //! ("tails") keep the radio hot long after the last byte. The constants
 //! below are the published WCDMA and LTE numbers from those papers.
@@ -44,7 +44,7 @@ pub struct RrcConfig {
 }
 
 impl RrcConfig {
-    /// 3G / WCDMA constants (Huang et al. [11], Qian et al. [10]):
+    /// 3G / WCDMA constants (Huang et al. \[11\], Qian et al. \[10\]):
     /// DCH ≈ 800 mW, FACH ≈ 460 mW, IDLE→DCH promotion ≈ 2 s at
     /// ≈ 550 mW, DCH→FACH inactivity timer ≈ 5 s, FACH→IDLE ≈ 12 s.
     pub fn wcdma() -> Self {

@@ -4,12 +4,12 @@
 //! for inspection, the `netmaster timeline` CLI view, and tests that
 //! cross-check the integral against the explicit state sequence.
 
-use crate::power::TailPhase;
-use crate::rrc::RrcModel;
-use netmaster_trace::time::{merge_intervals, Interval};
+use crate::rrc::{sorted_keys, walk, Event, RrcModel};
+use netmaster_trace::time::Interval;
 use serde::{Deserialize, Serialize};
 
-/// A radio state with a concrete power draw.
+/// A radio state with a concrete power draw. Idle is implicit: it is
+/// wherever no segment is.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum RadioState {
     /// Promoting from idle to connected.
@@ -18,8 +18,6 @@ pub enum RadioState {
     Active,
     /// Lingering in an inactivity tail phase (0-based index).
     Tail(usize),
-    /// Idle.
-    Idle,
 }
 
 /// One segment of the timeline: a state held over a span, with
@@ -63,17 +61,126 @@ impl Segment {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Timeline {
-    /// Non-idle segments, ascending, non-overlapping. Idle gaps are
-    /// implicit.
+    /// Non-idle segments in time order, except that a cold burst's
+    /// `Promoting` segment may start before the segment ahead of it
+    /// ends: inside the previous tail, or inside the previous `Active`
+    /// segment when the tail is shorter than the promotion (as under
+    /// `TailPolicy::Immediate`). No others overlap. Idle is implicit.
     pub segments: Vec<Segment>,
 }
 
 impl Timeline {
     /// Builds the timeline for (possibly unsorted/overlapping)
-    /// transfers. Promotion precedes each cold burst; tails follow the
-    /// last transfer of a burst and truncate when a new transfer
-    /// arrives mid-tail.
+    /// transfers as a sink of the RRC walk that [`RrcModel::sweep`]
+    /// prices: a promotion before each cold burst, and after each burst
+    /// its tail, clipped to the tail policy and cut by a riding burst.
     pub fn build(model: &RrcModel, transfers: &[Interval]) -> Timeline {
+        let (cfg, tail_len) = (&model.config, model.tail_secs());
+        let mut keys = Vec::new();
+        sorted_keys(transfers, &mut keys);
+        let seg = |start, end, state, mw| Segment {
+            start,
+            end,
+            state,
+            mw,
+        };
+        let mut segments = Vec::new();
+        walk(&keys, |event| {
+            let (mut t, until) = match event {
+                Event::Wake((s, ..)) => {
+                    let (s, p) = (s as f64, cfg.promo_secs);
+                    segments.push(seg(s - p, s, RadioState::Promoting, cfg.promo_mw));
+                    return tail_len;
+                }
+                Event::Burst(_, b) => {
+                    let (s, e) = (b.start as f64, b.end as f64);
+                    segments.push(seg(s, e, RadioState::Active, cfg.active_mw));
+                    return tail_len;
+                }
+                Event::Elapsed { from, next, .. } => (from, next as f64),
+                Event::Full { from, .. } => (from, f64::INFINITY),
+            };
+            // The phases, clipped to the policy's tail; those past it or
+            // past `until` come out empty, and the retain drops them.
+            let mut left = tail_len;
+            for (k, p) in cfg.tail_phases.iter().enumerate() {
+                let secs = p.secs.min(left);
+                left -= secs;
+                segments.push(seg(t, (t + secs).min(until), RadioState::Tail(k), p.mw));
+                t += secs;
+            }
+            tail_len
+        });
+        segments.retain(|s| s.secs() > 1e-9);
+        Timeline { segments }
+    }
+
+    /// Total energy in joules.
+    pub fn total_j(&self) -> f64 {
+        self.segments.iter().map(Segment::joules).sum()
+    }
+
+    /// Total non-idle seconds.
+    pub fn radio_on_secs(&self) -> f64 {
+        self.segments.iter().map(Segment::secs).sum()
+    }
+
+    /// Number of promotions (radio wake-ups).
+    pub fn wakeups(&self) -> u64 {
+        self.segments
+            .iter()
+            .filter(|s| s.state == RadioState::Promoting)
+            .count() as u64
+    }
+
+    /// Renders an ASCII strip chart: one character per `secs_per_char`
+    /// seconds over `window` (P=promoting, #=active, t=tail, ·=idle).
+    pub fn ascii(&self, window: Interval, secs_per_char: u64) -> String {
+        let cells = (window.len() / secs_per_char.max(1)) as usize;
+        let mut chars = vec!['·'; cells];
+        // Priority: active > promoting > tail > idle.
+        let rank = |ch| ['·', 't', 'P', '#'].iter().position(|&c| c == ch);
+        for seg in &self.segments {
+            let c = match seg.state {
+                RadioState::Promoting => 'P',
+                RadioState::Active => '#',
+                RadioState::Tail(_) => 't',
+            };
+            let from = seg.start.max(window.start as f64);
+            let to = seg.end.min(window.end as f64);
+            if to <= from {
+                continue;
+            }
+            let a = ((from - window.start as f64) / secs_per_char as f64) as usize;
+            let b =
+                (((to - window.start as f64) / secs_per_char as f64).ceil() as usize).min(cells);
+            for cell in chars.iter_mut().take(b).skip(a) {
+                if rank(c) > rank(*cell) {
+                    *cell = c;
+                }
+            }
+        }
+        chars.into_iter().collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::power::TailPhase;
+    use crate::rrc::tests::{random_timeline, tail_policy_models};
+    use netmaster_trace::time::merge_intervals;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn iv(s: u64, e: u64) -> Interval {
+        Interval::new(s, e)
+    }
+
+    /// `Timeline::build` as it was before it became a sink of the RRC
+    /// walk: merge the transfers, then walk the merged list with its own
+    /// ride-or-promote test. Kept as the oracle for the segments.
+    fn build_merged(model: &RrcModel, transfers: &[Interval]) -> Timeline {
         let cfg = &model.config;
         let tail_len = model.tail_secs();
         let merged = merge_intervals(transfers.to_vec());
@@ -98,7 +205,7 @@ impl Timeline {
         };
 
         let mut tail_until: Option<f64> = None;
-        for (i, span) in merged.iter().enumerate() {
+        for span in &merged {
             let (s, e) = (span.start as f64, span.end as f64);
             match tail_until {
                 Some(t_end) if s <= t_end => {
@@ -152,7 +259,6 @@ impl Timeline {
                 state: RadioState::Active,
                 mw: cfg.active_mw,
             });
-            let _ = i;
             tail_until = Some(e + tail_len);
         }
         if let Some(t_end) = tail_until {
@@ -171,67 +277,59 @@ impl Timeline {
         Timeline { segments }
     }
 
-    /// Total energy in joules.
-    pub fn total_j(&self) -> f64 {
-        self.segments.iter().map(Segment::joules).sum()
-    }
-
-    /// Total non-idle seconds.
-    pub fn radio_on_secs(&self) -> f64 {
-        self.segments.iter().map(Segment::secs).sum()
-    }
-
-    /// Number of promotions (radio wake-ups).
-    pub fn wakeups(&self) -> u64 {
-        self.segments
+    fn segment_bits(t: &Timeline) -> Vec<(u64, u64, u64, RadioState)> {
+        t.segments
             .iter()
-            .filter(|s| s.state == RadioState::Promoting)
-            .count() as u64
+            .map(|s| (s.start.to_bits(), s.end.to_bits(), s.mw.to_bits(), s.state))
+            .collect()
     }
 
-    /// Renders an ASCII strip chart: one character per `secs_per_char`
-    /// seconds over `window` (P=promoting, #=active, t=tail, ·=idle).
-    pub fn ascii(&self, window: Interval, secs_per_char: u64) -> String {
-        let cells = (window.len() / secs_per_char.max(1)) as usize;
-        let mut chars = vec!['·'; cells];
-        for seg in &self.segments {
-            let c = match seg.state {
-                RadioState::Promoting => 'P',
-                RadioState::Active => '#',
-                RadioState::Tail(_) => 't',
-                RadioState::Idle => '·',
-            };
-            let from = seg.start.max(window.start as f64);
-            let to = seg.end.min(window.end as f64);
-            if to <= from {
-                continue;
+    #[test]
+    fn build_matches_the_merged_walk_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(2016);
+        for model in &tail_policy_models() {
+            for _ in 0..2_000 {
+                let spans = random_timeline(&mut rng);
+                let want = segment_bits(&build_merged(model, &spans));
+                let got = segment_bits(&Timeline::build(model, &spans));
+                assert_eq!(got, want, "{model:?} {spans:?}");
             }
-            let a = ((from - window.start as f64) / secs_per_char as f64) as usize;
-            let b =
-                (((to - window.start as f64) / secs_per_char as f64).ceil() as usize).min(cells);
-            for cell in chars.iter_mut().take(b).skip(a) {
-                // Priority: active > promoting > tail.
-                let rank = |ch: char| match ch {
-                    '#' => 3,
-                    'P' => 2,
-                    't' => 1,
-                    _ => 0,
-                };
-                if rank(c) > rank(*cell) {
-                    *cell = c;
+        }
+    }
+
+    #[test]
+    fn only_a_promotion_overlaps_the_segment_before_it() {
+        // Segments come in time order, except that a cold burst's
+        // promotion may start before the segment ahead of it ends:
+        // inside the previous tail or, when the tail is shorter than
+        // the promotion, inside the previous burst's active segment. (A
+        // tail starts at `end + tail - tail` on the float clock, which
+        // may sit an ulp before its burst's end.)
+        let mut rng = StdRng::seed_from_u64(2017);
+        let mut overlaps = 0;
+        for model in &tail_policy_models() {
+            for _ in 0..2_000 {
+                let spans = random_timeline(&mut rng);
+                let t = Timeline::build(model, &spans);
+                let mut end = f64::NEG_INFINITY;
+                for (k, seg) in t.segments.iter().enumerate() {
+                    if seg.start < end - 1e-9 {
+                        overlaps += 1;
+                        assert_eq!(seg.state, RadioState::Promoting, "{model:?} {spans:?}");
+                        let prev = &t.segments[k - 1];
+                        assert!(prev.start <= seg.start, "{model:?} {spans:?}");
+                        let next = &t.segments[k + 1];
+                        assert_eq!(next.state, RadioState::Active);
+                        assert_eq!(next.start, seg.end);
+                    }
+                    end = seg.end;
                 }
             }
         }
-        chars.into_iter().collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn iv(s: u64, e: u64) -> Interval {
-        Interval::new(s, e)
+        assert!(
+            overlaps > 0,
+            "the generator makes cold bursts close to a tail"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 
 use netmaster::prelude::*;
-use netmaster::radio::attribution::{attribute, ranked};
+use netmaster::radio::attribution::{apportion, ranked};
 
 fn main() {
     let trace = TraceGenerator::new(UserProfile::volunteers().remove(1))
@@ -20,7 +20,7 @@ fn main() {
         .flat_map(|d| d.activities.iter())
         .map(|a| (a.app, a.span()))
         .collect();
-    let att = attribute(&RrcModel::wcdma_default(), &transfers);
+    let att = apportion(&RrcModel::wcdma_default(), &transfers);
     let total: f64 = att.values().map(|e| e.total_j()).sum();
     println!("stock-device energy devourers (test week, {total:.0} J):");
     for (app, e) in ranked(&att).into_iter().take(5) {

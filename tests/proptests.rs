@@ -11,7 +11,7 @@ use netmaster::knapsack::{
     branch_and_bound, brute_force, dp_by_capacity, greedy_half, sin_knap, Item,
 };
 use netmaster::prelude::*;
-use netmaster::radio::attribution::{attribute, AppEnergy};
+use netmaster::radio::attribution::{apportion, AppEnergy};
 use netmaster::radio::Interval;
 use netmaster::trace::event::AppId;
 use netmaster::trace::time::merge_intervals;
@@ -299,7 +299,7 @@ fn attribution_conserves_energy() {
         let model = RrcModel::wcdma_default();
         let intervals: Vec<Interval> = tagged.iter().map(|&(_, s)| s).collect();
         let total = model.account(&intervals).total_j();
-        let att = attribute(&model, &tagged);
+        let att = apportion(&model, &tagged);
         let attributed: f64 = att.values().map(AppEnergy::total_j).sum();
         assert!(
             (total - attributed).abs() < 1e-6,
