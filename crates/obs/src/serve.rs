@@ -36,13 +36,21 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default bind address for `netmaster serve-obs`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:9898";
 
-/// Per-connection socket read timeout.
-const READ_TIMEOUT: Duration = Duration::from_secs(2);
+/// Time a client has to send its whole request line and headers. A
+/// deadline for the head, not a per-read timeout, so a client that
+/// trickles bytes cannot hold a worker past it.
+pub const REQUEST_HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Most bytes the server reads of one request's line and headers; a
+/// longer head is answered 431 without being buffered. The server then
+/// closes with the rest of the head unread, so the client's TCP stack
+/// may see a reset instead of the 431.
+pub const MAX_REQUEST_HEAD_BYTES: u64 = 8 * 1024;
 
 /// Prometheus text exposition content type (format version 0.0.4).
 pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
@@ -175,6 +183,14 @@ impl Response {
         }
     }
 
+    fn client_error(status: u16, why: &str) -> Response {
+        Response {
+            status,
+            content_type: "text/plain",
+            body: format!("{why}\n"),
+        }
+    }
+
     fn not_found(what: &str) -> Response {
         Response {
             status: 404,
@@ -189,6 +205,8 @@ fn status_text(code: u16) -> &'static str {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        408 => "Request Timeout",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
@@ -382,41 +400,86 @@ fn route(path: &str, hub: &TelemetryHub, state: &ServeState, drop_threshold: u64
     }
 }
 
-/// Reads the request line + headers and answers one request, then
-/// closes the connection.
+/// A stream whose every read waits at most until `until`, so a whole
+/// sequence of reads shares one deadline.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    until: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Reads the request line and drains the headers (the server routes on
+/// the request line alone) within [`MAX_REQUEST_HEAD_BYTES`] and
+/// [`REQUEST_HEAD_DEADLINE`]. `Err` carries the 4xx answer, or `None`
+/// when the connection failed and nothing can be answered.
+fn read_request_line(stream: &TcpStream) -> Result<String, Option<Response>> {
+    let until = Instant::now() + REQUEST_HEAD_DEADLINE;
+    let mut reader = BufReader::new(Deadline { stream, until }.take(MAX_REQUEST_HEAD_BYTES));
+    let mut request_line = String::new();
+    let mut line = String::new();
+    loop {
+        line.clear();
+        match reader.read_line(&mut line) {
+            // The cap reads as end of input, so a head that fills it is
+            // too long; shorter, the client closed early and what it sent
+            // is routed.
+            Ok(_) if !line.ends_with('\n') => {
+                if reader.get_ref().limit() == 0 {
+                    return Err(Some(Response::client_error(431, "request head too large")));
+                }
+                return Ok(if request_line.is_empty() {
+                    line
+                } else {
+                    request_line
+                });
+            }
+            Ok(_) if request_line.is_empty() => std::mem::swap(&mut request_line, &mut line),
+            Ok(_) if line == "\r\n" || line == "\n" => return Ok(request_line),
+            Ok(_) => {}
+            Err(e) => {
+                use std::io::ErrorKind::{InvalidData, TimedOut, WouldBlock};
+                return Err(match e.kind() {
+                    TimedOut | WouldBlock => Some(Response::client_error(
+                        408,
+                        "request head not received in time",
+                    )),
+                    InvalidData => Some(Response::client_error(400, "request head is not UTF-8")),
+                    _ => None,
+                });
+            }
+        }
+    }
+}
+
+/// Reads one request's head and answers it, then closes the connection.
 fn handle_connection(
-    stream: TcpStream,
+    mut stream: TcpStream,
     hub: &TelemetryHub,
     state: &ServeState,
     drop_threshold: u64,
 ) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    // Drain headers (we route on the request line alone).
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
-            Ok(_) => {}
-            Err(_) => return,
+    let response = match read_request_line(&stream) {
+        Ok(request_line) => {
+            let mut parts = request_line.split_whitespace();
+            match (parts.next(), parts.next()) {
+                (Some("GET"), Some(path)) => route(path, hub, state, drop_threshold),
+                _ => Response::client_error(400, "only GET is supported"),
+            }
         }
-    }
-    let mut parts = request_line.split_whitespace();
-    let response = match (parts.next(), parts.next()) {
-        (Some("GET"), Some(path)) => route(path, hub, state, drop_threshold),
-        _ => Response {
-            status: 400,
-            content_type: "text/plain",
-            body: "only GET is supported\n".to_owned(),
-        },
+        Err(Some(response)) => response,
+        Err(None) => return,
     };
     crate::counter!(crate::names::SERVE_REQUESTS_TOTAL);
-    let mut stream = reader.into_inner();
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.status,

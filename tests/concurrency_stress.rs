@@ -240,3 +240,108 @@ fn profiler_ticks_account_for_every_live_stack_exactly() {
         assert!(report.stacks.is_empty());
     }
 }
+
+/// A scrape server on port 0 with `threads` workers and nothing attached.
+fn bare_server(threads: usize) -> ObsServer {
+    ObsServer::start(
+        ServeOptions {
+            addr: "127.0.0.1:0".to_owned(),
+            threads,
+            drop_threshold: u64::MAX,
+        },
+        Arc::new(TelemetryHub::new()),
+    )
+    .expect("bind a scrape server on 127.0.0.1:0")
+}
+
+/// A client that never sends a newline gets 431 once the head reaches
+/// the cap, instead of growing the server's line buffer without limit,
+/// and the worker is free for the next request. One byte past the cap,
+/// the server closes with that byte unread, so the client may get a
+/// reset instead of the 431; the worker is freed either way.
+#[test]
+fn newline_free_request_head_is_refused_at_the_cap() {
+    use netmaster_obs::serve::MAX_REQUEST_HEAD_BYTES;
+    use std::io::{Read, Write};
+
+    let _g = serial();
+    let server = bare_server(1);
+    for extra in [0, 1] {
+        let mut client = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let _ = client.write_all(&vec![b'a'; MAX_REQUEST_HEAD_BYTES as usize + extra]);
+        let mut response = Vec::new();
+        let _ = client.read_to_end(&mut response);
+        assert!(
+            response.starts_with(b"HTTP/1.1 431 ") || (extra > 0 && response.is_empty()),
+            "{extra} past the cap: want 431, got {:?}",
+            String::from_utf8_lossy(&response)
+        );
+        let (status, _) = http_get(&format!("{}/healthz", server.base_url())).expect("healthz");
+        assert_eq!(status, 200, "the single worker must be free again");
+    }
+    server.shutdown();
+}
+
+/// Sends a head one byte at a time, 100 ms apart, until the server
+/// answers and closes; returns the answer. Each byte arrives well inside
+/// any per-read timeout, so only a deadline on the whole head ends it.
+fn trickle(addr: std::net::SocketAddr) -> String {
+    use std::io::{Read, Write};
+
+    let mut s = std::net::TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("read timeout");
+    let head = b"GET /healthz HTTP/1.1\r\nX-Slow: "
+        .iter()
+        .chain(std::iter::repeat(&b'a'));
+    let mut response = Vec::new();
+    for &b in head.take(150) {
+        if s.write_all(&[b]).is_err() || s.read_to_end(&mut response).is_ok() {
+            break;
+        }
+    }
+    String::from_utf8_lossy(&response).into_owned()
+}
+
+/// As many trickling clients as the server has workers cannot starve
+/// `/healthz`: the head deadline answers them 408 and frees the workers
+/// within about two seconds, where a per-read timeout would hold them
+/// for as long as they keep trickling (15 s here).
+#[test]
+fn trickling_clients_cannot_starve_healthz() {
+    use netmaster_obs::serve::REQUEST_HEAD_DEADLINE;
+    use std::time::Instant;
+
+    const WORKERS: usize = 2;
+    let _g = serial();
+    let server = bare_server(WORKERS);
+    let addr = server.local_addr();
+    let slow: Vec<_> = (0..WORKERS)
+        .map(|_| thread::spawn(move || trickle(addr)))
+        .collect();
+    // Let both workers pick up a trickling connection first.
+    thread::sleep(Duration::from_millis(300));
+    let t = Instant::now();
+    let (status, _) = netmaster_obs::http_get_with_timeout(
+        &format!("{}/healthz", server.base_url()),
+        Duration::from_secs(30),
+    )
+    .expect("healthz answers");
+    let waited = t.elapsed();
+    assert_eq!(status, 200);
+    assert!(
+        waited < REQUEST_HEAD_DEADLINE + Duration::from_secs(3),
+        "/healthz waited {waited:?} behind trickling clients"
+    );
+    for s in slow {
+        let response = s.join().expect("trickler joins");
+        assert!(
+            response.starts_with("HTTP/1.1 408 "),
+            "want 408, got {response:?}"
+        );
+    }
+    server.shutdown();
+}
