@@ -1,11 +1,13 @@
-//! Criterion benches for trace generation and full-policy simulation —
-//! the end-to-end cost of one Fig. 7 arm.
+//! Criterion benches for trace generation, full-policy simulation —
+//! the end-to-end cost of one Fig. 7 arm — and one day of the
+//! middleware service.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use netmaster_bench::harness;
 use netmaster_core::policies::{DefaultPolicy, OraclePolicy};
+use netmaster_core::MiddlewareService;
 use netmaster_sim::{par_map, simulate, SimConfig};
-use netmaster_trace::gen::TraceGenerator;
+use netmaster_trace::gen::{generate_panel, TraceGenerator};
 use netmaster_trace::profile::UserProfile;
 use std::hint::black_box;
 
@@ -42,6 +44,27 @@ fn bench_simulation(c: &mut Criterion) {
     });
 }
 
+/// One `MiddlewareService::run_day`, flight recorder on (the service's
+/// default): plan, price both arms, bill every activity. The day is the
+/// busiest of the panel's third weeks; the service is installed with
+/// the 14 days before it, untimed, for every iteration.
+fn bench_service_day(c: &mut Criterion) {
+    let panel = generate_panel(21, 7);
+    let (trace, busy) = panel
+        .iter()
+        .flat_map(|t| (14..t.num_days()).map(move |d| (t, d)))
+        .max_by_key(|&(t, d)| t.days[d].activities.len())
+        .expect("the panel has third-week days");
+    let (history, day) = (&trace.days[busy - 14..busy], &trace.days[busy]);
+    c.bench_function("service_run_day_busy", |b| {
+        b.iter_batched(
+            || MiddlewareService::new().import_history(history),
+            |mut svc| (svc.run_day(day), svc),
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 fn bench_parallel_sweep(c: &mut Criterion) {
     let trace = harness::volunteers().remove(1);
     let cfg = SimConfig::default();
@@ -72,6 +95,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_generation, bench_simulation, bench_parallel_sweep
+    targets = bench_generation, bench_simulation, bench_service_day, bench_parallel_sweep
 }
 criterion_main!(benches);

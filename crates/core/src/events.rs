@@ -129,7 +129,7 @@ pub fn day_events(day: &DayTrace, cfg: &MonitorConfig) -> Vec<SystemEvent> {
             app: i.app,
         });
     }
-    for a in &day.activities {
+    for (a, screen_on) in day.activity_screen_states() {
         events.push(SystemEvent::NetworkDetected {
             at: a.start,
             app: a.app,
@@ -137,7 +137,7 @@ pub fn day_events(day: &DayTrace, cfg: &MonitorConfig) -> Vec<SystemEvent> {
         });
         // Time-triggered samples across the transfer window, on the
         // screen-state-appropriate timer.
-        let (period, n) = cfg.byte_samples(day, a);
+        let (period, n) = cfg.byte_samples(screen_on, a);
         let per_down = a.bytes_down / n;
         let per_up = a.bytes_up / n;
         for k in 0..n {

@@ -27,10 +27,12 @@ pub struct MonitorConfig {
 
 impl MonitorConfig {
     /// The time-trigger rule for one transfer: the sampling period of
-    /// the screen state it starts in, and the number of samples over
-    /// its duration (a zero-length transfer still gets one).
-    pub fn byte_samples(&self, day: &DayTrace, a: &NetworkActivity) -> (Seconds, u64) {
-        let period = if day.screen_on_at(a.start) {
+    /// the screen state it starts in (`screen_on`, as
+    /// [`DayTrace::activity_screen_states`] reports it), and the number
+    /// of samples over its duration (a zero-length transfer still gets
+    /// one).
+    pub fn byte_samples(&self, screen_on: bool, a: &NetworkActivity) -> (Seconds, u64) {
+        let period = if screen_on {
             self.screen_on_timer
         } else {
             self.screen_off_timer
@@ -282,9 +284,8 @@ impl Monitor {
         // counters but only writes deltas). Every sample is 24 B, so
         // their time order does not move a flush either.
         let samples: u64 = day
-            .activities
-            .iter()
-            .map(|a| self.config.byte_samples(day, a).1)
+            .activity_screen_states()
+            .map(|(a, on)| self.config.byte_samples(on, a).1)
             .sum();
         self.db.add(RecordKind::Bytes, samples);
     }

@@ -57,7 +57,7 @@ impl Policy for BatchPolicy {
             }
             queue.clear();
         };
-        for (idx, a) in day.activities.iter().enumerate() {
+        for (idx, (a, screen_on)) in day.activity_screen_states().enumerate() {
             // Interactions arriving before this demand may force a flush.
             while ia < day.interactions.len() && day.interactions[ia].at <= a.start {
                 let i = &day.interactions[ia];
@@ -67,7 +67,7 @@ impl Policy for BatchPolicy {
                 }
                 ia += 1;
             }
-            if day.screen_on_at(a.start) {
+            if screen_on {
                 plan.executions.push(Execution::natural(a));
                 continue;
             }

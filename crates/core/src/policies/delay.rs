@@ -44,8 +44,8 @@ impl Policy for DelayPolicy {
         // Hold windows [arrival, release) of deferred demands.
         let mut holds: Vec<(u64, u64)> = Vec::new();
         let mut stagger: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        for a in &day.activities {
-            if day.screen_on_at(a.start) || self.delay == 0 {
+        for (a, screen_on) in day.activity_screen_states() {
+            if screen_on || self.delay == 0 {
                 plan.executions.push(Execution::natural(a));
             } else {
                 // Release at the next interval-grid boundary; demands in

@@ -63,8 +63,10 @@ pub struct NetMasterStats {
 /// full history, and daily planning reuses one
 /// [`netmaster_knapsack::OvScratch`] — checked out of a per-thread
 /// pool, so fleet workers recycle solver tables across short-lived
-/// member policies — and the knapsack solver allocates nothing per
-/// day.
+/// member policies — so the solver's tables are not reallocated per
+/// day. Planning still allocates every day, in building the knapsack
+/// instance and the routing table above all (about 140 allocations per
+/// trained day of the middleware service).
 ///
 /// What a policy retains as days pass:
 /// - the last two [`DayTrace`]s, verbatim, for habit-drift resets;
@@ -99,10 +101,23 @@ pub struct NetMasterPolicy {
     day_scratch: DayScratch,
 }
 
-/// Buffers `plan_day` reuses from day to day, so planning allocates
-/// only while they grow.
+/// Buffers `plan_day` reuses from day to day. They stop allocating
+/// once grown, but a planned day still allocates: the knapsack instance
+/// [`DecisionMaker::plan_day_with`] builds (the item list with one
+/// `candidates` Vec per item, a `pools` Vec per schedulable hour, the
+/// slot capacities and the solution's vectors), the routing table's 24
+/// per-hour `route` Vecs, the day's `DayPlan::executions`, the flight
+/// recorder's lifecycle records, and the copy of the day kept for drift
+/// resets. A counting allocator read about 140 allocations per trained
+/// `MiddlewareService::run_day` (flight recorder on, 32 panel users × 56
+/// days) against about 23 per untrained one, which builds no routing:
+/// most go to the predictions and `plan_day_with`.
 #[derive(Debug, Default)]
 struct DayScratch {
+    /// Whether the screen was on at each activity's start, by activity
+    /// index: the day's one [`DayTrace::activity_screen_states`] walk,
+    /// read by the ledger records and the routing loop.
+    screen_on: Vec<bool>,
     /// Per-slot placement cursors: forward from slot start for deferred
     /// demands, backward from slot end for prefetches.
     fwd: Vec<u64>,
@@ -472,6 +487,12 @@ impl Policy for NetMasterPolicy {
             }
         }
 
+        let mut scratch = std::mem::take(&mut self.day_scratch);
+        scratch.screen_on.clear();
+        scratch
+            .screen_on
+            .extend(day.activity_screen_states().map(|(_, on)| on));
+
         // Flight recorder: one causal lifecycle record per activity,
         // built in lockstep with the decisions below, finalized by the
         // duty-cycle loop, and handed to the ledger at the end of the
@@ -481,15 +502,16 @@ impl Policy for NetMasterPolicy {
         let mut traces: Vec<obs::ActivityTrace> = if record_traces {
             day.activities
                 .iter()
+                .zip(&scratch.screen_on)
                 .enumerate()
-                .map(|(idx, a)| obs::ActivityTrace {
+                .map(|(idx, (a, &screen_on))| obs::ActivityTrace {
                     trace_id: TraceId::new(day.day, idx).raw(),
                     day: day.day,
                     app: a.app.0,
                     natural_start: a.start,
                     duration: a.duration,
                     bytes: a.bytes_down + a.bytes_up,
-                    screen_on: day.screen_on_at(a.start),
+                    screen_on,
                     plan: obs::PlanReason::ScreenOn,
                     outcome: obs::Outcome::Natural,
                     executed_at: a.start,
@@ -509,7 +531,6 @@ impl Policy for NetMasterPolicy {
             executions: Vec::with_capacity(day.activities.len()),
             ..DayPlan::default()
         };
-        let mut scratch = std::mem::take(&mut self.day_scratch);
         scratch.fwd.clear();
         scratch.fwd.resize(routing.slots.len(), 0);
         scratch.back.clear();
@@ -521,8 +542,8 @@ impl Policy for NetMasterPolicy {
             .extend(day.activities.iter().map(|a| a.start));
         let mut hour_seq = [0usize; 24];
 
-        for (idx, a) in day.activities.iter().enumerate() {
-            if day.screen_on_at(a.start) {
+        for (idx, (a, &screen_on)) in day.activities.iter().zip(&scratch.screen_on).enumerate() {
+            if screen_on {
                 // Foreground / screen-on: the radio is up with the user.
                 plan.executions.push(Execution::natural(a));
                 continue;
@@ -681,7 +702,6 @@ impl Policy for NetMasterPolicy {
         // The monitoring component records today for tomorrow's mining.
         self.stats.prediction_misses += misses;
         self.learn(day);
-        plan.executions.sort_by_key(|e| e.start);
 
         // Hand today's lifecycle records to the flight recorder as one
         // chunk (the service prices them in place, off the simulation

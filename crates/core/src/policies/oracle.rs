@@ -52,8 +52,8 @@ impl Policy for OraclePolicy {
         let mut plan = DayPlan::default();
         let mut fwd: HashMap<usize, u64> = HashMap::new();
         let mut back: HashMap<usize, u64> = HashMap::new();
-        for a in &day.activities {
-            if day.screen_on_at(a.start) {
+        for (a, screen_on) in day.activity_screen_states() {
+            if screen_on {
                 plan.executions.push(Execution::natural(a));
                 continue;
             }

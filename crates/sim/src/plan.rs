@@ -62,7 +62,10 @@ impl Execution {
 /// A policy's plan for one day.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DayPlan {
-    /// Every transfer that ran, possibly moved/batched.
+    /// Every transfer that ran, possibly moved/batched, in no promised
+    /// order: consumers that need time order sort for themselves
+    /// (`RrcModel::account` and the radio sweeps sort their span keys),
+    /// and the RRC totals depend only on the multiset of spans.
     pub executions: Vec<Execution>,
     /// Interactions the policy itself scored as *affected* (held behind
     /// a delay window, or a wrong radio-off decision). The policy owns

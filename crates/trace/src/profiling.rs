@@ -52,8 +52,8 @@ pub fn traffic_split(trace: &Trace) -> TrafficSplit {
         screen_off_bytes: 0,
     };
     for day in &trace.days {
-        for a in &day.activities {
-            if day.screen_on_at(a.start) {
+        for (a, screen_on) in day.activity_screen_states() {
+            if screen_on {
                 split.screen_on_count += 1;
                 split.screen_on_bytes += a.volume();
             } else {
@@ -124,8 +124,8 @@ pub fn rate_cdf(traces: &[Trace]) -> RateCdf {
     let mut cdf = RateCdf::default();
     for trace in traces {
         for day in &trace.days {
-            for a in &day.activities {
-                if day.screen_on_at(a.start) {
+            for (a, screen_on) in day.activity_screen_states() {
+                if screen_on {
                     let window = a.duration.max(SCREEN_ON_SAMPLE_SECS);
                     cdf.screen_on.push(a.volume() as f64 / window as f64);
                 } else {

@@ -95,7 +95,9 @@ impl DayTrace {
         self.sessions.iter().map(ScreenSession::len).sum()
     }
 
-    /// `true` when `t` falls inside a screen-on session.
+    /// `true` when `t` falls inside a screen-on session. A point query:
+    /// to ask it of every activity, walk
+    /// [`activity_screen_states`](Self::activity_screen_states).
     pub fn screen_on_at(&self, t: Timestamp) -> bool {
         // Sessions are sorted and disjoint: binary search by start.
         match self.sessions.binary_search_by(|s| s.start.cmp(&t)) {
@@ -105,18 +107,58 @@ impl DayTrace {
         }
     }
 
+    /// Each activity, in order, with whether the screen was on at its
+    /// start: the answer of [`screen_on_at`](Self::screen_on_at)`(a.start)`
+    /// for any day, found by one merge walk of the activities against
+    /// the sessions. A start that goes backwards re-seeks with a binary
+    /// search, and a day whose sessions are not sorted by start asks
+    /// `screen_on_at` for each activity.
+    // lint:hot-path
+    pub fn activity_screen_states(&self) -> impl Iterator<Item = (&NetworkActivity, bool)> {
+        let sessions = self.sessions.as_slice();
+        let sorted = sessions.is_sorted_by_key(|s| s.start);
+        // `sessions[..next]` start before `prev`, the last start seen.
+        let (mut next, mut prev) = (0, 0);
+        self.activities.iter().map(move |a| {
+            let t = a.start;
+            if !sorted {
+                return (a, self.screen_on_at(t));
+            }
+            if t < prev {
+                next = sessions.partition_point(|s| s.start < t);
+            }
+            while sessions.get(next).is_some_and(|s| s.start < t) {
+                next += 1;
+            }
+            prev = t;
+            // As in `screen_on_at`: a session starting at `t` counts as
+            // on, even a zero-length one; otherwise the last session
+            // starting before `t` decides.
+            let on = match sessions.get(next) {
+                Some(s) if s.start == t => true,
+                _ => next > 0 && sessions[next - 1].span().contains(t),
+            };
+            (a, on)
+        })
+    }
+
     /// Splits activities into (screen-on, screen-off) by their start time.
     pub fn split_activities_by_screen(&self) -> (Vec<&NetworkActivity>, Vec<&NetworkActivity>) {
-        self.activities
-            .iter()
-            .partition(|a| self.screen_on_at(a.start))
+        let (mut on, mut off) = (Vec::new(), Vec::new());
+        for (a, screen_on) in self.activity_screen_states() {
+            if screen_on {
+                on.push(a);
+            } else {
+                off.push(a);
+            }
+        }
+        (on, off)
     }
 
     /// Network activities that start while the screen is off.
     pub fn screen_off_activities(&self) -> impl Iterator<Item = &NetworkActivity> {
-        self.activities
-            .iter()
-            .filter(|a| !self.screen_on_at(a.start))
+        self.activity_screen_states()
+            .filter_map(|(a, on)| (!on).then_some(a))
     }
 
     /// Seconds of screen-on time overlapped by at least one transfer —
@@ -329,6 +371,28 @@ mod tests {
         assert!(d.screen_on_at(350));
         assert!(!d.screen_on_at(400));
         assert_eq!(d.screen_on_seconds(), 200);
+    }
+
+    #[test]
+    fn screen_state_walk_answers_like_point_queries() {
+        let walk =
+            |d: &DayTrace| -> Vec<bool> { d.activity_screen_states().map(|(_, on)| on).collect() };
+        let mut d = DayTrace::new(0);
+        // Starts on a session's start and end, a zero-length session,
+        // and starts that go backwards.
+        d.sessions = vec![session(100, 200), session(250, 250), session(300, 400)];
+        let starts = [100, 200, 250, 399, 150, 99, 400, 300, 0];
+        d.activities = starts.iter().map(|&s| activity(s, 1, 1)).collect();
+        assert_eq!(
+            walk(&d),
+            [true, false, true, true, true, false, false, true, false]
+        );
+        // Sessions out of order fall back to the point query.
+        d.sessions.reverse();
+        let asked: Vec<bool> = starts.iter().map(|&s| d.screen_on_at(s)).collect();
+        assert_eq!(walk(&d), asked);
+        d.sessions.clear();
+        assert_eq!(walk(&d), [false; 9]);
     }
 
     #[test]

@@ -51,14 +51,12 @@ fn main() {
             .filter(|i| hour_of(i.at) == h)
             .count();
         let demands: Vec<_> = day
-            .activities
-            .iter()
-            .filter(|a| hour_of(a.start) == h && !day.screen_on_at(a.start))
+            .screen_off_activities()
+            .filter(|a| hour_of(a.start) == h)
             .collect();
         let fg = day
-            .activities
-            .iter()
-            .filter(|a| hour_of(a.start) == h && day.screen_on_at(a.start))
+            .activity_screen_states()
+            .filter(|&(a, on)| on && hour_of(a.start) == h)
             .count();
 
         let slot_mark = if in_slot { "ACTIVE" } else { "      " };

@@ -13,8 +13,10 @@ use netmaster::knapsack::{
 use netmaster::prelude::*;
 use netmaster::radio::attribution::{apportion, AppEnergy};
 use netmaster::radio::Interval;
-use netmaster::trace::event::AppId;
+use netmaster::sim::DayPlan;
+use netmaster::trace::event::{ActivityCause, AppId, NetworkActivity, ScreenSession};
 use netmaster::trace::time::merge_intervals;
+use netmaster::trace::trace::DayTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -392,6 +394,197 @@ fn delay_policy_holds_are_bounded() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Fisher–Yates shuffle on the test's seeded generator.
+fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
+    for i in (1..v.len()).rev() {
+        v.swap(i, rng.random_range(0..=i));
+    }
+}
+
+fn demand(start: u64) -> NetworkActivity {
+    NetworkActivity {
+        start,
+        duration: 5,
+        bytes_down: 1_000,
+        bytes_up: 0,
+        app: AppId(0),
+        cause: ActivityCause::Background,
+    }
+}
+
+/// The one-walk screen states equal a point query per activity, on
+/// generated panel days and on days no generator makes: activity starts
+/// out of order or on a session's edges, zero-length, overlapping or
+/// unsorted sessions, and days without sessions.
+#[test]
+fn screen_state_walk_matches_point_queries() {
+    let check = |day: &DayTrace, case: u64| {
+        let walked: Vec<(u64, bool)> = day
+            .activity_screen_states()
+            .map(|(a, on)| (a.start, on))
+            .collect();
+        let asked: Vec<(u64, bool)> = day
+            .activities
+            .iter()
+            .map(|a| (a.start, day.screen_on_at(a.start)))
+            .collect();
+        assert_eq!(walked, asked, "case {case}: {:?}", day.sessions);
+    };
+    for case in 0..CASES {
+        let mut rng = case_rng(212, case);
+        let seed: u64 = rng.random();
+        let profile = UserProfile::panel().remove((seed % 8) as usize);
+        let trace = TraceGenerator::new(profile).with_seed(seed).generate(2);
+        for day in &trace.days {
+            check(day, case);
+        }
+    }
+    for case in 0..4 * CASES {
+        let mut rng = case_rng(213, case);
+        let mut day = DayTrace::new(0);
+        let mut t = 0;
+        for _ in 0..rng.random_range(0usize..6) {
+            t += rng.random_range(0u64..40);
+            let len = if rng.random_bool(0.3) {
+                0
+            } else {
+                rng.random_range(1u64..30)
+            };
+            day.sessions.push(ScreenSession {
+                start: t,
+                end: t + len,
+            });
+            t += len;
+        }
+        if rng.random_bool(0.2) {
+            let start = rng.random_range(0..=t);
+            let end = start + rng.random_range(0u64..60);
+            day.sessions.push(ScreenSession { start, end });
+            day.sessions.sort_by_key(|s| s.start);
+        }
+        if rng.random_bool(0.2) {
+            shuffle(&mut day.sessions, &mut rng);
+        }
+        let edges: Vec<u64> = day.sessions.iter().flat_map(|s| [s.start, s.end]).collect();
+        for _ in 0..rng.random_range(0usize..20) {
+            let start = if !edges.is_empty() && rng.random_bool(0.6) {
+                let e = edges[rng.random_range(0..edges.len())];
+                (e + rng.random_range(0u64..3)).saturating_sub(1)
+            } else {
+                rng.random_range(0..=t + 10)
+            };
+            day.activities.push(demand(start));
+        }
+        if rng.random_bool(0.5) {
+            day.activities.sort_by_key(|a| a.start);
+        }
+        check(&day, case);
+    }
+}
+
+/// A policy whose plans come out sorted by start (`rng` is `None`) or
+/// shuffled.
+struct Reordered<P> {
+    inner: P,
+    rng: Option<StdRng>,
+}
+
+impl<P: Policy> Policy for Reordered<P> {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn tail_policy(&self) -> TailPolicy {
+        self.inner.tail_policy()
+    }
+
+    fn plan_day(&mut self, day: &DayTrace) -> DayPlan {
+        let mut plan = self.inner.plan_day(day);
+        match &mut self.rng {
+            Some(rng) => shuffle(&mut plan.executions, rng),
+            None => plan.executions.sort_by_key(|e| e.start),
+        }
+        plan
+    }
+}
+
+/// The order of a timeline's spans, or of a plan's executions, carries
+/// no information: `account`, `sweep`'s totals and `simulate`'s energy
+/// are bit-identical under any order, so no planner needs to sort its
+/// executions for them.
+#[test]
+fn radio_totals_ignore_span_order() {
+    for case in 0..CASES {
+        let mut rng = case_rng(214, case);
+        let count = rng.random_range(1usize..40);
+        let mut spans = random_intervals(&mut rng, 20_000, 200, count);
+        // Repeats and shared starts, so sort ties occur.
+        for _ in 0..rng.random_range(0usize..5) {
+            let s = spans[rng.random_range(0..spans.len())];
+            spans.push(if rng.random_bool(0.5) {
+                s
+            } else {
+                Interval::new(s.start, s.start + rng.random_range(0u64..50))
+            });
+        }
+        let mut model = if rng.random_bool(0.5) {
+            RrcModel::lte_default()
+        } else {
+            RrcModel::wcdma_default()
+        };
+        if rng.random_bool(0.5) {
+            model.tail_policy = TailPolicy::Immediate;
+        }
+        let sorted = {
+            let mut v = spans.clone();
+            v.sort_by_key(|s| s.start);
+            model.account(&v)
+        };
+        let mut shuffled = spans.clone();
+        shuffle(&mut shuffled, &mut rng);
+        let (mut keys, mut bills) = (Vec::new(), Vec::new());
+        for got in [
+            model.account(&spans),
+            model.account(&shuffled),
+            model.sweep(&shuffled, &mut keys, Some(&mut bills)),
+        ] {
+            assert_eq!(got, sorted, "case {case}");
+            assert_eq!(got.total_j().to_bits(), sorted.total_j().to_bits());
+        }
+    }
+    let cfg = SimConfig::default();
+    for case in 0..8 {
+        let mut rng = case_rng(215, case);
+        let seed: u64 = rng.random();
+        let profile = UserProfile::panel().remove((seed % 8) as usize);
+        let trace = TraceGenerator::new(profile).with_seed(seed).generate(9);
+        let (train, test) = trace.days.split_at(6);
+        let policy = || {
+            NetMasterPolicy::new(
+                NetMasterConfig::default(),
+                LinkModel::default(),
+                RrcModel::wcdma_default(),
+            )
+            .with_training(train)
+        };
+        let plain = simulate(test, &mut policy(), &cfg);
+        assert!(plain.moved_transfers > 0, "case {case}: nothing moved");
+        for order in [None, Some(StdRng::seed_from_u64(seed))] {
+            let mut p = Reordered {
+                inner: policy(),
+                rng: order,
+            };
+            let m = simulate(test, &mut p, &cfg);
+            assert_eq!(m.rrc, plain.rrc, "case {case}");
+            assert_eq!(
+                m.energy_j.to_bits(),
+                plain.energy_j.to_bits(),
+                "case {case}"
+            );
         }
     }
 }
