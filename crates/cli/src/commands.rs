@@ -2125,6 +2125,19 @@ mod tests {
         assert!(run_to_string(&args("watch --users 4 --shift-day 3")).is_err());
     }
 
+    /// CI's watch smoke command, pinned byte for byte: every scorecard
+    /// field, `deferral_p99_secs` included. Gated only because the
+    /// watchtower does not exist without `obs` (see below).
+    #[cfg(feature = "obs")]
+    #[test]
+    fn watch_json_matches_the_golden_fleet() {
+        let out = run_to_string(&args("watch --users 3 --days 12 --seed 2014 --json")).unwrap();
+        assert_eq!(
+            out,
+            include_str!("../testdata/watch_users3_days12_seed2014.json")
+        );
+    }
+
     /// Without the `obs` feature the watchtower does not exist; the
     /// command must say so rather than print an empty report.
     #[cfg(not(feature = "obs"))]

@@ -427,6 +427,62 @@ mod tests {
         assert!((all_over.quantile_secs(0.5) / (5.0 * last) - 1.0).abs() < 1e-9);
     }
 
+    /// Pins `quantile_secs` bit for bit on fixed bucket sets: the first
+    /// bucket (which starts at zero), observations sitting exactly on
+    /// grid bounds, and overflow past the last finite bound.
+    #[test]
+    fn quantile_golden_values() {
+        let le = |k: u32| (1u64 << k) as f64 / 1e9;
+        let hist = |count: u64, sum_secs: f64, buckets: &[(u32, u64)]| HistSnap {
+            name: "t_golden_seconds".to_owned(),
+            count,
+            sum_secs,
+            buckets: buckets
+                .iter()
+                .map(|&(k, count)| BucketSnap {
+                    le_secs: le(k),
+                    count,
+                })
+                .collect(),
+        };
+        let cases = [
+            // Four 100 ns observations, all in the first bucket.
+            (
+                hist(4, 4e-7, &[(7, 4)]),
+                [3.2e-8, 6.4e-8, 1.28e-7, 1.28e-7, 1.28e-7],
+            ),
+            // Three observations exactly at 2^20 ns, one at 2^21 ns.
+            (
+                hist(4, 3.0 * le(20) + le(21), &[(20, 3), (21, 1)]),
+                [
+                    0.0006990506666666666,
+                    0.0008738133333333334,
+                    0.002097152,
+                    0.002097152,
+                    0.002097152,
+                ],
+            ),
+            // 97 at ~1 µs, two in the 2^30 ns bucket, one 2^50 ns outlier.
+            (
+                hist(100, 97e-6 + 1.5 * le(30) + le(50), &[(10, 97), (30, 2)]),
+                [
+                    5.172783505154639e-7,
+                    7.759175257731959e-7,
+                    9.870515463917528e-7,
+                    1.073741824,
+                    1125899.9068651279,
+                ],
+            ),
+        ];
+        for (h, want) in &cases {
+            let got: Vec<f64> = [0.01, 0.5, 0.9, 0.99, 1.0]
+                .iter()
+                .map(|&q| h.quantile_secs(q))
+                .collect();
+            assert_eq!(got, want, "{h:?}");
+        }
+    }
+
     #[test]
     fn counters_merge_across_shards() {
         let _g = crate::test_serial();

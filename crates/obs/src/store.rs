@@ -1220,6 +1220,46 @@ mod tests {
         let _ = std::fs::remove_file(&p2);
     }
 
+    /// Pins the bytes of one `history.nmts` histogram segment: two
+    /// samples on the registry's grid whose bucket sets differ, the
+    /// second with one overflow observation.
+    #[test]
+    fn histogram_segment_bytes_are_pinned() {
+        let le = |k: u32| (1u64 << k) as f64 / 1e9;
+        let snap = |count: u64, sum_secs: f64, buckets: &[(u32, u64)]| Snapshot {
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            histograms: vec![HistSnap {
+                name: "t_pinned_seconds".to_owned(),
+                count,
+                sum_secs,
+                buckets: buckets
+                    .iter()
+                    .map(|&(k, count)| BucketSnap {
+                        le_secs: le(k),
+                        count,
+                    })
+                    .collect(),
+            }],
+        };
+        let store = MetricStore::default();
+        store.sample_at(1000, &snap(3, 2e-6 + 1e-3, &[(10, 2), (20, 1)]));
+        store.sample_at(
+            2000,
+            &snap(7, 2e-6 + 3e-3 + 0.75 + 1e6, &[(10, 2), (20, 3), (30, 1)]),
+        );
+        let path = tmp("pinned.nmts");
+        assert_eq!(store.flush_to(&path).unwrap(), 1);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            text,
+            "NMTS1 t_pinned_seconds histogram 2 4d199e4d 02e807d00f06f38988f694d69aa83f\
+             0295ad9bc1bec1cbd83e0495ad9bc1bec1cba83f02089bfdadfa8cc6bbbf7e030000000495ad\
+             9bc1bec1cbf83f02\n"
+        );
+    }
+
     #[test]
     fn flush_is_incremental_and_append_only() {
         let path = tmp("incremental.nmts");
