@@ -23,8 +23,7 @@
 use crate::service::{DayReport, MiddlewareService};
 use netmaster_obs::drift::{Direction, DriftAlarm, DriftSignal, MetricMonitor};
 use netmaster_obs::health::{HealthStatus, Scorecard, WatchMetric};
-use netmaster_obs::timeseries::LogSketch;
-use netmaster_obs::{DecisionEvent, Journal, JournalEntry};
+use netmaster_obs::{DecisionEvent, Histogram, Journal, JournalEntry};
 use netmaster_sim::par_map_indexed;
 use netmaster_trace::gen::TraceGenerator;
 use netmaster_trace::profile::UserProfile;
@@ -93,7 +92,7 @@ pub struct UserWatch {
     recall: MetricMonitor,
     saving: MetricMonitor,
     latency: MetricMonitor,
-    deferral_sketch: LogSketch,
+    deferral: Histogram,
     alarms: u64,
     first_alarm_day: Option<u32>,
     remines: u64,
@@ -123,7 +122,7 @@ impl UserWatch {
             recall: monitor(Direction::Down, 1.0),
             saving: monitor(Direction::Down, 1.0),
             latency: monitor(Direction::Up, cfg.latency_scale),
-            deferral_sketch: LogSketch::for_seconds(),
+            deferral: Histogram::default(),
             alarms: 0,
             first_alarm_day: None,
             remines: 0,
@@ -143,8 +142,8 @@ impl UserWatch {
         let day = report.day;
         let mut fired = false;
         // The latency monitor sees the day's *mean* deferral wait (the
-        // per-demand spread lives in the sketch); a per-activity latency
-        // blow-up and a per-day one alarm alike.
+        // spread across days lives in the `deferral` histogram); a
+        // per-activity latency blow-up and a per-day one alarm alike.
         if report.trained {
             if let Some(hr) = report.hit_rate() {
                 fired |= self.feed(WatchMetric::HitRate, hr, day, journal);
@@ -162,7 +161,7 @@ impl UserWatch {
             }
             if report.prediction_hits > 0 {
                 let mean = report.deferral_latency_mean_secs();
-                self.deferral_sketch.push(mean);
+                self.deferral.observe_secs(mean);
                 // Fed as a fraction of the day so the shared ratio-scale
                 // detector thresholds apply to latency too.
                 let frac = mean / netmaster_trace::time::SECS_PER_DAY as f64;
@@ -296,7 +295,7 @@ impl UserWatch {
             slot_recall_mean: self.recall.lifetime().mean(),
             saving: self.saving.level(),
             saving_mean: self.saving.lifetime().mean(),
-            deferral_p99_secs: self.deferral_sketch.quantile(0.99),
+            deferral_p99_secs: self.deferral.quantile_secs(0.99),
             drift_alarms: self.alarms,
             first_alarm_day: self.first_alarm_day,
             remines: self.remines,

@@ -95,7 +95,11 @@ pub struct Scorecard {
     pub saving: Option<f64>,
     /// Lifetime mean saving ratio.
     pub saving_mean: f64,
-    /// p99 deferral latency in simulated seconds (log-sketch estimate).
+    /// p99, in simulated seconds, of the user's mean deferral wait per
+    /// trained day with prediction hits, read from the registry's
+    /// histogram grid. With fewer than 100 such days `ceil(0.99·n) = n`,
+    /// so this is the upper bound of the bucket holding the largest
+    /// daily mean: up to 2× that mean.
     pub deferral_p99_secs: f64,
     /// Drift alarms raised across all watched metrics.
     pub drift_alarms: u64,

@@ -5,7 +5,9 @@
 //! * a lock-cheap **metrics registry** — [`counter!`], [`observe!`],
 //!   [`gauge_set`]/[`gauge_max`] — with per-thread shards merged on
 //!   scrape ([`snapshot`]), exportable as JSON (serde) and Prometheus
-//!   text ([`Snapshot::to_prometheus`]);
+//!   text ([`Snapshot::to_prometheus`]); every histogram, scraped,
+//!   stored or watched, is one [`Histogram`] on one doubling bucket
+//!   grid with one quantile rule;
 //! * **span timers** — [`span!`]`("plan_day")` returns a guard whose
 //!   drop records wall-clock latency into the
 //!   `stage_plan_day_seconds` histogram;
@@ -22,11 +24,10 @@
 //!   lifecycle records ([`tracectx`]) in a bounded [`TraceLedger`],
 //!   rolled into per-app/per-day energy bills and worst-offender
 //!   exemplars by [`ledger`];
-//! * **watchtower primitives** — [`timeseries`] (Welford, EWMA,
-//!   mergeable quantile sketch, per-day rings), [`drift`]
-//!   (Page–Hinkley + windowed-CUSUM change detectors), and [`health`]
-//!   (per-user scorecards) — assembled into the fleet health
-//!   watchtower by `netmaster-core`;
+//! * **watchtower primitives** — [`timeseries`] (Welford, EWMA),
+//!   [`drift`] (Page–Hinkley + windowed-CUSUM change detectors), and
+//!   [`health`] (per-user scorecards) — assembled into the fleet
+//!   health watchtower by `netmaster-core`;
 //! * a **live telemetry plane** — [`hub`] (the [`TelemetryHub`] sink
 //!   fleet runs publish progress and rendered documents into),
 //!   [`serve`] (a std-only HTTP scrape server: `/metrics`, `/healthz`,
@@ -58,6 +59,7 @@ pub mod alerts;
 pub mod drift;
 mod export;
 pub mod health;
+mod hist;
 pub mod hub;
 mod journal;
 pub mod ledger;
@@ -76,6 +78,7 @@ pub mod tracectx;
 pub use alerts::{AlertEngine, AlertRule, AlertsReport};
 
 pub use export::validate_prometheus;
+pub use hist::{Histogram, FINITE_BUCKETS, HIST_BUCKETS};
 pub use hub::{HubProgress, TelemetryHub};
 pub use journal::{
     parse_jsonl, to_jsonl, DecisionEvent, Journal, JournalEntry, DEFAULT_JOURNAL_CAPACITY,
@@ -85,7 +88,7 @@ pub use profile::{
 };
 pub use registry::{
     counter_handle, gauge_max, gauge_set, hist_handle, reset, snapshot, BucketSnap, Counter,
-    CounterSnap, GaugeSnap, Hist, HistSnap, Snapshot, FINITE_BUCKETS, HIST_BUCKETS,
+    CounterSnap, GaugeSnap, Hist, HistSnap, Snapshot,
 };
 pub use ring::{Chunk, One, Ring, Weight};
 pub use runregistry::{RunRecord, RunRegistry, RUN_SCHEMA_VERSION};

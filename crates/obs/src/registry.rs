@@ -9,34 +9,12 @@
 //! confined to handle creation and scrapes. Gauges are rare writes
 //! (high-water marks per DP run) and live behind a single mutex.
 
+use crate::hist::{bucket_of, quantile, secs_to_ns, Histogram, HIST_BUCKETS};
 use crate::runtime_enabled;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Total histogram buckets; the last one is the overflow bucket,
-/// surfaced only through `+Inf` in the Prometheus exposition.
-pub const HIST_BUCKETS: usize = 42;
-/// Finite buckets: upper bounds `2^7 ns … 2^47 ns` (128 ns … ≈39 h),
-/// doubling per bucket — wide enough for wall-clock stage timings *and*
-/// simulated-time latencies (deferrals span hours).
-pub const FINITE_BUCKETS: usize = HIST_BUCKETS - 1;
-const MIN_EXP: u32 = 7;
-
-/// Upper bound of finite bucket `i`, in seconds.
-fn bucket_le_secs(i: usize) -> f64 {
-    (1u64 << (MIN_EXP + i as u32)) as f64 / 1e9
-}
-
-/// First bucket whose upper bound is ≥ `ns` (overflow bucket past 2^47).
-fn bucket_of(ns: u64) -> usize {
-    if ns <= (1 << MIN_EXP) {
-        return 0;
-    }
-    let ceil_log = 64 - (ns - 1).leading_zeros();
-    ((ceil_log - MIN_EXP) as usize).min(HIST_BUCKETS - 1)
-}
 
 /// One histogram shard: per-bucket counts plus the sum. The total
 /// count is the sum of the buckets, overflow included, so a scrape
@@ -95,11 +73,7 @@ impl Hist {
         if !runtime_enabled() {
             return;
         }
-        let ns = if secs <= 0.0 {
-            0
-        } else {
-            (secs * 1e9).min(u64::MAX as f64) as u64
-        };
+        let ns = secs_to_ns(secs);
         let cell = &self.0;
         cell.sum_ns.fetch_add(ns, Ordering::Relaxed);
         cell.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
@@ -233,45 +207,11 @@ impl HistSnap {
         self.sum_secs / self.count as f64
     }
 
-    /// Approximate quantile (`0.0..=1.0`), interpolated linearly inside
-    /// the bucket where the cumulative count crosses `q · count`. The
-    /// bucket's lower bound is half its upper bound (bounds double),
-    /// except the first finite bucket which starts at zero — so a rank
-    /// landing `f` of the way through a bucket's mass reports
-    /// `lo + f · (le − lo)` rather than snapping to `le`. A rank
-    /// landing past the last finite bucket (overflow observations)
-    /// reports the overflow mass's estimated mean — `sum` minus the
-    /// finite buckets' midpoint mass, over the overflow count — never
-    /// a raw bucket bound, so a single huge outlier surfaces at its
-    /// real magnitude instead of the histogram ceiling.
+    /// Approximate quantile (`0.0..=1.0`) by the one rule of
+    /// [`Histogram::quantile_secs`], over this snapshot's buckets.
     pub fn quantile_secs(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        let mut last = 0.0;
-        let mut finite_mass = 0.0;
-        for b in &self.buckets {
-            let before = cum;
-            cum += b.count;
-            let lo = if b.le_secs <= bucket_le_secs(0) {
-                0.0
-            } else {
-                b.le_secs / 2.0
-            };
-            if cum >= target {
-                let frac = (target - before) as f64 / b.count as f64;
-                return lo + frac * (b.le_secs - lo);
-            }
-            finite_mass += b.count as f64 * (lo + b.le_secs) / 2.0;
-            last = b.le_secs;
-        }
-        let overflow = self.count.saturating_sub(cum);
-        if overflow == 0 {
-            return last;
-        }
-        ((self.sum_secs - finite_mass) / overflow as f64).max(last)
+        let buckets = self.buckets.iter().map(|b| (b.le_secs, b.count));
+        quantile(self.count, self.sum_secs, buckets, q)
     }
 }
 
@@ -351,22 +291,15 @@ pub fn snapshot() -> Snapshot {
             .collect(),
         histograms: hists
             .into_iter()
-            .map(|(name, (sum_ns, buckets))| (name, sum_ns, buckets.iter().sum(), buckets))
-            .filter(|&(_, _, count, _)| count > 0)
-            .map(|(name, sum_ns, count, buckets)| HistSnap {
-                name: name.to_owned(),
-                count,
-                sum_secs: sum_ns as f64 / 1e9,
-                buckets: buckets
-                    .iter()
-                    .take(FINITE_BUCKETS)
-                    .enumerate()
-                    .filter(|&(_, &c)| c > 0)
-                    .map(|(i, &c)| BucketSnap {
-                        le_secs: bucket_le_secs(i),
-                        count: c,
-                    })
-                    .collect(),
+            .filter(|(_, (_, buckets))| buckets.iter().any(|&c| c > 0))
+            .map(|(name, (sum_ns, buckets))| {
+                let count = buckets.iter().sum();
+                let h = Histogram::from_parts(
+                    count,
+                    sum_ns as f64 / 1e9,
+                    buckets.into_iter().enumerate(),
+                );
+                h.snap(name)
             })
             .collect(),
     }
@@ -375,22 +308,7 @@ pub fn snapshot() -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_are_monotone_and_cover() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(128), 0);
-        assert_eq!(bucket_of(129), 1);
-        assert_eq!(bucket_of(256), 1);
-        assert_eq!(bucket_of(257), 2);
-        // Overflow clamps to the last bucket.
-        assert_eq!(bucket_of(u64::MAX), HIST_BUCKETS - 1);
-        // Bounds double.
-        assert!((bucket_le_secs(1) / bucket_le_secs(0) - 2.0).abs() < 1e-12);
-        // Last finite bound covers multi-hour simulated latencies.
-        assert!(bucket_le_secs(FINITE_BUCKETS - 1) > 24.0 * 3600.0);
-    }
+    use crate::hist::{bucket_le_secs, FINITE_BUCKETS};
 
     #[test]
     fn overflow_quantile_reports_outlier_magnitude_not_bucket_ceiling() {

@@ -1,5 +1,6 @@
 //! [`Ring`]: the one bounded drop-oldest buffer behind every obs ring
-//! (journal, trace ledger, hub journal tail and metric-store series).
+//! (journal, trace ledger, hub journal tail, metric-store series and
+//! the windowed-CUSUM drift window).
 //!
 //! The ring's capacity counts *records*. Most rings hold one record
 //! per slot ([`One`]); the trace ledger holds one slot per recorded
@@ -27,7 +28,7 @@ pub trait Weight<T> {
 }
 
 /// One record per slot (the default).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum One {}
 
 impl<T> Weight<T> for One {
@@ -42,7 +43,7 @@ impl<T> Weight<T> for One {
 }
 
 /// One slot per batch of records written together, oldest first.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Chunk {}
 
 impl<R> Weight<Vec<R>> for Chunk {
@@ -59,7 +60,7 @@ impl<R> Weight<Vec<R>> for Chunk {
 /// A bounded FIFO that evicts its oldest records when full, counting
 /// evictions and tracking its highest fill level. A ring of capacity
 /// 0 keeps nothing and counts nothing.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Ring<T, W: Weight<T> = One> {
     buf: VecDeque<T>,
     cap: usize,

@@ -11,10 +11,9 @@
 //!   as zigzag-varint *deltas* (a reset encodes as one negative delta);
 //! * **gauges** persist raw (first value as IEEE-754 bits, then
 //!   XOR-with-previous varints — repeated values cost one byte);
-//! * **histograms** keep the registry's mergeable cumulative bucket
-//!   vectors (the same doubling-bucket scheme as
-//!   [`timeseries::LogSketch`](crate::timeseries::LogSketch)), so a
-//!   window quantile is a per-bucket difference, never a re-sample.
+//! * **histograms** keep the registry's cumulative [`Histogram`] (its
+//!   per-bucket counts on the one doubling grid), so a window quantile
+//!   is a per-bucket difference, never a re-sample.
 //!
 //! Timestamps encode delta-of-delta (a fixed cadence costs ~1 byte per
 //! point). Retention is bounded per series: past
@@ -28,7 +27,8 @@
 //! [`runregistry`](crate::runregistry) — and
 //! [`read_history`] round-trips the points bit-for-bit.
 
-use crate::{BucketSnap, HistSnap, Ring, Snapshot};
+use crate::hist::grid_index;
+use crate::{Histogram, Ring, Snapshot};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -79,18 +79,6 @@ impl SeriesKind {
     }
 }
 
-/// One histogram sample: the registry's cumulative state at sample
-/// time (bucket counts are cumulative-≤, overflow only in `count`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistPoint {
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed seconds.
-    pub sum_secs: f64,
-    /// `(le_secs, cumulative count)` for each non-empty finite bucket.
-    pub buckets: Vec<(f64, u64)>,
-}
-
 /// One sample's value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PointValue {
@@ -98,8 +86,21 @@ pub enum PointValue {
     Counter(u64),
     /// Gauge reading.
     Gauge(f64),
-    /// Histogram reading.
-    Hist(HistPoint),
+    /// Histogram reading: the registry's cumulative state at sample
+    /// time.
+    Hist(Histogram),
+}
+
+impl PointValue {
+    /// The reading as one number: counter and gauge values directly,
+    /// histogram total counts.
+    fn as_f64(&self) -> f64 {
+        match self {
+            PointValue::Counter(v) => *v as f64,
+            PointValue::Gauge(v) => *v,
+            PointValue::Hist(h) => h.count() as f64,
+        }
+    }
 }
 
 /// A decoded `(timestamp, value)` sample.
@@ -225,11 +226,7 @@ impl MetricStore {
                 SeriesKind::Histogram,
                 Point {
                     t_ms,
-                    value: PointValue::Hist(HistPoint {
-                        count: h.count,
-                        sum_secs: h.sum_secs,
-                        buckets: h.buckets.iter().map(|b| (b.le_secs, b.count)).collect(),
-                    }),
+                    value: PointValue::Hist(Histogram::from(h)),
                 },
                 self.retention,
             );
@@ -275,30 +272,27 @@ impl MetricStore {
     /// gauge values directly, histogram total counts.
     pub fn range(&self, metric: &str, from_ms: u64, to_ms: u64) -> Vec<(u64, f64)> {
         self.points(metric, from_ms, to_ms)
-            .into_iter()
-            .map(|p| {
-                let v = match p.value {
-                    PointValue::Counter(v) => v as f64,
-                    PointValue::Gauge(v) => v,
-                    PointValue::Hist(h) => h.count as f64,
-                };
-                (p.t_ms, v)
-            })
+            .iter()
+            .map(|p| (p.t_ms, p.value.as_f64()))
             .collect()
     }
 
-    /// Reset-aware counter increase over the window: the sum of
-    /// positive sample-to-sample deltas (a reset restarts from the
-    /// post-reset value). `None` when fewer than two samples land in
-    /// the window or the series is not a counter/histogram count.
+    /// Reset-aware increase over the window: the sum of positive
+    /// sample-to-sample deltas (a reset restarts from the post-reset
+    /// value). A histogram series counts observations by the
+    /// [`Histogram::since`] rule, which sees a reset whenever any bucket
+    /// falls. `None` when fewer than two samples land in the window.
     pub fn increase(&self, metric: &str, from_ms: u64, to_ms: u64) -> Option<f64> {
-        let pts = self.range(metric, from_ms, to_ms);
+        let pts = self.points(metric, from_ms, to_ms);
         if pts.len() < 2 {
             return None;
         }
+        if matches!(pts[0].value, PointValue::Hist(_)) {
+            return Some(gained(&pts).count() as f64);
+        }
         let mut total = 0.0;
         for w in pts.windows(2) {
-            let (prev, cur) = (w[0].1, w[1].1);
+            let (prev, cur) = (w[0].value.as_f64(), w[1].value.as_f64());
             total += if cur >= prev { cur - prev } else { cur };
         }
         Some(total)
@@ -317,41 +311,14 @@ impl MetricStore {
         Some(self.increase(metric, from_ms, to_ms)? / dt)
     }
 
-    /// Quantile of a histogram series over the window: the cumulative
-    /// bucket vectors at the window edges are differenced per bucket
-    /// and interpolated exactly like
-    /// [`HistSnap::quantile_secs`](crate::HistSnap::quantile_secs).
+    /// Quantile of a histogram series over the window: the
+    /// observations the series gained inside it (see
+    /// [`MetricStore::increase`]), by [`Histogram::quantile_secs`].
     /// `None` when the series is not a histogram or the window saw no
     /// observations.
     pub fn window_quantile(&self, metric: &str, q: f64, from_ms: u64, to_ms: u64) -> Option<f64> {
-        let pts = self.points(metric, from_ms, to_ms);
-        let mut hists = pts.iter().filter_map(|p| match &p.value {
-            PointValue::Hist(h) => Some(h),
-            _ => None,
-        });
-        let first = hists.next()?;
-        let last = hists.next_back().unwrap_or(first);
-        let diff = if last.count < first.count {
-            // The histogram reset inside the window: the cumulative
-            // state at the end *is* the window's distribution.
-            last.clone()
-        } else {
-            hist_diff(first, last)
-        };
-        if diff.count == 0 {
-            return None;
-        }
-        let snap = HistSnap {
-            name: metric.to_owned(),
-            count: diff.count,
-            sum_secs: diff.sum_secs,
-            buckets: diff
-                .buckets
-                .iter()
-                .map(|&(le_secs, count)| BucketSnap { le_secs, count })
-                .collect(),
-        };
-        Some(snap.quantile_secs(q))
+        let window = gained(&self.points(metric, from_ms, to_ms));
+        (window.count() > 0).then(|| window.quantile_secs(q))
     }
 
     /// Timestamp of the newest sample of `metric`, when any exists.
@@ -371,11 +338,7 @@ impl MetricStore {
             .series
             .get(metric)
             .and_then(|s| s.points.iter().next_back())
-            .map(|p| match &p.value {
-                PointValue::Counter(v) => *v as f64,
-                PointValue::Gauge(v) => *v,
-                PointValue::Hist(h) => h.count as f64,
-            })
+            .map(|p| p.value.as_f64())
     }
 
     /// Appends every not-yet-flushed point to `path`, one CRC-checked
@@ -428,26 +391,16 @@ fn push_point(inner: &mut StoreInner, name: &str, kind: SeriesKind, p: Point, re
     }
 }
 
-/// Per-bucket cumulative difference `last − first` (union of bucket
-/// bounds; a bound absent from `first` contributes zero).
-fn hist_diff(first: &HistPoint, last: &HistPoint) -> HistPoint {
-    let first_of = |le: f64| {
-        first
-            .buckets
-            .iter()
-            .find(|&&(l, _)| l == le)
-            .map(|&(_, c)| c)
-            .unwrap_or(0)
-    };
-    HistPoint {
-        count: last.count - first.count,
-        sum_secs: last.sum_secs - first.sum_secs,
-        buckets: last
-            .buckets
-            .iter()
-            .map(|&(le, c)| (le, c.saturating_sub(first_of(le))))
-            .collect(),
+/// The observations a histogram series gained over `points`: each
+/// consecutive pair's [`Histogram::since`], summed.
+fn gained(points: &[Point]) -> Histogram {
+    let mut out = Histogram::default();
+    for w in points.windows(2) {
+        if let (PointValue::Hist(prev), PointValue::Hist(cur)) = (&w[0].value, &w[1].value) {
+            out.merge(&cur.since(prev));
+        }
     }
+    out
 }
 
 // --- Codec: varints, zigzag, delta-of-delta ---------------------------
@@ -543,24 +496,22 @@ pub fn encode_points(kind: SeriesKind, points: &[Point]) -> Vec<u8> {
             }
         }
         SeriesKind::Histogram => {
-            let mut prev: Option<&HistPoint> = None;
+            let empty = Histogram::default();
+            let mut prev = &empty;
             for p in points {
                 let PointValue::Hist(h) = &p.value else {
                     continue;
                 };
-                let (pc, ps, pb): (i64, u64, &[(f64, u64)]) = match prev {
-                    Some(q) => (q.count as i64, q.sum_secs.to_bits(), &q.buckets),
-                    None => (0, 0, &[]),
-                };
-                put_signed(&mut out, h.count as i64 - pc);
-                put_varint(&mut out, h.sum_secs.to_bits() ^ ps);
-                put_varint(&mut out, h.buckets.len() as u64);
-                for (i, &(le, c)) in h.buckets.iter().enumerate() {
-                    let (ple, pcnt) = pb.get(i).copied().unwrap_or((0.0, 0));
+                put_signed(&mut out, h.count() as i64 - prev.count() as i64);
+                put_varint(&mut out, h.sum_secs().to_bits() ^ prev.sum_secs().to_bits());
+                put_varint(&mut out, h.buckets().len() as u64);
+                let mut pb = prev.buckets();
+                for (le, c) in h.buckets() {
+                    let (ple, pcnt) = pb.next().unwrap_or((0.0, 0));
                     put_varint(&mut out, le.to_bits() ^ ple.to_bits());
                     put_signed(&mut out, c as i64 - pcnt as i64);
                 }
-                prev = Some(h);
+                prev = h;
             }
         }
     }
@@ -571,8 +522,9 @@ pub fn encode_points(kind: SeriesKind, points: &[Point]) -> Vec<u8> {
 ///
 /// A corrupt or hostile payload gives an `Err`, never a panic or an
 /// allocation larger than the payload warrants: every count is checked
-/// against the bytes left (each item takes at least one), and every
-/// delta is summed with checked arithmetic.
+/// against the bytes left (each item takes at least one), every delta
+/// is summed with checked arithmetic, and every histogram bucket bound
+/// must be one of the grid's.
 pub fn decode_points(kind: SeriesKind, bytes: &[u8]) -> Result<Vec<Point>, String> {
     let mut pos = 0usize;
     let bad = || "truncated history payload".to_owned();
@@ -631,35 +583,38 @@ pub fn decode_points(kind: SeriesKind, bytes: &[u8]) -> Result<Vec<Point>, Strin
             }
         }
         SeriesKind::Histogram => {
-            let mut prev: Option<HistPoint> = None;
+            // The previous point's count, sum bits and `(bound bits,
+            // count)` buckets, as written.
+            let (mut pc, mut sum_bits) = (0i64, 0u64);
+            let mut pb: Vec<(u64, u64)> = Vec::new();
             for &t_ms in &times {
-                let (pc, ps, pb): (i64, u64, Vec<(f64, u64)>) = match &prev {
-                    Some(q) => (q.count as i64, q.sum_secs.to_bits(), q.buckets.clone()),
-                    None => (0, 0, Vec::new()),
-                };
                 let delta = get_signed(bytes, &mut pos).ok_or_else(bad)?;
-                let count_now = pc.checked_add(delta).ok_or_else(overflow)?.max(0) as u64;
-                let sum_bits = ps ^ get_varint(bytes, &mut pos).ok_or_else(bad)?;
+                pc = pc.checked_add(delta).ok_or_else(overflow)?.max(0);
+                sum_bits ^= get_varint(bytes, &mut pos).ok_or_else(bad)?;
                 let n_buckets = get_varint(bytes, &mut pos).ok_or_else(bad)?;
                 let n_buckets = count(n_buckets, pos, "buckets")?;
                 let mut buckets = Vec::with_capacity(n_buckets);
+                let mut grid = Vec::with_capacity(n_buckets);
                 for i in 0..n_buckets {
-                    let (ple, pcnt) = pb.get(i).copied().unwrap_or((0.0, 0));
-                    let le_bits = ple.to_bits() ^ get_varint(bytes, &mut pos).ok_or_else(bad)?;
+                    let (ple, pcnt) = pb.get(i).copied().unwrap_or((0, 0));
+                    let le_bits = ple ^ get_varint(bytes, &mut pos).ok_or_else(bad)?;
                     let delta = get_signed(bytes, &mut pos).ok_or_else(bad)?;
-                    let c = (pcnt as i64).checked_add(delta).ok_or_else(overflow)?;
-                    buckets.push((f64::from_bits(le_bits), c.max(0) as u64));
+                    let c = (pcnt as i64)
+                        .checked_add(delta)
+                        .ok_or_else(overflow)?
+                        .max(0) as u64;
+                    let le = f64::from_bits(le_bits);
+                    let i = grid_index(le)
+                        .ok_or_else(|| format!("histogram bucket bound {le} is off the grid"))?;
+                    buckets.push((le_bits, c));
+                    grid.push((i, c));
                 }
-                let h = HistPoint {
-                    count: count_now,
-                    sum_secs: f64::from_bits(sum_bits),
-                    buckets,
-                };
+                let h = Histogram::from_parts(pc as u64, f64::from_bits(sum_bits), grid);
                 points.push(Point {
                     t_ms,
-                    value: PointValue::Hist(h.clone()),
+                    value: PointValue::Hist(h),
                 });
-                prev = Some(h);
+                pb = buckets;
             }
         }
     }
@@ -889,7 +844,7 @@ fn tick(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CounterSnap, GaugeSnap};
+    use crate::{BucketSnap, CounterSnap, GaugeSnap, HistSnap};
 
     fn snap(counter: u64, gauge: f64) -> Snapshot {
         Snapshot {
@@ -987,6 +942,36 @@ mod tests {
     }
 
     #[test]
+    fn off_grid_bucket_bounds_are_refused() {
+        // One histogram point, one bucket bounded at 0.5 s: a float the
+        // grid never produces (its neighbours are 2^28 and 2^29 ns).
+        let bytes = payload(&[
+            (false, 1),
+            (false, 0),
+            (true, 1),
+            (false, 0),
+            (false, 1),
+            (false, 0.5f64.to_bits()),
+            (true, 1),
+        ]);
+        assert_refused(SeriesKind::Histogram, &bytes, "off the grid");
+        // The same payload behind a valid CRC is still refused by
+        // `read_history`, naming the line.
+        let path = tmp("off_grid.nmts");
+        std::fs::write(
+            &path,
+            segment_line("t_seconds", SeriesKind::Histogram, 1, &bytes),
+        )
+        .unwrap();
+        let err = read_history(&path).unwrap_err();
+        assert!(
+            err.contains(":1: ") && err.contains("off the grid"),
+            "{err}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn overflowing_deltas_are_refused() {
         let max = i64::MAX as u64;
         // Timestamp: t1 = t0 + delta.
@@ -1011,6 +996,7 @@ mod tests {
             (false, 0),
         ]);
         assert_refused(SeriesKind::Histogram, &hist_count, "overflows");
+        // Its bound is the grid's first, so decoding reaches the sum.
         let bucket = payload(&[
             (false, 2),
             (false, 0),
@@ -1018,7 +1004,7 @@ mod tests {
             (true, 0),
             (false, 0),
             (false, 1),
-            (false, 0),
+            (false, 128e-9f64.to_bits()),
             (true, max),
             (true, 0),
             (false, 0),
@@ -1048,11 +1034,11 @@ mod tests {
         let hists: Vec<Point> = (0..4)
             .map(|i| Point {
                 t_ms: 1000 * (i as u64 + 1),
-                value: PointValue::Hist(HistPoint {
-                    count: 10 * (i as u64 + 1),
-                    sum_secs: 0.125 * (i as f64 + 1.0),
-                    buckets: vec![(0.001, 2 * (i as u64 + 1)), (0.008, 10 * (i as u64 + 1))],
-                }),
+                value: PointValue::Hist(Histogram::from_parts(
+                    10 * (i as u64 + 1),
+                    0.125 * (i as f64 + 1.0),
+                    [(13, 2 * (i as u64 + 1)), (16, 10 * (i as u64 + 1))],
+                )),
             })
             .collect();
         for (kind, pts) in [
@@ -1180,6 +1166,44 @@ mod tests {
             store.window_quantile("t_store_gauge", 0.5, 0, u64::MAX),
             None
         );
+    }
+
+    #[test]
+    fn window_quantile_and_increase_see_a_histogram_reset() {
+        let le = |k: u32| (1u64 << k) as f64 / 1e9;
+        let hist = |k: u32, n: u64| Snapshot {
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            histograms: vec![HistSnap {
+                name: "t_reset_seconds".to_owned(),
+                count: n,
+                sum_secs: n as f64 * le(k) * 0.75,
+                buckets: vec![BucketSnap {
+                    le_secs: le(k),
+                    count: n,
+                }],
+            }],
+        };
+        // Two fast observations, a reset, then twenty slow ones: the
+        // total regrows past its first reading, but the fast bucket fell.
+        let store = MetricStore::default();
+        let before = hist(20, 2);
+        let after = hist(30, 20);
+        store.sample_at(1000, &before);
+        store.sample_at(2000, &after);
+        assert_eq!(
+            store.increase("t_reset_seconds", 0, u64::MAX),
+            Some(20.0),
+            "the twenty observations since the reset"
+        );
+        let slow = &after.histograms[0];
+        for q in [0.01, 0.5, 0.99] {
+            assert_eq!(
+                store.window_quantile("t_reset_seconds", q, 0, u64::MAX),
+                Some(slow.quantile_secs(q)),
+                "q {q}"
+            );
+        }
     }
 
     #[test]
