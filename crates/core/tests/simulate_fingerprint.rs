@@ -5,6 +5,12 @@
 //! hashed with FNV-1a. `simulate` prices each run with
 //! `RrcModel::account`, so a change to the RRC sweep that moves a
 //! single bit of any energy, time or wake-up count fails here.
+//!
+//! Under the default link every slot's knapsack fits whole, so every
+//! solve takes the slack fast path. The binding arm divides the
+//! planner's average link rates by 10⁶ (as `nmbench`'s `fleet-binding`
+//! does), so most slots bind and branch-and-bound and DP planner days
+//! are pinned bit for bit too.
 
 use netmaster_core::policies::{
     BatchPolicy, DefaultPolicy, DelayPolicy, FastDormancyPolicy, NetMasterPolicy, OraclePolicy,
@@ -81,7 +87,16 @@ impl Fnv1a {
     }
 }
 
-fn arms(radio: &RrcConfig) -> Vec<Box<dyn Policy>> {
+/// The planner link of `nmbench`'s `fleet-binding`: average rates
+/// divided by 10⁶, so slot capacities bind.
+fn binding_link() -> LinkModel {
+    let mut link = LinkModel::default();
+    link.avg_down_bps /= 1e6;
+    link.avg_up_bps /= 1e6;
+    link
+}
+
+fn arms(radio: &RrcConfig, link: LinkModel) -> Vec<Box<dyn Policy>> {
     let stock = RrcModel {
         config: radio.clone(),
         tail_policy: netmaster_radio::TailPolicy::Full,
@@ -90,7 +105,7 @@ fn arms(radio: &RrcConfig) -> Vec<Box<dyn Policy>> {
         Box::new(DefaultPolicy),
         Box::new(NetMasterPolicy::new(
             NetMasterConfig::default(),
-            LinkModel::default(),
+            link,
             stock,
         )),
         Box::new(BatchPolicy::new(5)),
@@ -100,7 +115,7 @@ fn arms(radio: &RrcConfig) -> Vec<Box<dyn Policy>> {
     ]
 }
 
-fn fleet_fingerprint(radio: RrcConfig) -> u64 {
+fn fleet_fingerprint(radio: RrcConfig, link: LinkModel) -> u64 {
     let cfg = SimConfig {
         radio: radio.clone(),
         ..SimConfig::default()
@@ -110,12 +125,12 @@ fn fleet_fingerprint(radio: RrcConfig) -> u64 {
         let trace = TraceGenerator::new(UserProfile::panel().remove(user))
             .with_seed(7 + user as u64)
             .generate(DAYS);
-        for mut policy in arms(&radio) {
+        for mut policy in arms(&radio, link) {
             // Whole-run pricing, then one simulate per day, so both the
             // multi-day timeline and the single-day path are pinned.
             h.metrics(&simulate(&trace.days, policy.as_mut(), &cfg));
         }
-        let mut policy = arms(&radio).swap_remove(1);
+        let mut policy = arms(&radio, link).swap_remove(1);
         for day in &trace.days {
             h.metrics(&simulate(std::slice::from_ref(day), policy.as_mut(), &cfg));
         }
@@ -126,7 +141,7 @@ fn fleet_fingerprint(radio: RrcConfig) -> u64 {
 #[test]
 fn wcdma_run_metrics_match_golden_fingerprint() {
     assert_eq!(
-        fleet_fingerprint(RrcConfig::wcdma()),
+        fleet_fingerprint(RrcConfig::wcdma(), LinkModel::default()),
         0xd562_d168_e276_2255,
         "simulate's WCDMA RunMetrics moved"
     );
@@ -135,8 +150,32 @@ fn wcdma_run_metrics_match_golden_fingerprint() {
 #[test]
 fn lte_run_metrics_match_golden_fingerprint() {
     assert_eq!(
-        fleet_fingerprint(RrcConfig::lte()),
+        fleet_fingerprint(RrcConfig::lte(), LinkModel::default()),
         0x9be1_9c2a_3329_8662,
         "simulate's LTE RunMetrics moved"
+    );
+}
+
+#[test]
+fn binding_link_run_metrics_match_golden_fingerprint() {
+    let arm_calls = || {
+        let snap = netmaster_obs::snapshot();
+        (
+            snap.counter(netmaster_obs::names::KNAPSACK_BNB_TOTAL),
+            snap.counter(netmaster_obs::names::KNAPSACK_DP_TOTAL),
+        )
+    };
+    let (bnb_before, dp_before) = arm_calls();
+    let fingerprint = fleet_fingerprint(RrcConfig::wcdma(), binding_link());
+    if netmaster_obs::runtime_enabled() {
+        // The default-link arms above never leave the fast path, so
+        // these counts come from this arm's binding slots.
+        let (bnb, dp) = arm_calls();
+        assert!(bnb > bnb_before, "no branch-and-bound solve ran");
+        assert!(dp > dp_before, "no DP solve ran");
+    }
+    assert_eq!(
+        fingerprint, 0x71de_ec7a_0308_5b76,
+        "simulate's binding-link WCDMA RunMetrics moved"
     );
 }
