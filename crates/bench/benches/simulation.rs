@@ -1,12 +1,13 @@
 //! Criterion benches for trace generation, full-policy simulation —
-//! the end-to-end cost of one Fig. 7 arm — and one day of the
-//! middleware service.
+//! the end-to-end cost of one Fig. 7 arm — one day of the middleware
+//! service, and one metrics-only `NetMasterPolicy::plan_day`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use netmaster_bench::harness;
-use netmaster_core::policies::{DefaultPolicy, OraclePolicy};
-use netmaster_core::MiddlewareService;
-use netmaster_sim::{par_map, simulate, SimConfig};
+use netmaster_core::policies::{DefaultPolicy, NetMasterPolicy, OraclePolicy};
+use netmaster_core::{MiddlewareService, NetMasterConfig};
+use netmaster_radio::{LinkModel, RrcModel};
+use netmaster_sim::{par_map, simulate, Policy, SimConfig};
 use netmaster_trace::gen::{generate_panel, TraceGenerator};
 use netmaster_trace::profile::UserProfile;
 use std::hint::black_box;
@@ -65,6 +66,32 @@ fn bench_service_day(c: &mut Criterion) {
     });
 }
 
+/// One `NetMasterPolicy::plan_day` as a `fleet-week` member runs it:
+/// metrics-only, default link, trained on 14 days, planning day 15
+/// (plan, route, duty-cycle, learn). The trained policy is rebuilt,
+/// untimed, for every iteration.
+fn bench_plan_day(c: &mut Criterion) {
+    let trace = TraceGenerator::new(UserProfile::panel().remove(0))
+        .with_seed(1)
+        .generate(15);
+    let (train, day) = (&trace.days[..14], &trace.days[14]);
+    c.bench_function("plan_day_metrics_only", |b| {
+        b.iter_batched(
+            || {
+                NetMasterPolicy::new(
+                    NetMasterConfig::default(),
+                    LinkModel::default(),
+                    RrcModel::wcdma_default(),
+                )
+                .with_flight_recorder(false)
+                .with_training(train)
+            },
+            |mut policy| (policy.plan_day(day), policy),
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 fn bench_parallel_sweep(c: &mut Criterion) {
     let trace = harness::volunteers().remove(1);
     let cfg = SimConfig::default();
@@ -95,6 +122,7 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_generation, bench_simulation, bench_service_day, bench_parallel_sweep
+    targets = bench_generation, bench_simulation, bench_service_day, bench_plan_day,
+        bench_parallel_sweep
 }
 criterion_main!(benches);

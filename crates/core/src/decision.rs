@@ -11,7 +11,7 @@
 //! prefetch into the previous one, or hand to the duty-cycle layer.
 
 use crate::config::NetMasterConfig;
-use netmaster_knapsack::overlapped::{self, Candidate, OvItem, OvProblem};
+use netmaster_knapsack::overlapped::{self, Candidate, Candidates, ItemWhy, OvItem};
 use netmaster_knapsack::OvScratch;
 use netmaster_mining::{ActiveSlotPrediction, NetworkPrediction};
 use netmaster_radio::{LinkModel, RrcModel};
@@ -97,10 +97,18 @@ pub struct DayRouting {
 impl DayRouting {
     /// A plan that schedules nothing (untrained fallback).
     pub fn duty_only(day: DayIndex) -> Self {
+        DayRouting::unrouted(day, Vec::new())
+    }
+
+    /// A plan over `slots` that routes nothing yet: every hour goes to
+    /// duty cycle until the planner fills `route`.
+    fn unrouted(day: DayIndex, slots: Vec<Interval>) -> Self {
         DayRouting {
             day,
-            slots: Vec::new(),
+            slots,
+            // lint:allow(hot-path-alloc) the routing table is the caller-owned result value
             route: vec![Vec::new(); HOURS_PER_DAY],
+            // lint:allow(hot-path-alloc) the explanations are the caller-owned result value
             why: Vec::new(),
             planned_profit: 0.0,
         }
@@ -227,6 +235,36 @@ impl DecisionMaker {
         self.radio.isolated_energy_j(duration_secs) - self.radio.piggyback_energy_j(duration_secs)
     }
 
+    /// Appends one hour's items for a predicted `(count, bytes)` pool:
+    /// `count` items (rounded, at least one) of the pool's mean size,
+    /// each with a candidate per adjacent slot, `(slot, penalty)`.
+    fn push_pool(
+        &self,
+        items: &mut Vec<OvItem>,
+        (count, bytes): (f64, f64),
+        left: Option<(usize, f64)>,
+        right: Option<(usize, f64)>,
+    ) {
+        if count <= 0.0 {
+            return;
+        }
+        let n_items = (count.round() as usize).max(1);
+        let bytes_per_item = (bytes / count).max(256.0) as u64;
+        let duration = (bytes_per_item as f64 / self.link.avg_total_bps())
+            .ceil()
+            .max(1.0);
+        let delta_e = self.saving_j(duration);
+        let candidate = |(slot, penalty): (usize, f64)| Candidate {
+            slot,
+            profit: delta_e - penalty,
+        };
+        let item = OvItem {
+            weight: bytes_per_item.max(1),
+            candidates: Candidates::adjacent(left.map(candidate), right.map(candidate)),
+        };
+        items.extend(std::iter::repeat_n(item, n_items));
+    }
+
     /// Compiles the routing for `day` from the mining component's
     /// predictions. Allocates fresh solver state; the simulation hot
     /// path should prefer [`DecisionMaker::plan_day_with`].
@@ -241,7 +279,9 @@ impl DecisionMaker {
 
     /// [`DecisionMaker::plan_day`] threading a reusable [`OvScratch`] so
     /// repeated daily planning (fleet simulation) performs no DP-table
-    /// allocations per solve.
+    /// allocations per solve, and builds each day's instance in the
+    /// buffers the previous day left in it.
+    // lint:hot-path
     pub fn plan_day_with(
         &self,
         day: DayIndex,
@@ -250,98 +290,80 @@ impl DecisionMaker {
         scratch: &mut OvScratch,
     ) -> DayRouting {
         let _solve_span = netmaster_obs::span!("solve");
-        let slots = active.slots_for_day(day);
-        if slots.is_empty() {
-            return DayRouting::duty_only(day);
+        let mut routing = DayRouting::unrouted(day, active.slots_for_day(day));
+        if routing.slots.is_empty() {
+            return routing;
+        }
+        let DayRouting {
+            slots, route, why, ..
+        } = &mut routing;
+        let mut active_hour = [false; HOURS_PER_DAY];
+        for (hour, on) in active_hour.iter_mut().enumerate() {
+            let start = Interval::hour(day, hour).start;
+            *on = slots.iter().any(|s| s.contains(start));
         }
 
         // Build the overlapped knapsack instance: one item per predicted
         // screen-off activity `n(p_m, t_i)` — the per-app dimension of
         // Eq. 3 sizes each item with that app's own payload — duplicated
         // across the two adjacent slots. When history has no per-app
-        // breakdown, fall back to hour aggregates.
-        let mut items: Vec<OvItem> = Vec::new();
-        let mut item_hours: Vec<usize> = Vec::new();
+        // breakdown, fall back to hour aggregates. Items go in hour by
+        // hour: hour `h`'s are `items[hour_first[h]..hour_first[h + 1]]`.
+        let mut problem = scratch.take_problem();
+        let mut hour_first = [0usize; HOURS_PER_DAY + 1];
         for hour in 0..HOURS_PER_DAY {
-            let hour_iv = Interval::hour(day, hour);
-            if slots.iter().any(|s| s.contains(hour_iv.start)) {
+            hour_first[hour] = problem.items.len();
+            if active_hour[hour] {
                 continue; // active hour: demands execute in place
             }
             if network.expected_count[hour] <= 0.0 {
                 continue;
             }
+            let hour_iv = Interval::hour(day, hour);
             let mid = hour_iv.midpoint();
 
             // Adjacent slots: last ending before the hour, first
-            // starting after it.
+            // starting after it, each with the penalty of moving there
+            // from mid-hour (the same for every pool of the hour).
             let left = slots
                 .iter()
                 .enumerate()
                 .rev()
                 .find(|(_, s)| s.end <= hour_iv.start)
-                .map(|(i, s)| (i, s.end));
+                .map(|(i, s)| (i, self.penalty_j(active, mid, s.end)));
             let right = slots
                 .iter()
                 .enumerate()
                 .find(|(_, s)| s.start >= hour_iv.end)
-                .map(|(i, s)| (i, s.start));
+                .map(|(i, s)| (i, self.penalty_j(active, mid, s.start)));
             if left.is_none() && right.is_none() {
                 continue;
             }
 
             // (count, bytes) pools for this hour: per app if known.
-            let pools: Vec<(f64, f64)> = if network.per_app.is_empty() {
-                vec![(network.expected_count[hour], network.expected_bytes[hour])]
+            if network.per_app.is_empty() {
+                let pool = (network.expected_count[hour], network.expected_bytes[hour]);
+                self.push_pool(&mut problem.items, pool, left, right);
             } else {
-                network
-                    .per_app
-                    .iter()
-                    .filter(|a| a.expected_count[hour] > 0.0)
-                    .map(|a| (a.expected_count[hour], a.expected_bytes[hour]))
-                    .collect()
-            };
-            for (count, bytes) in pools {
-                if count <= 0.0 {
-                    continue;
-                }
-                let n_items = (count.round() as usize).max(1);
-                let bytes_per_item = (bytes / count).max(256.0) as u64;
-                let duration = (bytes_per_item as f64 / self.link.avg_total_bps())
-                    .ceil()
-                    .max(1.0);
-                let delta_e = self.saving_j(duration);
-                let mut candidates = Vec::new();
-                if let Some((idx, edge)) = left {
-                    let profit = delta_e - self.penalty_j(active, mid, edge);
-                    candidates.push(Candidate { slot: idx, profit });
-                }
-                if let Some((idx, edge)) = right {
-                    let profit = delta_e - self.penalty_j(active, mid, edge);
-                    candidates.push(Candidate { slot: idx, profit });
-                }
-                for _ in 0..n_items {
-                    items.push(OvItem {
-                        weight: bytes_per_item.max(1),
-                        candidates: candidates.clone(),
-                    });
-                    item_hours.push(hour);
+                for a in &network.per_app {
+                    let pool = (a.expected_count[hour], a.expected_bytes[hour]);
+                    self.push_pool(&mut problem.items, pool, left, right);
                 }
             }
         }
+        hour_first[HOURS_PER_DAY] = problem.items.len();
 
-        let capacities: Vec<u64> = slots
-            .iter()
-            .map(|s| self.link.slot_capacity_bytes(s.len()))
-            .collect();
+        problem
+            .capacities
+            .extend(slots.iter().map(|s| self.link.slot_capacity_bytes(s.len())));
         netmaster_obs::counter!(
             netmaster_obs::names::PLANNER_SLOTS_TOTAL,
             slots.len() as u64
         );
         netmaster_obs::counter!(
             netmaster_obs::names::PLANNER_ITEMS_TOTAL,
-            items.len() as u64
+            problem.items.len() as u64
         );
-        let problem = OvProblem { capacities, items };
         let solution = overlapped::solve_with(&problem, self.config.epsilon, scratch);
 
         // Tag the enclosing "solve" span with the solver-arm mix so a
@@ -372,67 +394,54 @@ impl DecisionMaker {
         // is live, build the flat `why` list in lockstep so every
         // planner-routed disposition carries its causal explanation.
         let record_why = self.record_why && netmaster_obs::runtime_enabled();
-        let mut route: Vec<Vec<Disposition>> = vec![Vec::new(); HOURS_PER_DAY];
-        let mut why: Vec<(u8, PlanWhy)> = Vec::new();
         if record_why {
             why.reserve_exact(solution.assignment.len());
         }
         for (hour, dispositions) in route.iter_mut().enumerate() {
-            if slots
-                .iter()
-                .any(|s| s.contains(Interval::hour(day, hour).start))
-            {
+            if active_hour[hour] {
                 dispositions.push(Disposition::Immediate);
             }
-        }
-        for (j, assigned) in solution.assignment.iter().enumerate() {
-            let hour = item_hours[j];
             let hour_start = Interval::hour(day, hour).start;
-            let d = match assigned {
-                Some(slot) => {
-                    if slots[*slot].end <= hour_start {
-                        Disposition::PrefetchIn { slot: *slot }
-                    } else {
-                        Disposition::DeferTo { slot: *slot }
+            for j in hour_first[hour]..hour_first[hour + 1] {
+                let d = match solution.assignment[j] {
+                    Some(slot) => {
+                        if slots[slot].end <= hour_start {
+                            Disposition::PrefetchIn { slot }
+                        } else {
+                            Disposition::DeferTo { slot }
+                        }
                     }
+                    None => Disposition::DutyCycle,
+                };
+                dispositions.push(d);
+                if record_why {
+                    why.push((hour as u8, plan_why(solution.why(&problem, j))));
                 }
-                None => Disposition::DutyCycle,
-            };
-            route[hour].push(d);
-            if record_why {
-                let iw = solution.why(&problem, j);
-                why.push((
-                    hour as u8,
-                    PlanWhy {
-                        weight: iw.weight,
-                        profit: iw.chosen.map_or(0.0, |c| c.profit),
-                        runner_up_slot: iw.runner_up.map(|c| c.slot),
-                        runner_up_profit: iw.runner_up.map_or(0.0, |c| c.profit),
-                        solver: iw.solver.map(|k| match k {
-                            netmaster_knapsack::SolverKind::Fastpath => {
-                                netmaster_obs::SolverArm::Fastpath
-                            }
-                            netmaster_knapsack::SolverKind::Bnb => netmaster_obs::SolverArm::Bnb,
-                            netmaster_knapsack::SolverKind::Dp => netmaster_obs::SolverArm::Dp,
-                        }),
-                        reject: iw.reject.map(|r| match r {
-                            overlapped::OvRejectReason::NoCandidate => RouteReject::NoCandidate,
-                            overlapped::OvRejectReason::NoPositiveProfit => {
-                                RouteReject::NoPositiveProfit
-                            }
-                            overlapped::OvRejectReason::CapacityFull => RouteReject::CapacityFull,
-                        }),
-                    },
-                ));
             }
         }
-        DayRouting {
-            day,
-            slots,
-            route,
-            why,
-            planned_profit: solution.profit,
-        }
+        scratch.put_problem(problem);
+        routing.planned_profit = solution.profit;
+        routing
+    }
+}
+
+/// The flight-recorder record of one solved item.
+fn plan_why(iw: ItemWhy) -> PlanWhy {
+    PlanWhy {
+        weight: iw.weight,
+        profit: iw.chosen.map_or(0.0, |c| c.profit),
+        runner_up_slot: iw.runner_up.map(|c| c.slot),
+        runner_up_profit: iw.runner_up.map_or(0.0, |c| c.profit),
+        solver: iw.solver.map(|k| match k {
+            netmaster_knapsack::SolverKind::Fastpath => netmaster_obs::SolverArm::Fastpath,
+            netmaster_knapsack::SolverKind::Bnb => netmaster_obs::SolverArm::Bnb,
+            netmaster_knapsack::SolverKind::Dp => netmaster_obs::SolverArm::Dp,
+        }),
+        reject: iw.reject.map(|r| match r {
+            overlapped::OvRejectReason::NoCandidate => RouteReject::NoCandidate,
+            overlapped::OvRejectReason::NoPositiveProfit => RouteReject::NoPositiveProfit,
+            overlapped::OvRejectReason::CapacityFull => RouteReject::CapacityFull,
+        }),
     }
 }
 

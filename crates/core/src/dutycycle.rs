@@ -102,12 +102,21 @@ impl DutyOutcome {
 pub fn run_window(scheme: SleepScheme, window: Interval, arrivals: &[Timestamp]) -> DutyOutcome {
     let mut out = DutyOutcome::default();
     run_window_into(scheme, window, arrivals, &mut out);
+    netmaster_obs::counter!(
+        netmaster_obs::names::DUTY_WAKEUPS_TOTAL,
+        out.wakeups.len() as u64
+    );
+    netmaster_obs::counter!(
+        netmaster_obs::names::DUTY_EMPTY_WAKEUPS_TOTAL,
+        out.empty_wakeups
+    );
     out
 }
 
 /// [`run_window`] into a caller-owned outcome, whose buffers are
 /// cleared and reused, so a caller walking many windows allocates only
-/// while the buffers grow.
+/// while the buffers grow. It adds nothing to the duty-cycle counters:
+/// a caller walking a day's windows adds the day's totals once.
 pub(crate) fn run_window_into(
     scheme: SleepScheme,
     window: Interval,
@@ -178,14 +187,6 @@ pub(crate) fn run_window_into(
         }
         next_arrival += 1;
     }
-    netmaster_obs::counter!(
-        netmaster_obs::names::DUTY_WAKEUPS_TOTAL,
-        out.wakeups.len() as u64
-    );
-    netmaster_obs::counter!(
-        netmaster_obs::names::DUTY_EMPTY_WAKEUPS_TOTAL,
-        out.empty_wakeups
-    );
 }
 
 /// Wake-up instants over an idle window — the Fig. 10(b) experiment

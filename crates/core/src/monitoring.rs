@@ -269,6 +269,24 @@ impl Monitor {
     /// network activities, then the day's byte samples.
     // lint:hot-path
     pub fn observe_day(&mut self, day: &DayTrace) {
+        self.observe(day, day.activity_screen_states());
+    }
+
+    /// [`Monitor::observe_day`] for a day whose screen states are
+    /// already walked: `screen_on[i]` is
+    /// [`DayTrace::activity_screen_states`]' answer for
+    /// `day.activities[i]`.
+    // lint:hot-path
+    pub(crate) fn observe_day_with(&mut self, day: &DayTrace, screen_on: &[bool]) {
+        debug_assert_eq!(screen_on.len(), day.activities.len());
+        self.observe(day, day.activities.iter().zip(screen_on.iter().copied()));
+    }
+
+    fn observe<'a>(
+        &mut self,
+        day: &DayTrace,
+        states: impl Iterator<Item = (&'a NetworkActivity, bool)>,
+    ) {
         // Event triggers: an on and an off per screen session (both
         // 9 B, so on/off interleaving does not move a flush), foreground
         // switches and per-app activities.
@@ -283,8 +301,7 @@ impl Monitor {
         // (idle samples carry no record — the real component reads
         // counters but only writes deltas). Every sample is 24 B, so
         // their time order does not move a flush either.
-        let samples: u64 = day
-            .activity_screen_states()
+        let samples: u64 = states
             .map(|(a, on)| self.config.byte_samples(on, a).1)
             .sum();
         self.db.add(RecordKind::Bytes, samples);
@@ -443,6 +460,38 @@ mod tests {
                 counted.finalize();
                 oracle.db.flush();
                 assert_eq!(counted.db.flush_count(), oracle.db.flush_count());
+            }
+        }
+    }
+
+    #[test]
+    fn observe_day_with_walked_states_matches_observe_day() {
+        // On panel days, and on a day whose unsorted sessions take
+        // `activity_screen_states`' point-query fallback; a 100 B cache
+        // flushes within each kind, so any miscount moves a flush.
+        let config = MonitorConfig {
+            cache_bytes: 100,
+            ..MonitorConfig::default()
+        };
+        for (u, profile) in UserProfile::panel().into_iter().enumerate() {
+            let mut trace = TraceGenerator::new(profile)
+                .with_seed(31 + u as u64)
+                .generate(8);
+            let unsorted = &mut trace.days[7];
+            unsorted.sessions.reverse();
+            assert!(!unsorted.sessions.is_sorted_by_key(|s| s.start));
+            let mut walked = Monitor {
+                config,
+                db: Database::new(config.cache_bytes),
+            };
+            let mut shared = walked.clone();
+            for d in &trace.days {
+                let screen_on: Vec<bool> = d.activity_screen_states().map(|(_, on)| on).collect();
+                walked.observe_day(d);
+                shared.observe_day_with(d, &screen_on);
+                let case = format!("user {u}, day {}", d.day);
+                assert_eq!(shared.db.kind_counts(), walked.db.kind_counts(), "{case}");
+                assert_eq!(shared.db.flush_count(), walked.db.flush_count(), "{case}");
             }
         }
     }

@@ -63,10 +63,10 @@ pub struct NetMasterStats {
 /// full history, and daily planning reuses one
 /// [`netmaster_knapsack::OvScratch`] — checked out of a per-thread
 /// pool, so fleet workers recycle solver tables across short-lived
-/// member policies — so the solver's tables are not reallocated per
-/// day. Planning still allocates every day, in building the knapsack
-/// instance and the routing table above all (about 140 allocations per
-/// trained day of the middleware service).
+/// member policies — so the solver's tables and the knapsack instance's
+/// buffers are not reallocated per day. Planning still allocates every
+/// day, in the predictions, the solution and the routing table above
+/// all (about 57 allocations per trained day of the middleware service).
 ///
 /// What a policy retains as days pass:
 /// - the last two [`DayTrace`]s, verbatim, for habit-drift resets;
@@ -102,21 +102,22 @@ pub struct NetMasterPolicy {
 }
 
 /// Buffers `plan_day` reuses from day to day. They stop allocating
-/// once grown, but a planned day still allocates: the knapsack instance
-/// [`DecisionMaker::plan_day_with`] builds (the item list with one
-/// `candidates` Vec per item, a `pools` Vec per schedulable hour, the
-/// slot capacities and the solution's vectors), the routing table's 24
-/// per-hour `route` Vecs, the day's `DayPlan::executions`, the flight
-/// recorder's lifecycle records, and the copy of the day kept for drift
-/// resets. A counting allocator read about 140 allocations per trained
-/// `MiddlewareService::run_day` (flight recorder on, 32 panel users × 56
-/// days) against about 23 per untrained one, which builds no routing:
-/// most go to the predictions and `plan_day_with`.
+/// once grown, but a planned day still allocates: the predictions and
+/// the active slots, the solution's vectors (and the fast path's chosen
+/// list per slot), the routing table's per-hour `route` Vecs, the day's
+/// `DayPlan::executions`, the flight recorder's lifecycle records, and
+/// the copy of the day kept for drift resets. The knapsack instance
+/// [`DecisionMaker::plan_day_with`] builds lives in the solver scratch.
+/// A counting allocator read about 57 allocations and reallocations per
+/// trained `MiddlewareService::run_day` (flight recorder on, 32 panel
+/// users × 56 days; 141 before the instance moved into the scratch)
+/// against about 24 per untrained one, which builds no routing.
 #[derive(Debug, Default)]
 struct DayScratch {
     /// Whether the screen was on at each activity's start, by activity
     /// index: the day's one [`DayTrace::activity_screen_states`] walk,
-    /// read by the ledger records and the routing loop.
+    /// read by the ledger records, the routing loop, the monitor and
+    /// the miner.
     screen_on: Vec<bool>,
     /// Per-slot placement cursors: forward from slot start for deferred
     /// demands, backward from slot end for prefetches.
@@ -132,6 +133,15 @@ struct DayScratch {
     /// When each of the day's activities ran, by activity index: what
     /// the middleware service prices the planned arm from.
     executed: Vec<Timestamp>,
+}
+
+impl DayScratch {
+    /// Walks `day`'s screen states into `screen_on`.
+    fn walk_screen_states(&mut self, day: &DayTrace) {
+        self.screen_on.clear();
+        self.screen_on
+            .extend(day.activity_screen_states().map(|(_, on)| on));
+    }
 }
 
 impl NetMasterPolicy {
@@ -156,6 +166,7 @@ impl NetMasterPolicy {
     /// monitoring data before evaluation).
     pub fn with_training(mut self, days: &[DayTrace]) -> Self {
         for d in days {
+            self.day_scratch.walk_screen_states(d);
             self.learn(d);
         }
         self
@@ -259,10 +270,12 @@ impl NetMasterPolicy {
         self.miner.num_days() >= self.cfg.min_training_days
     }
 
+    /// Absorbs `day`, whose screen states `day_scratch.screen_on` holds.
     fn learn(&mut self, day: &DayTrace) {
         let _mine_span = obs::span!("mine");
-        self.monitor.observe_day(day);
-        self.miner.push_day(day);
+        let screen_on = &self.day_scratch.screen_on;
+        self.monitor.observe_day_with(day, screen_on);
+        self.miner.push_day_with(day, screen_on);
         self.recent.push_back(day.clone());
         while self.recent.len() > 2 {
             self.recent.pop_front();
@@ -355,6 +368,7 @@ impl NetMasterPolicy {
             executed,
             ..
         } = scratch;
+        let (mut wakeups, mut empty_wakeups) = (0u64, 0u64);
         for window in Self::screen_off_windows(day) {
             // The pending list is sorted by arrival, so the window's
             // demands are one contiguous run.
@@ -373,6 +387,8 @@ impl NetMasterPolicy {
                 run_window_into(scheme, window, arrivals, outcome);
             }
             plan.empty_wakeups += outcome.empty_wakeups;
+            wakeups += outcome.wakeups.len() as u64;
+            empty_wakeups += outcome.empty_wakeups;
             if !arrivals.is_empty() || !outcome.wakeups.is_empty() {
                 let (n_arrivals, n_wakeups, n_empty, n_served) = (
                     arrivals.len() as u64,
@@ -426,6 +442,8 @@ impl NetMasterPolicy {
                 self.stats.duty_served += 1;
             }
         }
+        obs::counter!(obs::names::DUTY_WAKEUPS_TOTAL, wakeups);
+        obs::counter!(obs::names::DUTY_EMPTY_WAKEUPS_TOTAL, empty_wakeups);
     }
 }
 
@@ -488,10 +506,7 @@ impl Policy for NetMasterPolicy {
         }
 
         let mut scratch = std::mem::take(&mut self.day_scratch);
-        scratch.screen_on.clear();
-        scratch
-            .screen_on
-            .extend(day.activity_screen_states().map(|(_, on)| on));
+        scratch.walk_screen_states(day);
 
         // Flight recorder: one causal lifecycle record per activity,
         // built in lockstep with the decisions below, finalized by the

@@ -45,7 +45,7 @@ pub mod solvers;
 
 pub use bnb::{branch_and_bound, branch_and_bound_budgeted, branch_and_bound_with};
 pub use item::{Item, Solution};
-pub use overlapped::{solve_with, Candidate, OvItem, OvProblem, OvSolution};
+pub use overlapped::{solve_with, Candidate, Candidates, OvItem, OvProblem, OvSolution};
 pub use scratch::{BitGrid, BnbScratch, OvScratch, PooledOvScratch, SolverScratch};
 pub use solvers::{
     brute_force, dp_by_capacity, dp_by_capacity_with, greedy_add, greedy_add_presorted,

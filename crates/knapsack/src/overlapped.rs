@@ -20,7 +20,7 @@ use crate::scratch::OvScratch;
 use crate::solvers::{solve_auto, SolverKind};
 
 /// A candidate placement of an item into a slot.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Candidate {
     /// Target slot index.
     pub slot: usize,
@@ -29,14 +29,43 @@ pub struct Candidate {
     pub profit: f64,
 }
 
+/// An item's candidate slots, stored inline: an activity can move only
+/// into the active slot before it or the one after it, so there are at
+/// most two. Reads as a `[Candidate]` slice; unused entries stay at
+/// their default, so equal slices mean equal values.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Candidates {
+    len: u8,
+    buf: [Candidate; 2],
+}
+
+impl Candidates {
+    /// The candidates present, in order: `left` first, then `right`.
+    pub fn adjacent(left: Option<Candidate>, right: Option<Candidate>) -> Self {
+        let mut out = Candidates::default();
+        for c in [left, right].into_iter().flatten() {
+            out.buf[out.len as usize] = c;
+            out.len += 1;
+        }
+        out
+    }
+}
+
+impl std::ops::Deref for Candidates {
+    type Target = [Candidate];
+    fn deref(&self) -> &[Candidate] {
+        &self.buf[..self.len as usize]
+    }
+}
+
 /// One schedulable item with its weight and candidate slots.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OvItem {
     /// Weight `V(n_j)` in capacity units (bytes).
     pub weight: u64,
     /// Candidate slots (typically the two adjacent user active slots;
     /// one for activities before the first / after the last slot).
-    pub candidates: Vec<Candidate>,
+    pub candidates: Candidates,
 }
 
 impl OvItem {
@@ -44,7 +73,7 @@ impl OvItem {
     pub fn single(weight: u64, slot: usize, profit: f64) -> Self {
         OvItem {
             weight,
-            candidates: vec![Candidate { slot, profit }],
+            candidates: Candidates::adjacent(Some(Candidate { slot, profit }), None),
         }
     }
 
@@ -52,16 +81,16 @@ impl OvItem {
     pub fn pair(weight: u64, left: (usize, f64), right: (usize, f64)) -> Self {
         OvItem {
             weight,
-            candidates: vec![
-                Candidate {
+            candidates: Candidates::adjacent(
+                Some(Candidate {
                     slot: left.0,
                     profit: left.1,
-                },
-                Candidate {
+                }),
+                Some(Candidate {
                     slot: right.0,
                     profit: right.1,
-                },
-            ],
+                }),
+            ),
         }
     }
 
@@ -87,7 +116,7 @@ impl OvProblem {
     /// Validates slot indices.
     pub fn validate(&self) -> Result<(), String> {
         for (j, it) in self.items.iter().enumerate() {
-            for c in &it.candidates {
+            for c in it.candidates.iter() {
                 if c.slot >= self.capacities.len() {
                     // lint:allow(hot-path-alloc) rejection path only: the format aborts the solve, so steady-state calls never reach it
                     return Err(format!(
@@ -164,7 +193,7 @@ impl OvSolution {
         };
         match self.assignment.get(j).copied().flatten() {
             Some(slot) => {
-                for c in &item.candidates {
+                for c in item.candidates.iter() {
                     if c.slot == slot && why.chosen.is_none() {
                         why.chosen = Some(*c);
                     } else if why.runner_up.is_none_or(|r| c.profit > r.profit) {
@@ -232,6 +261,18 @@ pub fn solve(problem: &OvProblem, eps: f64) -> OvSolution {
 /// [`crate::solvers::greedy_add`].
 // lint:hot-path
 pub fn solve_with(problem: &OvProblem, eps: f64, scratch: &mut OvScratch) -> OvSolution {
+    solve_steps::<false>(problem, eps, scratch)
+}
+
+/// Algorithm 1's five steps. With `ALWAYS_SORT` step 2 ratio-sorts
+/// every slot's list, not only the lists that bind; the tests use it as
+/// the reference that shows the skip changes no answer.
+// lint:hot-path
+fn solve_steps<const ALWAYS_SORT: bool>(
+    problem: &OvProblem,
+    eps: f64,
+    scratch: &mut OvScratch,
+) -> OvSolution {
     debug_assert_eq!(problem.validate(), Ok(()));
     let nslots = problem.capacities.len();
     let nitems = problem.items.len();
@@ -239,9 +280,11 @@ pub fn solve_with(problem: &OvProblem, eps: f64, scratch: &mut OvScratch) -> OvS
     let OvScratch {
         knap,
         slot_items,
+        slot_weight,
         items_buf,
         selected,
         chosen_slots,
+        problem: _,
     } = scratch;
 
     // --- Step 1: duplication — build each slot's (item, profit) list.
@@ -250,10 +293,13 @@ pub fn solve_with(problem: &OvProblem, eps: f64, scratch: &mut OvScratch) -> OvS
     // being re-filtered inside every per-slot solve and GreedyAdd scan.
     // They cannot appear in any solution, so the result is unchanged;
     // `why` reads rejection reasons off the problem, not these lists.
+    // The filter is `solve_auto`'s eligibility rule, so each slot's
+    // summed weight is the total `solve_auto` tests for its fast path.
     for (j, it) in problem.items.iter().enumerate() {
-        for c in &it.candidates {
+        for c in it.candidates.iter() {
             if c.profit > 0.0 && it.weight <= problem.capacities[c.slot] {
-                slot_items[c.slot].push((j, c.profit));
+                slot_items[c.slot].push((j, c.profit, 0.0));
+                slot_weight[c.slot] += it.weight as u128;
             }
         }
     }
@@ -268,15 +314,28 @@ pub fn solve_with(problem: &OvProblem, eps: f64, scratch: &mut OvScratch) -> OvS
         }
         // Sorting step (paper's step 2); the solvers are order-free,
         // but the canonical order makes reconstruction deterministic.
-        list.sort_by(|a, b| {
-            let ra = a.1 / problem.items[a.0].weight.max(1) as f64;
-            let rb = b.1 / problem.items[b.0].weight.max(1) as f64;
-            rb.total_cmp(&ra)
-        });
+        // A slot whose whole list fits skips it: `solve_auto` takes
+        // every item there, so step 4 assigns each of them somewhere
+        // and GreedyAdd has nothing left to scan in that slot.
+        if ALWAYS_SORT {
+            list.sort_by(|a, b| {
+                let ra = a.1 / problem.items[a.0].weight.max(1) as f64;
+                let rb = b.1 / problem.items[b.0].weight.max(1) as f64;
+                rb.total_cmp(&ra)
+            });
+        } else if slot_weight[slot] > problem.capacities[slot] as u128 {
+            // Each entry's ratio is computed once, with the same
+            // expression the `ALWAYS_SORT` comparator evaluates, so the
+            // stable sort puts the list in the same order.
+            for e in list.iter_mut() {
+                e.2 = e.1 / problem.items[e.0].weight.max(1) as f64;
+            }
+            list.sort_by(|a, b| b.2.total_cmp(&a.2));
+        }
         items_buf.clear();
         items_buf.extend(
             list.iter()
-                .map(|&(j, p)| Item::new(p, problem.items[j].weight)),
+                .map(|&(j, p, _)| Item::new(p, problem.items[j].weight)),
         );
         let sol = solve_auto(items_buf, problem.capacities[slot], eps, knap);
         solver[slot] = knap.last_solver();
@@ -334,20 +393,20 @@ pub fn solve_with(problem: &OvProblem, eps: f64, scratch: &mut OvScratch) -> OvS
 
     // --- Step 5: GreedyAdd — pack unassigned items into residual room.
     // The slot lists are already in profit-to-weight order from step 2
-    // and hold only positive-profit, slot-feasible candidates from
-    // step 1, so the greedy fill is a single scan: no candidate-list
-    // rebuild, no re-sort, no temporary `Solution`. Zero-weight items
-    // sort differently under `Item::ratio` (∞) than under the slot key
-    // (p/max(w,1)), but they consume no capacity, so the set of items
-    // accepted is identical to running `greedy_add` on the rebuilt
-    // candidate list as the original implementation did
-    // (see `crate::reference::solve`).
+    // (or hold only items step 4 assigned) and hold only positive-profit,
+    // slot-feasible candidates from step 1, so the greedy fill is a
+    // single scan: no candidate-list rebuild, no re-sort, no temporary
+    // `Solution`. Zero-weight items sort differently under `Item::ratio`
+    // (∞) than under the slot key (p/max(w,1)), but they consume no
+    // capacity, so the set of items accepted is identical to running
+    // `greedy_add` on the rebuilt candidate list as the original
+    // implementation did (see `crate::reference::solve`).
     for slot in 0..nslots {
         let cap = problem.capacities[slot];
         if used[slot] >= cap {
             continue;
         }
-        for &(j, _) in slot_items[slot].iter() {
+        for &(j, ..) in slot_items[slot].iter() {
             if assignment[j].is_some() {
                 continue;
             }
@@ -426,8 +485,8 @@ pub fn brute_force(problem: &OvProblem) -> OvSolution {
         // Skip.
         rec(j + 1, problem, assignment, used, profit, best);
         // Each candidate.
-        let cands = problem.items[j].candidates.clone();
-        for c in cands {
+        let cands = problem.items[j].candidates;
+        for &c in cands.iter() {
             if used[c.slot] + problem.items[j].weight <= problem.capacities[c.slot] {
                 used[c.slot] += problem.items[j].weight;
                 assignment[j] = Some(c.slot);
@@ -605,7 +664,7 @@ mod tests {
                 // Rejected: no candidate at all.
                 OvItem {
                     weight: 5,
-                    candidates: vec![],
+                    candidates: Candidates::default(),
                 },
                 // Rejected: profitable but too big for any slot's room.
                 OvItem::single(100, 0, 9.0),
@@ -723,6 +782,66 @@ mod tests {
             assert_eq!(warm, again, "trial {trial}");
             assert_eq!(warm, fresh, "trial {trial}");
         }
+    }
+
+    #[test]
+    fn skipping_the_sort_for_slots_that_fit_is_an_identity() {
+        // Random instances where some slots fit their whole list and
+        // others bind, through one warm scratch per arm: the solver must
+        // return exactly what sorting every slot's list returns.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2323);
+        let (mut skip, mut always) = (OvScratch::new(), OvScratch::new());
+        let mut arms = [0usize; 3];
+        for trial in 0..400 {
+            let nslots = rng.random_range(1..7usize);
+            let capacities: Vec<u64> = (0..nslots)
+                .map(|_| {
+                    if rng.random_bool(0.5) {
+                        rng.random_range(5..60)
+                    } else {
+                        rng.random_range(400..2_000)
+                    }
+                })
+                .collect();
+            let nitems = rng.random_range(1..120usize);
+            let items: Vec<OvItem> = (0..nitems)
+                .map(|_| {
+                    // Zero weights, repeated ratios and non-positive
+                    // profits exercise the key's ties and the filter.
+                    let w = rng.random_range(0..40);
+                    let mut profit = || match rng.random_range(0..8) {
+                        0 => -1.0,
+                        1 => 2.0,
+                        _ => rng.random_range(0.5..20.0),
+                    };
+                    let (p1, p2) = (profit(), profit());
+                    let a = rng.random_range(0..nslots);
+                    if nslots > 1 && rng.random_bool(0.7) {
+                        OvItem::pair(w, (a, p1), ((a + 1) % nslots, p2))
+                    } else {
+                        OvItem::single(w, a, p1)
+                    }
+                })
+                .collect();
+            let p = OvProblem { capacities, items };
+            let eps = [0.05, 0.1, 0.3][trial % 3];
+            let fast = solve_with(&p, eps, &mut skip);
+            let sorted = solve_steps::<true>(&p, eps, &mut always);
+            assert_eq!(
+                fast.profit.to_bits(),
+                sorted.profit.to_bits(),
+                "trial {trial}"
+            );
+            assert_eq!(fast, sorted, "trial {trial}");
+            for kind in fast.solver.iter().flatten() {
+                arms[*kind as usize] += 1;
+            }
+        }
+        // Every arm answered some slot, so fitting and binding slots
+        // were both exercised.
+        assert!(arms.iter().all(|&n| n > 20), "solver arms {arms:?}");
     }
 
     #[test]

@@ -128,7 +128,7 @@ pub fn solve(problem: &OvProblem, eps: f64) -> OvSolution {
     // --- Step 1: duplication — build each slot's (item, profit) list.
     let mut slot_items: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nslots];
     for (j, it) in problem.items.iter().enumerate() {
-        for c in &it.candidates {
+        for c in it.candidates.iter() {
             slot_items[c.slot].push((j, c.profit));
         }
     }

@@ -8,6 +8,7 @@
 //! the overlapped multiple-knapsack solver's per-slot buffers.
 
 use crate::item::Item;
+use crate::overlapped::OvProblem;
 
 /// A bit-packed 2-D boolean table (row-major), replacing the old
 /// `Vec<bool>` choice matrix at 1/8 the memory. Rows × cols can be
@@ -185,13 +186,19 @@ impl SolverScratch {
 
 /// Reusable workspace for [`crate::overlapped::solve_with`]: per-slot
 /// candidate lists, the per-slot `Item` buffer, and the inner
-/// single-knapsack scratch.
+/// single-knapsack scratch, plus the instance buffers a planner lends
+/// out through [`OvScratch::take_problem`].
 #[derive(Debug, Clone, Default)]
 pub struct OvScratch {
+    /// The last instance's buffers, kept for the next one's build.
+    pub(crate) problem: OvProblem,
     /// Inner scratch for the per-slot `SinKnap` calls.
     pub(crate) knap: SolverScratch,
-    /// `slot_items[slot]` = (item index, per-slot profit), ratio-sorted.
-    pub(crate) slot_items: Vec<Vec<(usize, f64)>>,
+    /// `slot_items[slot]` = (item index, per-slot profit, ratio key),
+    /// ratio-sorted when the slot binds; the key is set only then.
+    pub(crate) slot_items: Vec<Vec<(usize, f64, f64)>>,
+    /// `slot_weight[slot]` = summed weight of the slot's list.
+    pub(crate) slot_weight: Vec<u128>,
     /// Per-slot `Item` views handed to `sin_knap_with`.
     pub(crate) items_buf: Vec<Item>,
     /// Per-slot selected item ids from the SinKnap pass.
@@ -206,10 +213,27 @@ impl OvScratch {
         OvScratch::default()
     }
 
+    /// The previous instance's buffers, cleared: a planner fills them,
+    /// solves, and hands them back with [`OvScratch::put_problem`], so
+    /// each day's instance reuses the last day's allocations.
+    pub fn take_problem(&mut self) -> OvProblem {
+        let mut problem = std::mem::take(&mut self.problem);
+        problem.capacities.clear();
+        problem.items.clear();
+        problem
+    }
+
+    /// Keeps `problem`'s buffers for the next [`OvScratch::take_problem`].
+    pub fn put_problem(&mut self, problem: OvProblem) {
+        self.problem = problem;
+    }
+
     /// Clears and resizes the per-slot/per-item lists, keeping their
     /// allocations.
     pub(crate) fn begin(&mut self, nslots: usize, nitems: usize) {
         resize_clear(&mut self.slot_items, nslots);
+        self.slot_weight.clear();
+        self.slot_weight.resize(nslots, 0);
         resize_clear(&mut self.selected, nslots);
         resize_clear(&mut self.chosen_slots, nitems);
         self.items_buf.clear();

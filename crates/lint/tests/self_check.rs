@@ -52,9 +52,13 @@ fn real_workspace_is_lint_clean_at_head() {
     // propagation, and the linter's own diagnostic timer. The span-tree
     // tracing layer added three: the trace-capture kill switch's
     // Relaxed store/load pair (a pure on/off gate publishing no data)
-    // and the capture-gate read on the span fast path.
+    // and the capture-gate read on the span fast path. Marking the
+    // planner's instance build (`DecisionMaker::plan_day_with`) hot
+    // added four, all for the routing it returns: the route table and
+    // explanation list of `DayRouting::unrouted` (three findings) and
+    // `slots_for_day`'s slot list.
     assert!(
-        report.waived.len() <= 43,
+        report.waived.len() <= 45,
         "waiver count {} crossed the review threshold — prune or justify",
         report.waived.len()
     );

@@ -24,7 +24,7 @@ use crate::prediction::{
 };
 use crate::special::SpecialApps;
 use crate::stability::StabilityReport;
-use netmaster_trace::event::AppId;
+use netmaster_trace::event::{AppId, NetworkActivity};
 use netmaster_trace::time::{hour_of, DayKind, HOURS_PER_DAY};
 use netmaster_trace::trace::DayTrace;
 
@@ -40,7 +40,7 @@ type AppHourlyTotals = Box<([f64; HOURS_PER_DAY], [f64; HOURS_PER_DAY])>;
 /// query predictions, stability, and network forecasts at any point.
 /// After discarding history (habit-drift reset), build a fresh miner
 /// from the retained days.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IncrementalMiner {
     /// The raw per-day hourly rows (24 `u64`s per day — cheap to keep).
     history: HourlyHistory,
@@ -89,6 +89,24 @@ impl IncrementalMiner {
     /// Absorbs one day of monitoring data. `O(24 + events_in_day)`.
     // lint:hot-path
     pub fn push_day(&mut self, day: &DayTrace) {
+        self.absorb(day, day.activity_screen_states());
+    }
+
+    /// [`IncrementalMiner::push_day`] for a day whose screen states are
+    /// already walked: `screen_on[i]` is
+    /// [`DayTrace::activity_screen_states`]' answer for
+    /// `day.activities[i]`.
+    // lint:hot-path
+    pub fn push_day_with(&mut self, day: &DayTrace, screen_on: &[bool]) {
+        debug_assert_eq!(screen_on.len(), day.activities.len());
+        self.absorb(day, day.activities.iter().zip(screen_on.iter().copied()));
+    }
+
+    fn absorb<'a>(
+        &mut self,
+        day: &DayTrace,
+        states: impl Iterator<Item = (&'a NetworkActivity, bool)>,
+    ) {
         netmaster_obs::counter!(netmaster_obs::names::MINING_DAYS_ABSORBED_TOTAL);
         let mut row = [0u64; HOURS_PER_DAY];
         for i in &day.interactions {
@@ -128,7 +146,7 @@ impl IncrementalMiner {
 
         // Network-prediction totals, accumulated in the same order the
         // batch scan visits activities (so f64 sums match bit-for-bit).
-        for a in day.screen_off_activities() {
+        for a in states.filter_map(|(a, on)| (!on).then_some(a)) {
             let h = hour_of(a.start);
             self.net_count[h] += 1.0;
             self.net_bytes[h] += a.volume() as f64;
@@ -334,6 +352,28 @@ mod tests {
         assert_eq!(rebuilt.stability(), fresh.stability());
         assert_eq!(rebuilt.network_prediction(), fresh.network_prediction());
         assert_eq!(rebuilt.special_apps(), fresh.special_apps());
+    }
+
+    /// `push_day_with` over the day's walked screen states is
+    /// `push_day`, on panel days and on a day whose unsorted sessions
+    /// take `activity_screen_states`' point-query fallback.
+    #[test]
+    fn push_day_with_walked_states_matches_push_day() {
+        let states =
+            |d: &DayTrace| -> Vec<bool> { d.activity_screen_states().map(|(_, on)| on).collect() };
+        for user in 0..4 {
+            let mut trace = trace_for(user, 10, 500 + user as u64);
+            let unsorted = &mut trace.days[9];
+            unsorted.sessions.reverse();
+            assert!(!unsorted.sessions.is_sorted_by_key(|s| s.start));
+            let (mut walked, mut shared) = (IncrementalMiner::new(), IncrementalMiner::new());
+            for d in &trace.days {
+                walked.push_day(d);
+                shared.push_day_with(d, &states(d));
+                assert_eq!(walked, shared, "user {user} day {}", d.day);
+                assert_eq!(walked.network_prediction(), shared.network_prediction());
+            }
+        }
     }
 
     #[test]

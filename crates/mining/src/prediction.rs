@@ -95,6 +95,7 @@ impl ActiveSlotPrediction {
     /// set `U`; slots "don't have a fixed length").
     pub fn slots_for_day(&self, day: DayIndex) -> Vec<Interval> {
         let hours = self.hours(DayKind::of_day(day));
+        // lint:allow(hot-path-alloc) the slot list is the caller-owned result value (the planner's `DayRouting::slots`)
         let mut out = Vec::new();
         let mut h = 0;
         while h < HOURS_PER_DAY {

@@ -47,10 +47,17 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:9898";
 pub const REQUEST_HEAD_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Most bytes the server reads of one request's line and headers; a
-/// longer head is answered 431 without being buffered. The server then
-/// closes with the rest of the head unread, so the client's TCP stack
-/// may see a reset instead of the 431.
+/// longer head is answered 431 without being buffered. After the answer
+/// the server reads and discards up to [`REJECTED_HEAD_DRAIN_BYTES`]
+/// more, until the client closes or [`REQUEST_HEAD_DEADLINE`] passes,
+/// so that closing with bytes unread (which makes the TCP stack send a
+/// reset) does not destroy the 431 before the client reads it.
 pub const MAX_REQUEST_HEAD_BYTES: u64 = 8 * 1024;
+
+/// Most bytes of a rejected request head the server discards after
+/// answering it. A client that sends more before reading the answer may
+/// still see a reset.
+pub const REJECTED_HEAD_DRAIN_BYTES: u64 = 64 * 1024;
 
 /// Prometheus text exposition content type (format version 0.0.4).
 pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
@@ -422,8 +429,7 @@ impl Read for Deadline<'_> {
 /// the request line alone) within [`MAX_REQUEST_HEAD_BYTES`] and
 /// [`REQUEST_HEAD_DEADLINE`]. `Err` carries the 4xx answer, or `None`
 /// when the connection failed and nothing can be answered.
-fn read_request_line(stream: &TcpStream) -> Result<String, Option<Response>> {
-    let until = Instant::now() + REQUEST_HEAD_DEADLINE;
+fn read_request_line(stream: &TcpStream, until: Instant) -> Result<String, Option<Response>> {
     let mut reader = BufReader::new(Deadline { stream, until }.take(MAX_REQUEST_HEAD_BYTES));
     let mut request_line = String::new();
     let mut line = String::new();
@@ -468,15 +474,17 @@ fn handle_connection(
     state: &ServeState,
     drop_threshold: u64,
 ) {
-    let response = match read_request_line(&stream) {
+    let until = Instant::now() + REQUEST_HEAD_DEADLINE;
+    let (response, rejected) = match read_request_line(&stream, until) {
         Ok(request_line) => {
             let mut parts = request_line.split_whitespace();
-            match (parts.next(), parts.next()) {
+            let response = match (parts.next(), parts.next()) {
                 (Some("GET"), Some(path)) => route(path, hub, state, drop_threshold),
                 _ => Response::client_error(400, "only GET is supported"),
-            }
+            };
+            (response, false)
         }
-        Err(Some(response)) => response,
+        Err(Some(response)) => (response, true),
         Err(None) => return,
     };
     crate::counter!(crate::names::SERVE_REQUESTS_TOTAL);
@@ -490,6 +498,19 @@ fn handle_connection(
     let _ = stream.write_all(head.as_bytes());
     let _ = stream.write_all(response.body.as_bytes());
     let _ = stream.flush();
+    if rejected {
+        // The rest of a rejected head may still be arriving: end the
+        // answer, then discard a bounded amount before closing.
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let _ = std::io::copy(
+            &mut Deadline {
+                stream: &stream,
+                until,
+            }
+            .take(REJECTED_HEAD_DRAIN_BYTES),
+            &mut std::io::sink(),
+        );
+    }
 }
 
 /// A running scrape server. Dropping it without calling
