@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netmaster_knapsack::overlapped::{self, OvItem, OvProblem};
-use netmaster_knapsack::{branch_and_bound, dp_by_capacity, greedy_half, sin_knap, Item};
+use netmaster_knapsack::{branch_and_bound, greedy_half, sin_knap, Item};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -37,14 +37,6 @@ fn bench_alternatives(c: &mut Criterion) {
     let it = items(50, 7);
     g.bench_function("greedy_half_n50", |b| {
         b.iter(|| black_box(greedy_half(&it, 500_000)))
-    });
-    // DP needs a small capacity to be tractable.
-    let small: Vec<Item> = it
-        .iter()
-        .map(|i| Item::new(i.profit, i.weight % 997 + 1))
-        .collect();
-    g.bench_function("dp_by_capacity_n50_c5000", |b| {
-        b.iter(|| black_box(dp_by_capacity(&small, 5_000)))
     });
     g.finish();
 }

@@ -41,7 +41,6 @@
 pub mod config;
 pub mod decision;
 pub mod dutycycle;
-pub mod events;
 pub mod monitoring;
 pub mod policies;
 pub mod service;
@@ -51,9 +50,6 @@ pub mod watchtower;
 pub use config::NetMasterConfig;
 pub use decision::{DayRouting, DecisionMaker, Disposition};
 pub use dutycycle::{idle_wakeups, run_window, DutyOutcome, SleepScheme};
-pub use events::{
-    day_events, replay_day, DatabaseRecorder, EventBus, EventReceiver, SystemEvent, UsageCounter,
-};
 pub use monitoring::{Database, KindCounts, Monitor, MonitorConfig, Record};
 pub use service::{DayReport, MiddlewareService, ServiceSummary};
 

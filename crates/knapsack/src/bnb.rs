@@ -25,18 +25,10 @@ use crate::scratch::{BnbFrame, BnbScratch};
 /// assert_eq!(sol.chosen, vec![1, 2]);
 /// ```
 ///
-/// Allocates a fresh workspace; hot paths should hold a [`BnbScratch`]
-/// and call [`branch_and_bound_with`].
+/// Allocates a fresh workspace; the dispatcher runs the budgeted form,
+/// [`branch_and_bound_budgeted`], on a reused [`BnbScratch`].
 pub fn branch_and_bound(items: &[Item], capacity: u64) -> Solution {
-    branch_and_bound_with(items, capacity, &mut BnbScratch::new())
-}
-
-/// [`branch_and_bound`] reusing a caller-owned workspace. Same search,
-/// same solution; the order/stack/path/incumbent buffers live in
-/// `scratch` and are reused across calls.
-// lint:hot-path
-pub fn branch_and_bound_with(items: &[Item], capacity: u64, scratch: &mut BnbScratch) -> Solution {
-    branch_and_bound_budgeted(items, capacity, usize::MAX, scratch)
+    branch_and_bound_budgeted(items, capacity, usize::MAX, &mut BnbScratch::new())
         // lint:allow(panic-hygiene) None only signals an exhausted budget, and usize::MAX never exhausts
         .expect("unbounded search cannot exhaust its budget")
 }
@@ -61,11 +53,11 @@ fn bound(items: &[Item], order: &[usize], mut depth: usize, mut room: u64, base:
     b
 }
 
-/// [`branch_and_bound_with`] that gives up after visiting `node_budget`
-/// search nodes, returning `None` instead of a (possibly non-optimal)
-/// incumbent. Callers treat `None` as "instance too adversarial for
-/// exact search" and fall back to the FPTAS, which keeps per-decision
-/// latency flat as instances grow.
+/// [`branch_and_bound`] on a caller-owned workspace that gives up
+/// after visiting `node_budget` search nodes, returning `None` instead
+/// of a (possibly non-optimal) incumbent. Callers treat `None` as
+/// "instance too adversarial for exact search" and fall back to the
+/// FPTAS, which keeps per-decision latency flat as instances grow.
 // lint:hot-path
 pub fn branch_and_bound_budgeted(
     items: &[Item],
@@ -248,10 +240,11 @@ mod tests {
                 .map(|_| Item::new(rng.random_range(0.5..30.0), rng.random_range(1..30)))
                 .collect();
             let cap = rng.random_range(1..90);
-            let warm = branch_and_bound_with(&it, cap, &mut scratch);
+            let warm = branch_and_bound_budgeted(&it, cap, usize::MAX, &mut scratch);
             let fresh = branch_and_bound(&it, cap);
             assert_eq!(
-                warm, fresh,
+                warm,
+                Some(fresh),
                 "trial {trial}: dirty scratch changed the answer"
             );
         }
@@ -272,7 +265,7 @@ mod tests {
         );
         // A generous budget completes and matches the unbounded search.
         let capped = branch_and_bound_budgeted(&it, 190, usize::MAX - 1, &mut scratch);
-        let full = branch_and_bound_with(&it, 190, &mut scratch);
+        let full = branch_and_bound(&it, 190);
         assert_eq!(capped, Some(full));
     }
 }

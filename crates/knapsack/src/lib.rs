@@ -9,16 +9,19 @@
 //!   knapsacks with *overlapped itemsets* (each screen-off network
 //!   activity may move into either adjacent user-active slot), a
 //!   `(1−ε)/2`-approximation (Lemma IV.1);
-//! * exact (`brute_force`, `dp_by_capacity`) and greedy baselines used
-//!   as test oracles and in the `GreedyAdd` filling step.
+//! * [`solvers::solve_auto`] — the per-slot dispatcher Algorithm 1
+//!   runs: slack fast path, budgeted [`bnb::branch_and_bound_budgeted`],
+//!   or the sparse [`solvers::quantized_dp`];
+//! * exact (`brute_force`, `branch_and_bound`) and greedy
+//!   (`greedy_half`) baselines used as test oracles and runtime floors.
 //!
-//! The DP solvers exist in two forms: the classic per-call-allocating
-//! signatures, and `_with` variants threading a reusable
-//! [`scratch::SolverScratch`] / [`scratch::OvScratch`] for the
-//! fleet-simulation hot path (zero DP-table allocations per solve, a
+//! The hot-path solvers take a reusable [`scratch::SolverScratch`] /
+//! [`scratch::OvScratch`] (zero DP-table allocations per solve, a
 //! bit-packed choice matrix, and an exact fast path when capacity has
-//! slack). The original implementations are preserved in [`reference`](mod@reference)
-//! as equivalence oracles and perf baselines.
+//! slack); the plain signatures allocate a fresh one per call. The
+//! original implementations, and the exact capacity DP, are kept in
+//! [`reference`](mod@reference) as equivalence oracles and perf
+//! baselines.
 //!
 //! ```
 //! use netmaster_knapsack::overlapped::{solve, OvItem, OvProblem};
@@ -43,13 +46,12 @@ pub mod reference;
 pub mod scratch;
 pub mod solvers;
 
-pub use bnb::{branch_and_bound, branch_and_bound_budgeted, branch_and_bound_with};
+pub use bnb::{branch_and_bound, branch_and_bound_budgeted};
 pub use item::{Item, Solution};
 pub use overlapped::{solve_with, Candidate, Candidates, OvItem, OvProblem, OvSolution};
 pub use scratch::{BitGrid, BnbScratch, OvScratch, PooledOvScratch, SolverScratch};
 pub use solvers::{
-    brute_force, dp_by_capacity, dp_by_capacity_with, greedy_add, greedy_add_presorted,
-    greedy_half, greedy_half_with, quantized_dp, sin_knap, sin_knap_with, solve_auto, SolverKind,
+    brute_force, greedy_half, quantized_dp, sin_knap, sin_knap_with, solve_auto, SolverKind,
 };
 
 /// `true` when this build compiles the `strict-invariants` runtime

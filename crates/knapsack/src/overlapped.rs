@@ -258,7 +258,7 @@ pub fn solve(problem: &OvProblem, eps: f64) -> OvSolution {
 /// planning thousands of days performs no per-solve table allocations.
 /// The `GreedyAdd` step runs directly over the already-ratio-sorted
 /// slot lists instead of re-sorting through
-/// [`crate::solvers::greedy_add`].
+/// [`crate::reference::greedy_add`].
 // lint:hot-path
 pub fn solve_with(problem: &OvProblem, eps: f64, scratch: &mut OvScratch) -> OvSolution {
     solve_steps::<false>(problem, eps, scratch)
@@ -267,7 +267,6 @@ pub fn solve_with(problem: &OvProblem, eps: f64, scratch: &mut OvScratch) -> OvS
 /// Algorithm 1's five steps. With `ALWAYS_SORT` step 2 ratio-sorts
 /// every slot's list, not only the lists that bind; the tests use it as
 /// the reference that shows the skip changes no answer.
-// lint:hot-path
 fn solve_steps<const ALWAYS_SORT: bool>(
     problem: &OvProblem,
     eps: f64,
@@ -399,8 +398,8 @@ fn solve_steps<const ALWAYS_SORT: bool>(
     // `Solution`. Zero-weight items sort differently under `Item::ratio`
     // (∞) than under the slot key (p/max(w,1)), but they consume no
     // capacity, so the set of items accepted is identical to running
-    // `greedy_add` on the rebuilt candidate list as the original
-    // implementation did (see `crate::reference::solve`).
+    // `reference::greedy_add` on the rebuilt candidate list, as the
+    // original implementation did (see `crate::reference::solve`).
     for slot in 0..nslots {
         let cap = problem.capacities[slot];
         if used[slot] >= cap {

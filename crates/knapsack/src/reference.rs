@@ -1,8 +1,9 @@
 //! Reference (pre-optimization) solver implementations.
 //!
-//! These are the original allocating versions of [`crate::sin_knap`],
-//! [`crate::dp_by_capacity`], [`crate::greedy_add`] and
-//! [`crate::overlapped::solve`], kept verbatim so that
+//! These are the original allocating versions of [`crate::sin_knap`]
+//! and [`crate::overlapped::solve`], with the `GreedyAdd` step that
+//! [`crate::overlapped::solve_with`] now runs inline and the exact
+//! capacity DP, kept verbatim so that
 //!
 //! * equivalence property tests can assert the optimized scratch-based
 //!   solvers produce identical (or provably no-worse) answers, and
@@ -14,8 +15,9 @@
 use crate::item::{Item, Solution};
 use crate::overlapped::{OvProblem, OvSolution};
 
-/// Reference `O(n · C)` capacity DP, allocating its tables per call.
-/// Behaviorally identical to [`crate::dp_by_capacity`].
+/// Exact `O(n · C)` capacity DP, allocating its tables per call. Only
+/// sensible for small integer capacities; an oracle for the exact and
+/// approximate solvers.
 pub fn dp_by_capacity(items: &[Item], capacity: u64) -> Solution {
     let cap = capacity as usize;
     let n = items.len();

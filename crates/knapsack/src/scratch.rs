@@ -47,12 +47,6 @@ impl BitGrid {
         self.dirty = needed;
     }
 
-    /// Sets bit `(row, col)`.
-    #[inline]
-    pub fn set(&mut self, row: usize, col: usize) {
-        self.set_bit(row * self.cols + col);
-    }
-
     /// Reads bit `(row, col)`.
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> bool {
@@ -100,7 +94,7 @@ pub(crate) struct QState {
 }
 
 /// One pending node of the iterative branch-and-bound search
-/// ([`crate::bnb::branch_and_bound_with`]).
+/// ([`crate::bnb::branch_and_bound_budgeted`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BnbFrame {
     /// Depth in the ratio order (how many items decided).
@@ -138,7 +132,7 @@ impl BnbScratch {
 }
 
 /// Reusable workspace for the single-knapsack solvers
-/// ([`crate::solvers::sin_knap_with`], [`crate::solvers::dp_by_capacity_with`],
+/// ([`crate::solvers::sin_knap_with`], [`crate::solvers::quantized_dp`],
 /// [`crate::solvers::solve_auto`]).
 ///
 /// All fields are internal buffers: their contents are unspecified
@@ -147,15 +141,13 @@ impl BnbScratch {
 pub struct SolverScratch {
     /// `min_weight[q]`: least weight achieving scaled profit `q`.
     pub(crate) min_weight: Vec<u64>,
-    /// Bit-packed `choice[j][q]` / `keep[i][c]` reconstruction table.
+    /// Bit-packed `choice[j][q]` reconstruction table.
     pub(crate) choice: BitGrid,
     /// Indices of eligible items.
     pub(crate) eligible: Vec<usize>,
     /// Scaled per-item profits.
     pub(crate) scaled: Vec<u64>,
-    /// `best[c]` profits for the capacity DP.
-    pub(crate) best: Vec<f64>,
-    /// Ratio order for the Dantzig bound and greedy passes.
+    /// Ratio order for the Dantzig bound.
     pub(crate) order: Vec<usize>,
     /// State arena of the sparse quantized DP.
     pub(crate) arena: Vec<QState>,
@@ -324,10 +316,10 @@ mod tests {
         let mut g = BitGrid::new();
         g.reset(5, 70); // spans word boundaries
         assert!(!g.get(0, 0));
-        g.set(0, 0);
-        g.set(4, 69);
-        g.set(2, 63);
-        g.set(2, 64);
+        g.set_bit(g.row_base(0));
+        g.set_bit(g.row_base(4) + 69);
+        g.set_bit(g.row_base(2) + 63);
+        g.set_bit(g.row_base(2) + 64);
         assert!(g.get(0, 0));
         assert!(g.get(4, 69));
         assert!(g.get(2, 63));
@@ -350,13 +342,13 @@ mod tests {
         let mut g = BitGrid::new();
         // Large grid, bits set near the end of the dirty region.
         g.reset(10, 100);
-        g.set(9, 99);
-        g.set(0, 0);
+        g.set_bit(g.row_base(9) + 99);
+        g.set_bit(g.row_base(0));
         // Shrink: old high bits are outside the new grid but still in
         // the allocation; a later regrow must not resurrect them.
         g.reset(2, 10);
         assert!(!g.get(0, 0));
-        g.set(1, 3);
+        g.set_bit(g.row_base(1) + 3);
         g.reset(10, 100);
         assert!(!g.get(9, 99), "stale bit leaked through shrink/regrow");
         assert!(!g.get(0, 19), "small-grid bit leaked into the regrown grid");

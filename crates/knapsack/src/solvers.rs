@@ -1,13 +1,12 @@
-//! Single 0/1-knapsack solvers: brute force, capacity DP, greedy, and
-//! the Ibarra–Kim profit-scaling FPTAS — the paper's `SinKnap` \[13\].
+//! Single 0/1-knapsack solvers: brute force, greedy, and the
+//! Ibarra–Kim profit-scaling FPTAS — the paper's `SinKnap` \[13\].
 //!
-//! The DP solvers come in two forms: the classic signature
-//! ([`sin_knap`], [`dp_by_capacity`]) which allocates a fresh workspace
-//! per call, and the `_with` variants which reuse a caller-owned
-//! [`SolverScratch`] — the form the scheduler's hot path uses so a
-//! policy performs zero DP-table allocations per planning day. The
-//! original allocating implementations are preserved verbatim in
-//! [`crate::reference`] as oracles.
+//! [`sin_knap`] allocates a fresh workspace per call; [`sin_knap_with`],
+//! [`quantized_dp`] and the dispatcher [`solve_auto`] reuse a
+//! caller-owned [`SolverScratch`] — the form the scheduler's hot path
+//! uses so a policy performs zero DP-table allocations per planning
+//! day. The original allocating implementations, and the exact
+//! capacity DP, are kept in [`crate::reference`] as oracles.
 
 use crate::item::{Item, Solution};
 use crate::scratch::SolverScratch;
@@ -63,91 +62,23 @@ fn assert_solution_invariants(capacity: u64, floor: f64, sol: &Solution, what: &
     );
 }
 
-/// Exact DP over capacity, `O(n · C)` time and space. Only sensible for
-/// small integer capacities; the scheduler uses [`sin_knap`] instead.
-///
-/// Allocates a fresh workspace; hot paths should hold a
-/// [`SolverScratch`] and call [`dp_by_capacity_with`].
-pub fn dp_by_capacity(items: &[Item], capacity: u64) -> Solution {
-    dp_by_capacity_with(items, capacity, &mut SolverScratch::new())
-}
-
-/// [`dp_by_capacity`] reusing a caller-owned workspace. Produces the
-/// same solution bit-for-bit; the only difference is where the DP
-/// tables live.
-// lint:hot-path
-pub fn dp_by_capacity_with(items: &[Item], capacity: u64, scratch: &mut SolverScratch) -> Solution {
-    let cap = capacity as usize;
-    let n = items.len();
-    let SolverScratch {
-        best, choice: keep, ..
-    } = scratch;
-    // best[w] = max profit with weight exactly ≤ w; keep[i][w] for reconstruction.
-    best.clear();
-    best.resize(cap + 1, 0.0f64);
-    keep.reset(n, cap + 1);
-    for (i, item) in items.iter().enumerate() {
-        if item.profit <= 0.0 || item.weight > capacity {
-            continue;
-        }
-        let w = item.weight as usize;
-        for c in (w..=cap).rev() {
-            let cand = best[c - w] + item.profit;
-            if cand > best[c] {
-                best[c] = cand;
-                keep.set(i, c);
-            }
-        }
-    }
-    // Reconstruct.
-    // lint:allow(hot-path-alloc) Solution::chosen is the caller-owned result value, not reusable scratch
-    let mut chosen = Vec::new();
-    let mut c = cap;
-    for i in (0..n).rev() {
-        if keep.get(i, c) {
-            chosen.push(i);
-            c -= items[i].weight as usize;
-        }
-    }
-    let sol = Solution::from_indices(items, chosen);
-    // The exact DP dominates any feasible solution, greedy included.
-    #[cfg(feature = "strict-invariants")]
-    assert_solution_invariants(
-        capacity,
-        greedy_half(items, capacity).profit,
-        &sol,
-        "dp_by_capacity",
-    );
-    sol
-}
-
 /// Greedy by profit-to-weight ratio with the classic "best single item"
 /// fallback, a 1/2-approximation.
-///
-/// Allocates a fresh workspace; hot paths should hold a
-/// [`SolverScratch`] and call [`greedy_half_with`].
 pub fn greedy_half(items: &[Item], capacity: u64) -> Solution {
-    greedy_half_with(items, capacity, &mut SolverScratch::new())
-}
-
-/// [`greedy_half`] reusing a caller-owned workspace for the ratio
-/// order. Same solution; no per-call sort buffer allocation.
-// lint:hot-path
-pub fn greedy_half_with(items: &[Item], capacity: u64, scratch: &mut SolverScratch) -> Solution {
-    let order = &mut scratch.order;
-    order.clear();
-    order
-        .extend((0..items.len()).filter(|&i| items[i].profit > 0.0 && items[i].weight <= capacity));
-    order.sort_by(|&a, &b| items[b].ratio().total_cmp(&items[a].ratio()));
-    // lint:allow(hot-path-alloc) Solution::chosen is the caller-owned result value, not reusable scratch
-    let mut chosen = Vec::new();
+    let mut chosen: Vec<usize> = (0..items.len())
+        .filter(|&i| items[i].profit > 0.0 && items[i].weight <= capacity)
+        // lint:allow(hot-path-alloc) the ratio order becomes Solution::chosen, the caller-owned result value
+        .collect();
+    chosen.sort_by(|&a, &b| items[b].ratio().total_cmp(&items[a].ratio()));
+    // Keep each item, in ratio order, that still fits.
     let mut used = 0u64;
-    for &i in order.iter() {
-        if used + items[i].weight <= capacity {
+    chosen.retain(|&i| {
+        let fits = used + items[i].weight <= capacity;
+        if fits {
             used += items[i].weight;
-            chosen.push(i);
         }
-    }
+        fits
+    });
     let greedy = Solution::from_indices(items, chosen);
     // Compare against the single most profitable item.
     let best_single = (0..items.len())
@@ -158,52 +89,6 @@ pub fn greedy_half_with(items: &[Item], capacity: u64, scratch: &mut SolverScrat
         Some(i) if items[i].profit > greedy.profit => Solution::from_indices(items, vec![i]),
         _ => greedy,
     }
-}
-
-/// Greedy *filling* pass: adds any still-fitting items (by ratio) to an
-/// existing selection. The paper's `GreedyAdd` step.
-///
-/// Builds the ratio order on the fly; callers that already hold items
-/// in ratio order (like the overlapped solver's per-slot lists) should
-/// use [`greedy_add_presorted`] and skip the sort entirely. Membership
-/// in `existing` is tested by binary search over its sorted index list
-/// rather than the `HashSet` the original implementation rebuilt per
-/// call (preserved in [`crate::reference::greedy_add`]).
-pub fn greedy_add(items: &[Item], capacity: u64, existing: &mut Solution) {
-    existing.chosen.sort_unstable();
-    let mut order: Vec<usize> = (0..items.len())
-        .filter(|&i| items[i].profit > 0.0 && existing.chosen.binary_search(&i).is_err())
-        .collect();
-    order.sort_by(|&a, &b| items[b].ratio().total_cmp(&items[a].ratio()));
-    greedy_add_presorted(items, capacity, existing, &order);
-}
-
-/// [`greedy_add`] taking a precomputed fill order: `order` lists
-/// distinct candidate indices in the sequence to try (normally
-/// profit-to-weight descending). Indices already in `existing.chosen`
-/// (which must be sorted ascending, as [`Solution::from_indices`]
-/// guarantees) and non-positive-profit items are skipped.
-pub fn greedy_add_presorted(
-    items: &[Item],
-    capacity: u64,
-    existing: &mut Solution,
-    order: &[usize],
-) {
-    // `order` holds distinct indices, so only membership at entry can
-    // repeat an item; the pre-existing prefix of `chosen` stays sorted
-    // while new picks are appended, keeping the binary search valid.
-    let initial = existing.chosen.len();
-    for &i in order {
-        if items[i].profit <= 0.0 || existing.chosen[..initial].binary_search(&i).is_ok() {
-            continue;
-        }
-        if existing.weight + items[i].weight <= capacity {
-            existing.weight += items[i].weight;
-            existing.profit += items[i].profit;
-            existing.chosen.push(i);
-        }
-    }
-    existing.chosen.sort_unstable();
 }
 
 /// The Ibarra–Kim FPTAS (`SinKnap` in the paper): profit-scaling dynamic
@@ -681,6 +566,7 @@ pub fn solve_auto(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn items(v: &[(f64, u64)]) -> Vec<Item> {
         v.iter().map(|&(p, w)| Item::new(p, w)).collect()
@@ -709,7 +595,7 @@ mod tests {
         let it = items(&[(3.0, 4), (7.0, 5), (2.0, 1), (9.0, 7), (5.0, 3)]);
         for cap in 0..=20 {
             let a = brute_force(&it, cap);
-            let b = dp_by_capacity(&it, cap);
+            let b = reference::dp_by_capacity(&it, cap);
             assert!(
                 (a.profit - b.profit).abs() < 1e-9,
                 "cap {cap}: {} vs {}",
@@ -723,7 +609,7 @@ mod tests {
     #[test]
     fn dp_skips_oversized_and_worthless_items() {
         let it = items(&[(10.0, 100), (-5.0, 1), (0.0, 1), (4.0, 2)]);
-        let s = dp_by_capacity(&it, 10);
+        let s = reference::dp_by_capacity(&it, 10);
         assert_eq!(s.chosen, vec![3]);
     }
 
@@ -744,12 +630,12 @@ mod tests {
     fn greedy_add_fills_leftover_capacity() {
         let it = items(&[(5.0, 5), (4.0, 4), (3.0, 3)]);
         let mut s = Solution::from_indices(&it, vec![0]);
-        greedy_add(&it, 12, &mut s);
+        reference::greedy_add(&it, 12, &mut s);
         assert_eq!(s.chosen, vec![0, 1, 2]);
         assert_eq!(s.weight, 12);
         // Never exceeds capacity.
         let mut s2 = Solution::from_indices(&it, vec![0]);
-        greedy_add(&it, 8, &mut s2);
+        reference::greedy_add(&it, 8, &mut s2);
         assert!(s2.weight <= 8);
     }
 
@@ -815,7 +701,7 @@ mod tests {
         assert_eq!(s.chosen, vec![0, 1, 3]);
         assert!((s.profit - 8.5).abs() < 1e-9);
         // The fast path is exact, so it can only beat the FPTAS bound.
-        let r = crate::reference::sin_knap(&it, 100, 0.3);
+        let r = reference::sin_knap(&it, 100, 0.3);
         assert!(s.profit >= r.profit - 1e-9);
     }
 
@@ -831,14 +717,8 @@ mod tests {
                 .map(|_| Item::new(rng.random_range(-5.0..50.0), rng.random_range(1..30u64)))
                 .collect();
             let cap = rng.random_range(1..60);
-            // Capacity DP: bit-identical regardless of path.
-            assert_eq!(
-                dp_by_capacity_with(&it, cap, &mut scratch),
-                crate::reference::dp_by_capacity(&it, cap),
-                "trial {trial}"
-            );
             let s_new = sin_knap_with(&it, cap, 0.1, &mut scratch);
-            let s_ref = crate::reference::sin_knap(&it, cap, 0.1);
+            let s_ref = reference::sin_knap(&it, cap, 0.1);
             let eligible_w: u64 = it
                 .iter()
                 .filter(|x| x.profit > 0.0 && x.weight <= cap)
@@ -862,26 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_add_matches_reference_on_random_instances() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(42);
-        for trial in 0..80 {
-            let n = rng.random_range(1..=15usize);
-            let it: Vec<Item> = (0..n)
-                .map(|_| Item::new(rng.random_range(-5.0..50.0), rng.random_range(0..30u64)))
-                .collect();
-            let cap = rng.random_range(1..60);
-            let seed: Vec<usize> = (0..n).filter(|_| rng.random_bool(0.3)).collect();
-            let mut a = Solution::from_indices(&it, seed.clone());
-            let mut b = Solution::from_indices(&it, seed);
-            greedy_add(&it, cap, &mut a);
-            crate::reference::greedy_add(&it, cap, &mut b);
-            assert_eq!(a, b, "trial {trial}");
-        }
-    }
-
-    #[test]
     fn solvers_agree_on_random_instances() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -893,7 +753,7 @@ mod tests {
                 .collect();
             let cap = rng.random_range(1..80);
             let opt = brute_force(&it, cap);
-            let dp = dp_by_capacity(&it, cap);
+            let dp = reference::dp_by_capacity(&it, cap);
             let fptas = sin_knap(&it, cap, 0.1);
             let gr = greedy_half(&it, cap);
             assert!((dp.profit - opt.profit).abs() < 1e-9, "trial {trial}");

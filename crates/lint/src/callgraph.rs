@@ -8,7 +8,8 @@
 //! The resolver is lexical — no type information exists. Edges are
 //! built in three tiers:
 //!
-//! 1. **Path calls** (`foo(…)`, `module::foo(…)`, `krate::m::foo(…)`):
+//! 1. **Path calls** (`foo(…)`, `module::foo(…)`, `krate::m::foo(…)`,
+//!    and their turbofish forms such as `foo::<T>(…)`):
 //!    the path's head segment is expanded through the file's `use`
 //!    aliases; a segment matching a workspace crate (with `-`/`_`
 //!    normalized) scopes the lookup to that crate, `crate`/`self`/
@@ -16,7 +17,8 @@
 //!    a same-file function, then a same-crate one. These edges are
 //!    `confident` when exactly one candidate survives.
 //! 2. **Method calls** (`recv.foo(…)`): resolved by name to functions
-//!    that take a `self` receiver — same crate first, then workspace.
+//!    that take a `self` receiver — same crate first, then the crates
+//!    in the caller crate's normal-dependency closure.
 //!    Names colliding with std container/trait vocabulary (`push`,
 //!    `len`, `clone`, `insert`, …) are never resolved: a lexical
 //!    match on those would wire `Vec::push` to any workspace `push`.
@@ -200,6 +202,7 @@ impl CallGraph {
             }
         }
 
+        let deps = dependency_closures(ws, &crate_of);
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); fns.len()];
         for caller in 0..fns.len() {
             let (ki, fi) = fns[caller].loc;
@@ -218,7 +221,8 @@ impl CallGraph {
                 {
                     let name = code[i + 1].text.as_str();
                     if !STD_METHOD_NAMES.contains(&name) {
-                        let cands = method_candidates(&by_crate_name, &by_name, &fns, ki, name);
+                        let cands =
+                            method_candidates(&by_crate_name, &by_name, &fns, &deps, ki, name);
                         let confident = cands.len() == 1;
                         for c in cands {
                             if c != caller {
@@ -235,11 +239,11 @@ impl CallGraph {
                     i += 3;
                     continue;
                 }
-                // Path / free call: `name (` where the previous token
-                // is neither `.` nor `fn` (declarations).
+                // Path / free call: `name (` or `name :: < … > (`
+                // where the previous token is neither `.` nor `fn`
+                // (declarations).
                 if code[i].kind == TokKind::Ident
-                    && i + 1 < end
-                    && code[i + 1].is_punct('(')
+                    && is_called(code, i, end)
                     && !NON_CALL_KEYWORDS.contains(&code[i].text.as_str())
                     && !(i > 0 && (code[i - 1].is_punct('.') || code[i - 1].is_ident("fn")))
                 {
@@ -370,6 +374,63 @@ fn fn_has_self(file: &SourceFile, body: (usize, usize)) -> bool {
         .any(|t| t.is_ident("self"))
 }
 
+/// Is the name token at `i` called: followed by `(`, directly or after
+/// a turbofish (`name::<T, U<V>>(`)?
+fn is_called(code: &[crate::lexer::Tok], i: usize, end: usize) -> bool {
+    let mut j = i + 1;
+    if j + 2 < end
+        && code[j].is_punct(':')
+        && code[j + 1].is_punct(':')
+        && code[j + 2].is_punct('<')
+    {
+        j += 2;
+        let mut depth = 0usize;
+        while j < end {
+            if code[j].is_punct('<') {
+                depth += 1;
+            } else if code[j].is_punct('>') && !code[j - 1].is_punct('-') {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            } else if code[j].is_punct(';') || code[j].is_punct('{') {
+                return false;
+            }
+            j += 1;
+        }
+        j += 1;
+    }
+    j < end && code[j].is_punct('(')
+}
+
+/// Per crate, the workspace crates it can call into: itself plus the
+/// transitive closure of its normal `[dependencies]`.
+fn dependency_closures(ws: &Workspace, crate_of: &BTreeMap<String, usize>) -> Vec<Vec<bool>> {
+    let direct: Vec<Vec<usize>> = ws
+        .crates
+        .iter()
+        .map(|k| {
+            k.manifest
+                .deps
+                .keys()
+                .filter_map(|d| crate_of.get(&norm(d)).copied())
+                .collect()
+        })
+        .collect();
+    (0..ws.crates.len())
+        .map(|ki| {
+            let mut seen = vec![false; ws.crates.len()];
+            let mut stack = vec![ki];
+            while let Some(k) = stack.pop() {
+                if !std::mem::replace(&mut seen[k], true) {
+                    stack.extend(&direct[k]);
+                }
+            }
+            seen
+        })
+        .collect()
+}
+
 /// Collects the `::`-separated path ending at the name token `i`,
 /// walking backwards (`a :: b :: name` → `["a","b","name"]`). `::` is
 /// two `:` punct tokens in this lexer.
@@ -477,11 +538,12 @@ fn collect_use_tree(
 }
 
 /// Tier-2 method candidates: `self`-taking fns named `name`, same
-/// crate first, then workspace-wide.
+/// crate first, then the crates the caller crate depends on.
 fn method_candidates(
     by_crate_name: &BTreeMap<(usize, String), Vec<FnId>>,
     by_name: &BTreeMap<String, Vec<FnId>>,
     fns: &[FnNode],
+    deps: &[Vec<bool>],
     ki: usize,
     name: &str,
 ) -> Vec<FnId> {
@@ -494,7 +556,12 @@ fn method_candidates(
     }
     by_name
         .get(name)
-        .map(|v| v.iter().copied().filter(|&id| fns[id].has_self).collect())
+        .map(|v| {
+            v.iter()
+                .copied()
+                .filter(|&id| fns[id].has_self && deps[ki][fns[id].loc.0])
+                .collect()
+        })
         .unwrap_or_default()
 }
 
@@ -597,7 +664,7 @@ pub fn calls_in_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workspace::{CrateInfo, Manifest};
+    use crate::workspace::{CrateInfo, DepEntry, Manifest};
     use std::path::PathBuf;
 
     fn ws(crates: Vec<(&str, Vec<(&str, &str)>)>) -> Workspace {
@@ -769,6 +836,55 @@ mod tests {
         let f = id(&g, "two.rs", "f");
         assert_eq!(g.edges[f].len(), 2);
         assert!(g.edges[f].iter().all(|e| !e.confident));
+    }
+
+    #[test]
+    fn turbofish_calls_are_path_calls() {
+        let g = CallGraph::build(&ws(vec![(
+            "app",
+            vec![(
+                "lib.rs",
+                "fn steps<const A: bool>() {}\nfn pick<T>() {}\nfn go() { steps::<false>(); pick::<Vec<Box<dyn Fn() -> u8>>>(); Vec::<u8>::new(); }\n",
+            )],
+        )]));
+        let go = id(&g, "lib.rs", "go");
+        let mut names = callees(&g, go);
+        names.sort_unstable();
+        assert_eq!(names, vec!["pick", "steps"]);
+        assert!(g.edges[go]
+            .iter()
+            .all(|e| e.confident && e.kind == EdgeKind::Path));
+    }
+
+    #[test]
+    fn method_fallback_stays_in_the_dependency_closure() {
+        // `b` defines `Graph::chain`; `a` does not depend on `b`, `c`
+        // does (through `mid`). Only `c`'s `.chain()` may reach it.
+        let src = "fn f(x: &[u8], y: &[u8]) { x.iter().chain(y); }\n";
+        let mut w = ws(vec![
+            ("a", vec![("a.rs", src)]),
+            (
+                "b",
+                vec![(
+                    "b.rs",
+                    "pub struct Graph;\nimpl Graph { pub fn chain(&self) {} }\n",
+                )],
+            ),
+            ("c", vec![("c.rs", src)]),
+            ("mid", vec![("mid.rs", "pub fn noop() {}\n")]),
+        ]);
+        for (krate, dep) in [(2, "mid"), (3, "b")] {
+            w.crates[krate]
+                .manifest
+                .deps
+                .insert(dep.to_owned(), DepEntry::default());
+        }
+        let g = CallGraph::build(&w);
+        let a = id(&g, "a.rs", "f");
+        assert!(g.edges[a].is_empty(), "{:?}", g.edges[a]);
+        let c = id(&g, "c.rs", "f");
+        assert_eq!(callees(&g, c), vec!["chain"]);
+        assert_eq!(g.fns[g.edges[c][0].callee].krate, "b");
     }
 
     #[test]

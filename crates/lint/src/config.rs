@@ -48,11 +48,6 @@ pub struct LintConfig {
     /// fixed-size hourly arrays make a lexical index ban too noisy;
     /// fixtures and stricter configs can turn it on.
     pub index_guard: bool,
-    /// L1's call-graph propagation: allocation in functions reachable
-    /// from a `lint:hot-path` marker is flagged, not just the marked
-    /// body. On by default; `transitive-hot-path = "off"` reverts to
-    /// the body-only check.
-    pub transitive_hot_path: bool,
 }
 
 impl Default for LintConfig {
@@ -63,7 +58,6 @@ impl Default for LintConfig {
                 .map(|&r| (r.to_owned(), Level::Deny))
                 .collect(),
             index_guard: false,
-            transitive_hot_path: true,
         }
     }
 }
@@ -132,9 +126,6 @@ impl LintConfig {
                 "options" => match key {
                     "index-guard" => {
                         cfg.index_guard = matches!(value, "on" | "true");
-                    }
-                    "transitive-hot-path" => {
-                        cfg.transitive_hot_path = !matches!(value, "off" | "false");
                     }
                     other => {
                         return Err(format!(

@@ -8,9 +8,7 @@
 //!
 //! Transitive propagation follows confident edges only (see
 //! [`crate::callgraph`]): ambiguous method dispatch degrades to the
-//! pre-PR-9 body-only check, never to false positives. The
-//! `transitive-hot-path` option in `lint.toml` can switch propagation
-//! off wholesale.
+//! body-only check, never to false positives.
 
 use super::{emit, seq_at, WaiverLedger};
 use crate::callgraph::CallGraph;
@@ -48,12 +46,12 @@ const BANNED: &[(&[&str], &str)] = &[
     ),
 ];
 
-/// Runs L1 over every hot-path-marked function and (unless disabled)
-/// everything confidently reachable from one.
+/// Runs L1 over every hot-path-marked function and everything
+/// confidently reachable from one.
 pub fn check(
     ws: &Workspace,
     graph: &CallGraph,
-    cfg: &LintConfig,
+    _cfg: &LintConfig,
     report: &mut Report,
     ledger: &mut WaiverLedger,
 ) {
@@ -78,15 +76,7 @@ pub fn check(
         return;
     }
 
-    let (reach, parent) = if cfg.transitive_hot_path {
-        graph.reachable(&seeds)
-    } else {
-        let mut only_seeds = vec![false; graph.fns.len()];
-        for &s in &seeds {
-            only_seeds[s] = true;
-        }
-        (only_seeds, vec![None; graph.fns.len()])
-    };
+    let (reach, parent) = graph.reachable(&seeds);
 
     for (fid, node) in graph.fns.iter().enumerate() {
         if !reach[fid] || node.is_test {

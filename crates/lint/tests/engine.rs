@@ -57,12 +57,6 @@ fn hot_path_transitive_fixture_names_the_call_chain() {
     assert!(report.findings[0]
         .message
         .contains("hot_entry → stage_one → stage_two"));
-    // Switching propagation off reverts to the body-only check: the
-    // marked body is clean, so the fixture passes.
-    let mut cfg = only("hot-path-alloc");
-    cfg.transitive_hot_path = false;
-    let report = run_lint(&fixture("hot_path_transitive"), &cfg).unwrap();
-    assert!(report.clean(), "{:?}", report.findings);
 }
 
 #[test]

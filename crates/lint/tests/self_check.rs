@@ -56,9 +56,13 @@ fn real_workspace_is_lint_clean_at_head() {
     // planner's instance build (`DecisionMaker::plan_day_with`) hot
     // added four, all for the routing it returns: the route table and
     // explanation list of `DayRouting::unrouted` (three findings) and
-    // `slots_for_day`'s slot list.
+    // `slots_for_day`'s slot list. Deleting the solver twins no caller
+    // used removed three result-list waivers (the scratch forms of the
+    // capacity DP and of `greedy_half`); `greedy_half`, which absorbed
+    // its scratch form and is the strict-invariants floor the solvers
+    // call, carries two of them back for its result list.
     assert!(
-        report.waived.len() <= 45,
+        report.waived.len() <= 44,
         "waiver count {} crossed the review threshold — prune or justify",
         report.waived.len()
     );

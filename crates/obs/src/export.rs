@@ -1,6 +1,6 @@
 //! Snapshot renderers: Prometheus text exposition and a human table.
 
-use crate::registry::{HistSnap, Snapshot};
+use crate::registry::Snapshot;
 use std::fmt::Write as _;
 
 /// Prefix applied to every exported metric name.
@@ -183,20 +183,6 @@ fn fmt_secs(s: f64) -> String {
         format!("{:.1}s", s)
     } else {
         format!("{:.1}h", s / 3600.0)
-    }
-}
-
-/// The summary of a [`HistSnap`] as one line (for perf reports).
-impl HistSnap {
-    /// `count / mean / p50 / p99`, human-scaled.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "count {} mean {} p50 {} p99 {}",
-            self.count,
-            fmt_secs(self.mean_secs()),
-            fmt_secs(self.quantile_secs(0.5)),
-            fmt_secs(self.quantile_secs(0.99)),
-        )
     }
 }
 

@@ -292,22 +292,8 @@ where
 /// is bounded by core count, not fleet size — 10k+ members run in the
 /// footprint of a dozen. The report is identical to [`run_fleet`] over
 /// the same `(seed, Trace)` pairs.
-pub fn run_fleet_streaming<G, F>(
-    n_members: usize,
-    test_from: usize,
-    cfg: &SimConfig,
-    make_trace: G,
-    make_policy: F,
-) -> FleetReport
-where
-    G: Fn(usize) -> (u64, Trace) + Sync,
-    F: Fn(&Trace) -> Box<dyn Policy + Send> + Sync,
-{
-    run_fleet_streaming_with(n_members, test_from, cfg, make_trace, make_policy, None)
-}
-
-/// [`run_fleet_streaming`] with an optional telemetry hub: each
-/// finished member ticks
+///
+/// With a telemetry hub, each finished member ticks
 /// [`TelemetryHub::member_done`](netmaster_obs::TelemetryHub::member_done),
 /// so a scrape server (`netmaster fleet --serve`) can report live
 /// progress and members-per-second while the run executes. The report
@@ -460,7 +446,8 @@ mod tests {
         let fleet: Vec<(u64, Trace)> = (0..6).map(gen_trace).collect();
         let cfg = SimConfig::default();
         let eager = run_fleet(&fleet, 3, &cfg, |_| Box::new(TailKiller));
-        let streaming = run_fleet_streaming(6, 3, &cfg, gen_trace, |_| Box::new(TailKiller));
+        let streaming =
+            run_fleet_streaming_with(6, 3, &cfg, gen_trace, |_| Box::new(TailKiller), None);
         assert_eq!(eager, streaming);
     }
 
@@ -480,7 +467,7 @@ mod tests {
         let observed =
             run_fleet_streaming_with(5, 3, &cfg, gen_trace, |_| Box::new(TailKiller), Some(&hub));
         hub.end_run();
-        let plain = run_fleet_streaming(5, 3, &cfg, gen_trace, |_| Box::new(TailKiller));
+        let plain = run_fleet_streaming_with(5, 3, &cfg, gen_trace, |_| Box::new(TailKiller), None);
         assert_eq!(observed, plain, "the hub must not change results");
         let p = hub.progress();
         assert_eq!(p.members_done, 5);
@@ -491,12 +478,13 @@ mod tests {
     #[test]
     fn streaming_fleet_handles_zero_members() {
         let cfg = SimConfig::default();
-        let report = run_fleet_streaming(
+        let report = run_fleet_streaming_with(
             0,
             0,
             &cfg,
             |_| unreachable!("no members to generate"),
             |_| Box::new(DefaultPolicy),
+            None,
         );
         assert_eq!(report.members.len(), 0);
     }

@@ -32,10 +32,10 @@ pub mod plan;
 pub mod runner;
 
 pub use fleet::{
-    run_fleet, run_fleet_streaming, run_fleet_streaming_with, FleetHealth, FleetLedger,
-    FleetMember, FleetReport, UserLedgerRollup,
+    run_fleet, run_fleet_streaming_with, FleetHealth, FleetLedger, FleetMember, FleetReport,
+    UserLedgerRollup,
 };
 pub use metrics::RunMetrics;
-pub use par::{par_map, par_map_indexed, par_sweep};
+pub use par::{par_map, par_map_indexed};
 pub use plan::{DayPlan, DefaultPolicy, Execution, Policy};
-pub use runner::{compare, simulate, simulate_observed, SimConfig};
+pub use runner::{compare, simulate, SimConfig};

@@ -139,17 +139,6 @@ where
     par_map_indexed(items.len(), |i| f(&items[i]))
 }
 
-/// Parallel sweep helper: pairs each parameter with its result.
-pub fn par_sweep<T, R, F>(params: Vec<T>, f: F) -> Vec<(T, R)>
-where
-    T: Sync + Send,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let results = par_map(&params, f);
-    params.into_iter().zip(results).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,12 +183,6 @@ mod tests {
             .collect();
         let out = par_map(&items, |&n| (0..n).fold(0u64, |a, b| a.wrapping_add(b)));
         assert_eq!(out.len(), 64);
-    }
-
-    #[test]
-    fn sweep_pairs_params_with_results() {
-        let out = par_sweep(vec![1, 2, 3], |&x| x * 10);
-        assert_eq!(out, vec![(1, 10), (2, 20), (3, 30)]);
     }
 
     #[test]

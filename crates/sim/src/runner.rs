@@ -35,18 +35,6 @@ impl Default for SimConfig {
 /// full multi-day transfer timeline is priced in one pass so tails that
 /// cross midnight are handled exactly once.
 pub fn simulate(days: &[DayTrace], policy: &mut dyn Policy, cfg: &SimConfig) -> RunMetrics {
-    simulate_observed(days, policy, cfg, None)
-}
-
-/// [`simulate`] with an optional telemetry hub: each executed day ticks
-/// [`TelemetryHub::day_done`](netmaster_obs::TelemetryHub::day_done),
-/// so a scrape server can watch a long single-user run progress.
-pub fn simulate_observed(
-    days: &[DayTrace],
-    policy: &mut dyn Policy,
-    cfg: &SimConfig,
-    hub: Option<&netmaster_obs::TelemetryHub>,
-) -> RunMetrics {
     let mut spans: Vec<Interval> = Vec::new();
     let mut m = RunMetrics {
         policy: policy.name(),
@@ -69,9 +57,6 @@ pub fn simulate_observed(
         m.interactions += day.interactions.len() as u64;
         m.screen_on_secs += day.screen_on_seconds();
         m.power_on_secs += netmaster_trace::time::SECS_PER_DAY;
-        if let Some(hub) = hub {
-            hub.day_done();
-        }
     }
 
     let radio = RrcModel {

@@ -7,9 +7,7 @@
 
 use netmaster::core::dutycycle::{run_window, SleepScheme};
 use netmaster::knapsack::overlapped::{self, OvItem, OvProblem};
-use netmaster::knapsack::{
-    branch_and_bound, brute_force, dp_by_capacity, greedy_half, sin_knap, Item,
-};
+use netmaster::knapsack::{branch_and_bound, brute_force, greedy_half, reference, sin_knap, Item};
 use netmaster::prelude::*;
 use netmaster::radio::attribution::{apportion, AppEnergy};
 use netmaster::radio::Interval;
@@ -50,7 +48,7 @@ fn dp_matches_brute_force() {
         let items = random_items(&mut rng, 10);
         let cap = rng.random_range(1u64..120);
         let opt = brute_force(&items, cap);
-        let dp = dp_by_capacity(&items, cap);
+        let dp = reference::dp_by_capacity(&items, cap);
         assert!((opt.profit - dp.profit).abs() < 1e-9, "case {case}");
         assert!(dp.feasible(cap), "case {case}");
     }
