@@ -11,7 +11,7 @@
 //! prefetch into the previous one, or hand to the duty-cycle layer.
 
 use crate::config::NetMasterConfig;
-use netmaster_knapsack::overlapped::{self, Candidate, Candidates, ItemWhy, OvItem};
+use netmaster_knapsack::overlapped::{self, Candidate, Candidates, ItemWhy, OvItem, OvProblem};
 use netmaster_knapsack::OvScratch;
 use netmaster_mining::{ActiveSlotPrediction, NetworkPrediction};
 use netmaster_radio::{LinkModel, RrcModel};
@@ -80,16 +80,19 @@ pub struct DayRouting {
     pub day: DayIndex,
     /// Predicted user active slots, ascending.
     pub slots: Vec<Interval>,
-    /// Cyclic dispositions per hour-of-day: the k-th demand arriving in
-    /// hour `h` takes `route[h][k mod len]`; an empty list means duty
-    /// cycle.
-    pub route: Vec<Vec<Disposition>>,
-    /// Causal explanations for the planner-routed (non-`Immediate`)
-    /// entries of `route`, hour-tagged, in plan push order (ascending
-    /// by hour) — one flat allocation instead of a per-hour table,
-    /// because this rides the per-day hot path. Populated only while observability is
-    /// runtime-enabled; empty otherwise.
-    pub why: Vec<(u8, PlanWhy)>,
+    /// Every hour's cyclic disposition list, back to back in hour
+    /// order: hour `h`'s list is `route[hour_start[h]..hour_start[h +
+    /// 1]]`, the k-th demand arriving in hour `h` takes its entry
+    /// `k mod len`, and an empty list means duty cycle. One flat
+    /// allocation, because this rides the per-day hot path.
+    route: Vec<Disposition>,
+    /// Where each hour's list starts in `route`; the last entry is
+    /// `route.len()`.
+    hour_start: [u32; HOURS_PER_DAY + 1],
+    /// Causal explanations aligned with `route`: `why[i]` explains
+    /// `route[i]`, `None` for an `Immediate` placeholder. Populated
+    /// only while observability is runtime-enabled; empty otherwise.
+    why: Vec<Option<PlanWhy>>,
     /// Total planner profit (ΔE − ΔP over scheduled predicted items).
     pub planned_profit: f64,
 }
@@ -97,31 +100,31 @@ pub struct DayRouting {
 impl DayRouting {
     /// A plan that schedules nothing (untrained fallback).
     pub fn duty_only(day: DayIndex) -> Self {
-        DayRouting::unrouted(day, Vec::new())
-    }
-
-    /// A plan over `slots` that routes nothing yet: every hour goes to
-    /// duty cycle until the planner fills `route`.
-    fn unrouted(day: DayIndex, slots: Vec<Interval>) -> Self {
         DayRouting {
             day,
-            slots,
-            // lint:allow(hot-path-alloc) the routing table is the caller-owned result value
-            route: vec![Vec::new(); HOURS_PER_DAY],
-            // lint:allow(hot-path-alloc) the explanations are the caller-owned result value
+            // lint:allow(hot-path-alloc) the empty routing is the caller-owned result value; none of its lists is pushed to
+            slots: Vec::new(),
+            // lint:allow(hot-path-alloc) the empty routing is the caller-owned result value; none of its lists is pushed to
+            route: Vec::new(),
+            hour_start: [0; HOURS_PER_DAY + 1],
+            // lint:allow(hot-path-alloc) the empty routing is the caller-owned result value; none of its lists is pushed to
             why: Vec::new(),
             planned_profit: 0.0,
         }
     }
 
+    /// Index into `route` of the entry the `k`-th screen-off arrival in
+    /// hour `h` takes, or `None` when the hour's list is empty.
+    fn entry(&self, hour: usize, k: usize) -> Option<usize> {
+        let start = *self.hour_start.get(hour)? as usize;
+        let len = *self.hour_start.get(hour + 1)? as usize - start;
+        (len > 0).then(|| start + k % len)
+    }
+
     /// Disposition for the `k`-th screen-off arrival in hour `h`.
     pub fn disposition(&self, hour: usize, k: usize) -> Disposition {
-        let list = &self.route[hour];
-        if list.is_empty() {
-            Disposition::DutyCycle
-        } else {
-            list[k % list.len()]
-        }
+        self.entry(hour, k)
+            .map_or(Disposition::DutyCycle, |i| self.route[i])
     }
 
     /// Causal explanation for the `k`-th screen-off arrival in hour
@@ -129,29 +132,7 @@ impl DayRouting {
     /// when why-tracking was off at plan time, the hour routes to duty
     /// cycle by default, or the entry is an `Immediate` placeholder.
     pub fn why_for(&self, hour: usize, k: usize) -> Option<PlanWhy> {
-        if self.why.is_empty() {
-            return None;
-        }
-        let list = self.route.get(hour)?;
-        if list.is_empty() {
-            return None;
-        }
-        let k = k % list.len();
-        if matches!(list[k], Disposition::Immediate) {
-            return None;
-        }
-        // Ordinal of this entry among the hour's planner-routed ones —
-        // `why` holds them in the same order `route[hour]` does, hour
-        // by hour, so the hour's entries start at its partition point.
-        let ord = list[..k]
-            .iter()
-            .filter(|d| !matches!(d, Disposition::Immediate))
-            .count();
-        let first = self.why.partition_point(|&(h, _)| (h as usize) < hour);
-        self.why
-            .get(first + ord)
-            .filter(|&&(h, _)| h as usize == hour)
-            .map(|&(_, w)| w)
+        *self.why.get(self.entry(hour, k)?)?
     }
 
     /// `true` when `t` falls inside a predicted active slot.
@@ -162,14 +143,12 @@ impl DayRouting {
     /// Count of dispositions of each kind (diagnostics).
     pub fn disposition_counts(&self) -> (usize, usize, usize, usize) {
         let (mut imm, mut defer, mut pre, mut duty) = (0, 0, 0, 0);
-        for list in &self.route {
-            for d in list {
-                match d {
-                    Disposition::Immediate => imm += 1,
-                    Disposition::DeferTo { .. } => defer += 1,
-                    Disposition::PrefetchIn { .. } => pre += 1,
-                    Disposition::DutyCycle => duty += 1,
-                }
+        for d in &self.route {
+            match d {
+                Disposition::Immediate => imm += 1,
+                Disposition::DeferTo { .. } => defer += 1,
+                Disposition::PrefetchIn { .. } => pre += 1,
+                Disposition::DutyCycle => duty += 1,
             }
         }
         (imm, defer, pre, duty)
@@ -290,26 +269,112 @@ impl DecisionMaker {
         scratch: &mut OvScratch,
     ) -> DayRouting {
         let _solve_span = netmaster_obs::span!("solve");
-        let mut routing = DayRouting::unrouted(day, active.slots_for_day(day));
-        if routing.slots.is_empty() {
-            return routing;
+        // A day without predicted slots builds an empty instance and an
+        // empty table, neither of which allocates.
+        let slots = active.slots_for_day(day);
+        let mut problem = scratch.take_problem();
+        let (active_hour, hour_first) =
+            self.build_instance(day, active, network, &slots, &mut problem);
+        netmaster_obs::counter!(
+            netmaster_obs::names::PLANNER_SLOTS_TOTAL,
+            slots.len() as u64
+        );
+        netmaster_obs::counter!(
+            netmaster_obs::names::PLANNER_ITEMS_TOTAL,
+            problem.items.len() as u64
+        );
+        let solution = overlapped::solve_with(&problem, self.config.epsilon, scratch);
+
+        // Tag the enclosing "solve" span with the solver-arm mix so a
+        // slow-trace exemplar explains *which* algorithm ran. Guarded by
+        // the capture toggle so the A/B's untraced arm allocates nothing.
+        if netmaster_obs::trace_capture_enabled() {
+            let (mut fastpath, mut bnb, mut dp) = (0usize, 0usize, 0usize);
+            for kind in solution.solver.iter().flatten() {
+                match kind {
+                    netmaster_knapsack::SolverKind::Fastpath => fastpath += 1,
+                    netmaster_knapsack::SolverKind::Bnb => bnb += 1,
+                    netmaster_knapsack::SolverKind::Dp => dp += 1,
+                }
+            }
+            let arm = match (fastpath, bnb, dp) {
+                (0, 0, 0) => None,
+                (_, 0, 0) => Some("fastpath"),
+                (0, _, 0) => Some("bnb"),
+                (0, 0, _) => Some("dp"),
+                _ => Some("mixed"),
+            };
+            if let Some(arm) = arm {
+                netmaster_obs::span_attr!("arm", arm);
+            }
         }
-        let DayRouting {
-            slots, route, why, ..
-        } = &mut routing;
+
+        // Flatten into the routing table, hour by hour: an active hour's
+        // `Immediate` placeholder, then its items' dispositions. While
+        // observability is live, the explanations are built in lockstep
+        // so every planner-routed disposition carries its causal record.
+        let len = active_hour.iter().filter(|&&on| on).count() + problem.items.len();
+        let record_why = self.record_why && netmaster_obs::runtime_enabled();
+        // lint:allow(hot-path-alloc) the routing table is the caller-owned result value
+        let mut route = Vec::with_capacity(len);
+        // lint:allow(hot-path-alloc) the explanations are the caller-owned result value
+        let mut why = Vec::with_capacity(if record_why { len } else { 0 });
+        let mut hour_start = [0; HOURS_PER_DAY + 1];
+        for hour in 0..HOURS_PER_DAY {
+            hour_start[hour] = route.len() as u32;
+            if active_hour[hour] {
+                route.push(Disposition::Immediate);
+                if record_why {
+                    why.push(None);
+                }
+            }
+            let hour_begins = Interval::hour(day, hour).start;
+            for j in hour_first[hour]..hour_first[hour + 1] {
+                route.push(match solution.assignment[j] {
+                    Some(slot) if slots[slot].end <= hour_begins => {
+                        Disposition::PrefetchIn { slot }
+                    }
+                    Some(slot) => Disposition::DeferTo { slot },
+                    None => Disposition::DutyCycle,
+                });
+                if record_why {
+                    why.push(Some(plan_why(solution.why(&problem, j))));
+                }
+            }
+        }
+        hour_start[HOURS_PER_DAY] = route.len() as u32;
+        scratch.put_problem(problem);
+        DayRouting {
+            day,
+            slots,
+            route,
+            hour_start,
+            why,
+            planned_profit: solution.profit,
+        }
+    }
+
+    /// Builds the day's overlapped knapsack instance into `problem`:
+    /// one item per predicted screen-off activity `n(p_m, t_i)` — the
+    /// per-app dimension of Eq. 3 sizes each item with that app's own
+    /// payload — duplicated across the two adjacent slots, and one
+    /// capacity per slot. When history has no per-app breakdown, hour
+    /// aggregates stand in. Items go in hour by hour. Returns which
+    /// hours lie in an active slot, and where each hour's items start
+    /// (hour `h`'s are `items[first[h]..first[h + 1]]`).
+    fn build_instance(
+        &self,
+        day: DayIndex,
+        active: &ActiveSlotPrediction,
+        network: &NetworkPrediction,
+        slots: &[Interval],
+        problem: &mut OvProblem,
+    ) -> ([bool; HOURS_PER_DAY], [usize; HOURS_PER_DAY + 1]) {
         let mut active_hour = [false; HOURS_PER_DAY];
         for (hour, on) in active_hour.iter_mut().enumerate() {
             let start = Interval::hour(day, hour).start;
             *on = slots.iter().any(|s| s.contains(start));
         }
-
-        // Build the overlapped knapsack instance: one item per predicted
-        // screen-off activity `n(p_m, t_i)` — the per-app dimension of
-        // Eq. 3 sizes each item with that app's own payload — duplicated
-        // across the two adjacent slots. When history has no per-app
-        // breakdown, fall back to hour aggregates. Items go in hour by
-        // hour: hour `h`'s are `items[hour_first[h]..hour_first[h + 1]]`.
-        let mut problem = scratch.take_problem();
         let mut hour_first = [0usize; HOURS_PER_DAY + 1];
         for hour in 0..HOURS_PER_DAY {
             hour_first[hour] = problem.items.len();
@@ -352,76 +417,10 @@ impl DecisionMaker {
             }
         }
         hour_first[HOURS_PER_DAY] = problem.items.len();
-
         problem
             .capacities
             .extend(slots.iter().map(|s| self.link.slot_capacity_bytes(s.len())));
-        netmaster_obs::counter!(
-            netmaster_obs::names::PLANNER_SLOTS_TOTAL,
-            slots.len() as u64
-        );
-        netmaster_obs::counter!(
-            netmaster_obs::names::PLANNER_ITEMS_TOTAL,
-            problem.items.len() as u64
-        );
-        let solution = overlapped::solve_with(&problem, self.config.epsilon, scratch);
-
-        // Tag the enclosing "solve" span with the solver-arm mix so a
-        // slow-trace exemplar explains *which* algorithm ran. Guarded by
-        // the capture toggle so the A/B's untraced arm allocates nothing.
-        if netmaster_obs::trace_capture_enabled() {
-            let (mut fastpath, mut bnb, mut dp) = (0usize, 0usize, 0usize);
-            for kind in solution.solver.iter().flatten() {
-                match kind {
-                    netmaster_knapsack::SolverKind::Fastpath => fastpath += 1,
-                    netmaster_knapsack::SolverKind::Bnb => bnb += 1,
-                    netmaster_knapsack::SolverKind::Dp => dp += 1,
-                }
-            }
-            let arm = match (fastpath, bnb, dp) {
-                (0, 0, 0) => None,
-                (_, 0, 0) => Some("fastpath"),
-                (0, _, 0) => Some("bnb"),
-                (0, 0, _) => Some("dp"),
-                _ => Some("mixed"),
-            };
-            if let Some(arm) = arm {
-                netmaster_obs::span_attr!("arm", arm);
-            }
-        }
-
-        // Flatten into the per-hour routing table. While observability
-        // is live, build the flat `why` list in lockstep so every
-        // planner-routed disposition carries its causal explanation.
-        let record_why = self.record_why && netmaster_obs::runtime_enabled();
-        if record_why {
-            why.reserve_exact(solution.assignment.len());
-        }
-        for (hour, dispositions) in route.iter_mut().enumerate() {
-            if active_hour[hour] {
-                dispositions.push(Disposition::Immediate);
-            }
-            let hour_start = Interval::hour(day, hour).start;
-            for j in hour_first[hour]..hour_first[hour + 1] {
-                let d = match solution.assignment[j] {
-                    Some(slot) => {
-                        if slots[slot].end <= hour_start {
-                            Disposition::PrefetchIn { slot }
-                        } else {
-                            Disposition::DeferTo { slot }
-                        }
-                    }
-                    None => Disposition::DutyCycle,
-                };
-                dispositions.push(d);
-                if record_why {
-                    why.push((hour as u8, plan_why(solution.why(&problem, j))));
-                }
-            }
-        }
-        scratch.put_problem(problem);
-        routing.planned_profit = solution.profit;
-        routing
+        (active_hour, hour_first)
     }
 }
 
@@ -595,14 +594,13 @@ mod tests {
 
     #[test]
     fn routing_cycles_dispositions() {
+        let mut hour_start = [2; HOURS_PER_DAY + 1];
+        hour_start[..4].fill(0);
         let r = DayRouting {
             day: 0,
             slots: vec![Interval::new(0, 10)],
-            route: {
-                let mut v = vec![Vec::new(); 24];
-                v[3] = vec![Disposition::DeferTo { slot: 0 }, Disposition::DutyCycle];
-                v
-            },
+            route: vec![Disposition::DeferTo { slot: 0 }, Disposition::DutyCycle],
+            hour_start,
             why: Vec::new(),
             planned_profit: 0.0,
         };
@@ -610,7 +608,9 @@ mod tests {
         assert_eq!(r.disposition(3, 1), Disposition::DutyCycle);
         assert_eq!(r.disposition(3, 2), Disposition::DeferTo { slot: 0 });
         assert_eq!(r.disposition(4, 0), Disposition::DutyCycle);
+        assert_eq!(r.disposition(HOURS_PER_DAY, 0), Disposition::DutyCycle);
         assert_eq!(r.why_for(3, 0), None);
+        assert_eq!(r.disposition_counts(), (0, 1, 0, 1));
     }
 
     #[test]
@@ -623,16 +623,11 @@ mod tests {
             assert!(routing.why.is_empty());
             return;
         }
-        // `why` carries one entry per planner-routed route entry.
-        let routed: usize = routing
-            .route
-            .iter()
-            .flatten()
-            .filter(|d| !matches!(d, Disposition::Immediate))
-            .count();
-        assert_eq!(routing.why.len(), routed);
-        for (h, _) in &routing.why {
-            assert!((*h as usize) < routing.route.len());
+        // `why` is aligned with `route`: an explanation for every
+        // planner-routed entry, none for the `Immediate` placeholders.
+        assert_eq!(routing.why.len(), routing.route.len());
+        for (d, w) in routing.route.iter().zip(&routing.why) {
+            assert_eq!(w.is_none(), matches!(d, Disposition::Immediate), "{d:?}");
         }
         // Active hour 8: an Immediate placeholder without explanation.
         assert_eq!(routing.disposition(8, 0), Disposition::Immediate);
@@ -652,54 +647,185 @@ mod tests {
         assert_eq!(back, routing);
     }
 
-    #[test]
-    fn why_lookup_matches_a_scan_of_the_hour() {
-        // The lookup `why_for` replaced: filter the hour's entries and
-        // take the ordinal-th.
-        let scan = |r: &DayRouting, hour: usize, k: usize| -> Option<PlanWhy> {
-            let list = r.route.get(hour).filter(|l| !l.is_empty())?;
-            let k = k % list.len();
-            if r.why.is_empty() || matches!(list[k], Disposition::Immediate) {
-                return None;
+    /// The routing as per-hour lists plus hour-tagged explanations,
+    /// rebuilt from the plan's own instance and solution the way the
+    /// planner flattened them before the table went flat.
+    type PerHour = (Vec<Vec<Disposition>>, Vec<(u8, PlanWhy)>, f64);
+
+    fn per_hour_lists(
+        m: &DecisionMaker,
+        day: DayIndex,
+        active: &ActiveSlotPrediction,
+        network: &NetworkPrediction,
+    ) -> PerHour {
+        let slots = active.slots_for_day(day);
+        let (mut route, mut why) = (vec![Vec::new(); HOURS_PER_DAY], Vec::new());
+        if slots.is_empty() {
+            return (route, why, 0.0);
+        }
+        let mut problem = OvProblem::default();
+        let (active_hour, hour_first) =
+            m.build_instance(day, active, network, &slots, &mut problem);
+        let solution = overlapped::solve(&problem, m.config.epsilon);
+        let record_why = m.record_why && netmaster_obs::runtime_enabled();
+        for (hour, dispositions) in route.iter_mut().enumerate() {
+            if active_hour[hour] {
+                dispositions.push(Disposition::Immediate);
             }
-            let ord = list[..k]
-                .iter()
-                .filter(|d| !matches!(d, Disposition::Immediate))
-                .count();
-            r.why
-                .iter()
-                .filter(|(h, _)| *h as usize == hour)
-                .nth(ord)
-                .map(|&(_, w)| w)
-        };
-        let pred = two_slot_prediction();
-        let net = network_with_hours(&[
-            (0, 2.0, 4_000.0),
-            (3, 3.0, 9_000.0),
-            (8, 2.0, 2_000.0),
-            (12, 4.0, 40_000.0),
-            (18, 1.0, 1_000.0),
-            (22, 5.0, 80_000.0),
-        ]);
-        let mut slow = maker();
-        slow.link.avg_down_bps = 2.0;
-        slow.link.avg_up_bps = 1.0;
-        for m in [maker(), slow] {
-            let routing = m.plan_day(0, &pred, &net);
-            if netmaster_obs::runtime_enabled() {
-                assert!(routing.slots.len() >= 2, "{routing:?}");
-                assert!(routing.why.len() > 10, "{routing:?}");
-            }
-            for hour in 0..HOURS_PER_DAY + 1 {
-                for k in 0..16 {
-                    assert_eq!(
-                        routing.why_for(hour, k),
-                        scan(&routing, hour, k),
-                        "hour {hour}, k {k}"
-                    );
+            let hour_start = Interval::hour(day, hour).start;
+            for j in hour_first[hour]..hour_first[hour + 1] {
+                let d = match solution.assignment[j] {
+                    Some(slot) => {
+                        if slots[slot].end <= hour_start {
+                            Disposition::PrefetchIn { slot }
+                        } else {
+                            Disposition::DeferTo { slot }
+                        }
+                    }
+                    None => Disposition::DutyCycle,
+                };
+                dispositions.push(d);
+                if record_why {
+                    why.push((hour as u8, plan_why(solution.why(&problem, j))));
                 }
             }
         }
+        (route, why, solution.profit)
+    }
+
+    /// The per-hour lookups the flat table replaced.
+    fn per_hour_disposition((route, ..): &PerHour, hour: usize, k: usize) -> Disposition {
+        let list = &route[hour];
+        if list.is_empty() {
+            Disposition::DutyCycle
+        } else {
+            list[k % list.len()]
+        }
+    }
+
+    fn per_hour_why((route, why, _): &PerHour, hour: usize, k: usize) -> Option<PlanWhy> {
+        let list = route.get(hour).filter(|l| !l.is_empty())?;
+        let k = k % list.len();
+        if why.is_empty() || matches!(list[k], Disposition::Immediate) {
+            return None;
+        }
+        let ord = list[..k]
+            .iter()
+            .filter(|d| !matches!(d, Disposition::Immediate))
+            .count();
+        why.iter()
+            .filter(|(h, _)| *h as usize == hour)
+            .nth(ord)
+            .map(|&(_, w)| w)
+    }
+
+    /// Plans `day` and checks every lookup of the flat table against
+    /// the per-hour lists rebuilt from the same solution. Returns the
+    /// number of planner-routed entries seen.
+    fn assert_flat_matches_per_hour(
+        m: &DecisionMaker,
+        day: DayIndex,
+        active: &ActiveSlotPrediction,
+        network: &NetworkPrediction,
+        case: &str,
+    ) -> usize {
+        let routing = m.plan_day(day, active, network);
+        let lists = per_hour_lists(m, day, active, network);
+        assert_eq!(
+            routing.planned_profit.to_bits(),
+            lists.2.to_bits(),
+            "{case}"
+        );
+        for hour in 0..=HOURS_PER_DAY {
+            let len = lists.0.get(hour).map_or(0, Vec::len);
+            for k in 0..2 * len + 3 {
+                if hour < HOURS_PER_DAY {
+                    let d = per_hour_disposition(&lists, hour, k);
+                    assert_eq!(
+                        routing.disposition(hour, k),
+                        d,
+                        "{case}: hour {hour}, k {k}"
+                    );
+                }
+                assert_eq!(
+                    routing.why_for(hour, k),
+                    per_hour_why(&lists, hour, k),
+                    "{case}: hour {hour}, k {k}"
+                );
+            }
+        }
+        let (imm, ..) = routing.disposition_counts();
+        routing.route.len() - imm
+    }
+
+    #[test]
+    fn flat_table_matches_the_per_hour_lists() {
+        use netmaster_mining::IncrementalMiner;
+        use netmaster_trace::gen::TraceGenerator;
+        use netmaster_trace::profile::UserProfile;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let cfg = NetMasterConfig::default();
+        let mut quiet = maker();
+        quiet.record_why = false;
+        let mut routed = 0;
+        // Panel days, planned from a miner trained on two weeks.
+        for (u, profile) in UserProfile::panel().into_iter().enumerate() {
+            let trace = TraceGenerator::new(profile)
+                .with_seed(7 + u as u64)
+                .generate(18);
+            let mut miner = IncrementalMiner::new();
+            for d in &trace.days[..14] {
+                miner.push_day(d);
+            }
+            let active = miner.predict_confident(cfg.prediction, cfg.prediction_bound, 1.96);
+            let network = miner.network_prediction();
+            for day in 14..18 {
+                let case = format!("user {u}, day {day}");
+                routed += assert_flat_matches_per_hour(&maker(), day, &active, &network, &case);
+                assert_flat_matches_per_hour(&quiet, day, &active, &network, &case);
+            }
+        }
+        // Random plans: random habits and demand, on links slow enough
+        // that some slots bind and spill items to duty cycle.
+        let mut rng = StdRng::seed_from_u64(26);
+        for case in 0..60 {
+            let mut counts = Vec::new();
+            let mut kinds = Vec::new();
+            for d in 0..7 {
+                let mut row = [0u64; 24];
+                for c in row.iter_mut() {
+                    if rng.random_bool(0.2) {
+                        *c = rng.random_range(1..4);
+                    }
+                }
+                counts.push(row);
+                kinds.push(netmaster_trace::time::DayKind::of_day(d));
+            }
+            let active = predict_active_slots(
+                &HourlyHistory { counts, kinds },
+                PredictionConfig::default(),
+            );
+            let mut hours = Vec::new();
+            for h in 0..24 {
+                if rng.random_bool(0.5) {
+                    let count = rng.random_range(0.5..6.0);
+                    hours.push((h, count, rng.random_range(500.0..90_000.0)));
+                }
+            }
+            let network = network_with_hours(&hours);
+            let mut m = maker();
+            if case % 2 == 1 {
+                let bps = rng.random_range(0.5..20.0);
+                m.link.avg_down_bps = bps;
+                m.link.avg_up_bps = bps / 2.0;
+            }
+            let day = rng.random_range(0..14);
+            routed +=
+                assert_flat_matches_per_hour(&m, day, &active, &network, &format!("case {case}"));
+        }
+        assert!(routed > 200, "only {routed} planner-routed entries");
     }
 
     #[test]
@@ -719,11 +845,12 @@ mod tests {
         if !netmaster_obs::runtime_enabled() {
             return;
         }
-        let spilled: Vec<PlanWhy> = routing
-            .why
+        let hour = routing.hour_start[3] as usize..routing.hour_start[4] as usize;
+        let spilled: Vec<PlanWhy> = routing.why[hour]
             .iter()
-            .filter(|(h, w)| *h == 3 && w.reject.is_some())
-            .map(|&(_, w)| w)
+            .flatten()
+            .filter(|w| w.reject.is_some())
+            .copied()
             .collect();
         assert!(!spilled.is_empty(), "{routing:?}");
         for w in &spilled {

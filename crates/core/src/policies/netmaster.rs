@@ -8,7 +8,7 @@ use crate::decision::{DayRouting, DecisionMaker, Disposition, PlanWhy, RouteReje
 use crate::dutycycle::{run_window_into, DutyOutcome, SleepScheme};
 use crate::monitoring::Monitor;
 use netmaster_knapsack::PooledOvScratch;
-use netmaster_mining::IncrementalMiner;
+use netmaster_mining::{drift_points, IncrementalMiner};
 use netmaster_obs::{self as obs, DecisionEvent, Journal, JournalEntry, TraceLedger};
 use netmaster_radio::{LinkModel, RrcModel, TailPolicy};
 use netmaster_sim::{DayPlan, Execution, Policy};
@@ -64,9 +64,14 @@ pub struct NetMasterStats {
 /// [`netmaster_knapsack::OvScratch`] — checked out of a per-thread
 /// pool, so fleet workers recycle solver tables across short-lived
 /// member policies — so the solver's tables and the knapsack instance's
-/// buffers are not reallocated per day. Planning still allocates every
-/// day, in the predictions, the solution and the routing table above
-/// all (about 57 allocations per trained day of the middleware service).
+/// buffers are not reallocated per day. Planning allocates its results
+/// every day: the network prediction's per-app list, the slot list, the
+/// solution's three vectors, the routing table and the `DayPlan`'s
+/// executions, plus the copy of the day kept for drift resets.
+/// `tests/alloc_budget.rs` reads 16.9 allocations per metrics-only
+/// `plan_day` and 22.6 per recorder-on `MiddlewareService::run_day`
+/// over the panel's third week (58.2 and 64.0 before the routing table
+/// went flat).
 ///
 /// What a policy retains as days pass:
 /// - the last two [`DayTrace`]s, verbatim, for habit-drift resets;
@@ -102,16 +107,11 @@ pub struct NetMasterPolicy {
 }
 
 /// Buffers `plan_day` reuses from day to day. They stop allocating
-/// once grown, but a planned day still allocates: the predictions and
-/// the active slots, the solution's vectors (and the fast path's chosen
-/// list per slot), the routing table's per-hour `route` Vecs, the day's
-/// `DayPlan::executions`, the flight recorder's lifecycle records, and
-/// the copy of the day kept for drift resets. The knapsack instance
-/// [`DecisionMaker::plan_day_with`] builds lives in the solver scratch.
-/// A counting allocator read about 57 allocations and reallocations per
-/// trained `MiddlewareService::run_day` (flight recorder on, 32 panel
-/// users × 56 days; 141 before the instance moved into the scratch)
-/// against about 24 per untrained one, which builds no routing.
+/// once grown; what a planned day still allocates is its results (see
+/// [`NetMasterPolicy`]), the flight recorder's lifecycle records when it
+/// is on, and the copy of the day kept for drift resets. The knapsack
+/// instance [`DecisionMaker::plan_day_with`] builds lives in the solver
+/// scratch.
 #[derive(Debug, Default)]
 struct DayScratch {
     /// Whether the screen was on at each activity's start, by activity
@@ -138,9 +138,7 @@ struct DayScratch {
 impl DayScratch {
     /// Walks `day`'s screen states into `screen_on`.
     fn walk_screen_states(&mut self, day: &DayTrace) {
-        self.screen_on.clear();
-        self.screen_on
-            .extend(day.activity_screen_states().map(|(_, on)| on));
+        day.activity_screen_states_into(&mut self.screen_on);
     }
 }
 
@@ -276,6 +274,7 @@ impl NetMasterPolicy {
         let screen_on = &self.day_scratch.screen_on;
         self.monitor.observe_day_with(day, screen_on);
         self.miner.push_day_with(day, screen_on);
+        // lint:allow(hot-path-alloc) the two freshest days are kept verbatim for drift resets; recycling the dropped day's buffers raised peak heap
         self.recent.push_back(day.clone());
         while self.recent.len() > 2 {
             self.recent.pop_front();
@@ -285,12 +284,15 @@ impl NetMasterPolicy {
         // drop the stale prefix so tomorrow's predictions come from the
         // new life, not the average of two.
         if self.cfg.drift_reset && self.miner.num_days() > self.cfg.min_training_days + 3 {
-            let report = self.miner.stability();
-            let last_day_index = self.miner.num_days() - 1;
-            let drifts = report.drift_days(0.3);
+            let last = self.miner.num_days() - 1;
+            let (mut today, mut yesterday) = (false, false);
+            for d in drift_points(self.miner.stability_series(), 0.3) {
+                today |= d == last;
+                yesterday |= d == last - 1;
+            }
             // Two consecutive drift days ending today ⇒ a real break,
             // not one scattered day.
-            if drifts.contains(&last_day_index) && drifts.contains(&(last_day_index - 1)) {
+            if today && yesterday {
                 self.remine_from_recent();
             }
         }
@@ -369,18 +371,36 @@ impl NetMasterPolicy {
             ..
         } = scratch;
         let (mut wakeups, mut empty_wakeups) = (0u64, 0u64);
+        // The pending list is sorted by arrival, so each window's demands
+        // are one contiguous run, `duty_pending[lo..hi]`. Windows come in
+        // time order when the sessions do, so `lo` only moves forward;
+        // a window that starts before the previous one (unsorted
+        // sessions) re-seeks it by binary search.
+        let (mut lo, mut prev_start) = (0, 0);
         for window in Self::screen_off_windows(day) {
-            // The pending list is sorted by arrival, so the window's
-            // demands are one contiguous run.
-            let lo = duty_pending.partition_point(|&(t, _)| t < window.start);
-            let hi = lo.max(duty_pending.partition_point(|&(t, _)| t < window.end));
+            if window.start < prev_start {
+                lo = duty_pending.partition_point(|&(t, _)| t < window.start);
+            }
+            prev_start = window.start;
+            while duty_pending.get(lo).is_some_and(|&(t, _)| t < window.start) {
+                lo += 1;
+            }
+            let mut hi = lo;
+            while duty_pending.get(hi).is_some_and(|&(t, _)| t < window.end) {
+                hi += 1;
+            }
+            // Short gaps between sessions skip duty cycling: the screen
+            // returns soon enough that pending demands just flush at the
+            // window edge, and empty wake-ups would only burn energy. A
+            // short gap with nothing pending has nothing to do.
+            let short = window.len() < self.cfg.duty_min_window;
+            if short && lo == hi {
+                continue;
+            }
             let in_window = &duty_pending[lo..hi];
             arrivals.clear();
             arrivals.extend(in_window.iter().map(|&(t, _)| t));
-            // Short gaps between sessions skip duty cycling: the screen
-            // returns soon enough that pending demands just flush at the
-            // window edge, and empty wake-ups would only burn energy.
-            if window.len() < self.cfg.duty_min_window {
+            if short {
                 run_window_into(scheme, Interval::empty_at(window.start), &[], outcome);
                 outcome.flush(arrivals, window.end);
             } else {
@@ -458,6 +478,7 @@ impl Policy for NetMasterPolicy {
         TailPolicy::Immediate
     }
 
+    // lint:hot-path
     fn plan_day(&mut self, day: &DayTrace) -> DayPlan {
         let _plan_span = obs::span!("plan_day");
         obs::span_attr!("day", day.day);
@@ -514,35 +535,42 @@ impl Policy for NetMasterPolicy {
         // day as that day's chunk. Screen-on/Natural is the default;
         // branches overwrite.
         let record_traces = self.flight_recorder && obs::runtime_enabled();
-        let mut traces: Vec<obs::ActivityTrace> = if record_traces {
-            day.activities
-                .iter()
-                .zip(&scratch.screen_on)
-                .enumerate()
-                .map(|(idx, (a, &screen_on))| obs::ActivityTrace {
-                    trace_id: TraceId::new(day.day, idx).raw(),
-                    day: day.day,
-                    app: a.app.0,
-                    natural_start: a.start,
-                    duration: a.duration,
-                    bytes: a.bytes_down + a.bytes_up,
-                    screen_on,
-                    plan: obs::PlanReason::ScreenOn,
-                    outcome: obs::Outcome::Natural,
-                    executed_at: a.start,
-                    latency_secs: 0,
-                    energy: None,
-                })
-                .collect()
+        let n_traces = if record_traces {
+            day.activities.len()
         } else {
-            Vec::new()
+            0
         };
+        // lint:allow(hot-path-alloc) the day's lifecycle records are the ledger's chunk for the day (flight recorder only)
+        let mut traces = Vec::with_capacity(n_traces);
+        if record_traces {
+            traces.extend(
+                day.activities
+                    .iter()
+                    .zip(&scratch.screen_on)
+                    .enumerate()
+                    .map(|(idx, (a, &screen_on))| obs::ActivityTrace {
+                        trace_id: TraceId::new(day.day, idx).raw(),
+                        day: day.day,
+                        app: a.app.0,
+                        natural_start: a.start,
+                        duration: a.duration,
+                        bytes: a.bytes_down + a.bytes_up,
+                        screen_on,
+                        plan: obs::PlanReason::ScreenOn,
+                        outcome: obs::Outcome::Natural,
+                        executed_at: a.start,
+                        latency_secs: 0,
+                        energy: None,
+                    }),
+            );
+        }
 
         // Trained-prediction misses: demands that still fell to the
         // duty-cycle layer despite a usable routing.
         let mut misses: u64 = 0;
 
         let mut plan = DayPlan {
+            // lint:allow(hot-path-alloc) DayPlan::executions is the caller-owned result value
             executions: Vec::with_capacity(day.activities.len()),
             ..DayPlan::default()
         };
@@ -893,6 +921,153 @@ mod tests {
             for s in &day.sessions {
                 assert!(!w.overlaps(&s.span()), "{w:?} vs {s:?}");
             }
+        }
+    }
+
+    /// The window walk the cursor replaced, for the identity test: two
+    /// binary searches per window, and every short window run through
+    /// the duty cycle whether or not it holds a demand.
+    fn duty_cycle_windows_by_search(
+        p: &mut NetMasterPolicy,
+        day: &DayTrace,
+        scratch: &mut DayScratch,
+        plan: &mut DayPlan,
+    ) {
+        let scheme = SleepScheme::Exponential {
+            initial: p.cfg.duty_initial_sleep,
+            reset_on_serve: false,
+        };
+        let DayScratch {
+            duty_pending,
+            arrivals,
+            outcome,
+            executed,
+            ..
+        } = scratch;
+        for window in NetMasterPolicy::screen_off_windows(day) {
+            let lo = duty_pending.partition_point(|&(t, _)| t < window.start);
+            let hi = lo.max(duty_pending.partition_point(|&(t, _)| t < window.end));
+            let in_window = &duty_pending[lo..hi];
+            arrivals.clear();
+            arrivals.extend(in_window.iter().map(|&(t, _)| t));
+            if window.len() < p.cfg.duty_min_window {
+                run_window_into(scheme, Interval::empty_at(window.start), &[], outcome);
+                outcome.flush(arrivals, window.end);
+            } else {
+                run_window_into(scheme, window, arrivals, outcome);
+            }
+            plan.empty_wakeups += outcome.empty_wakeups;
+            if !arrivals.is_empty() || !outcome.wakeups.is_empty() {
+                let (n_arrivals, n_wakeups, n_empty, n_served) = (
+                    arrivals.len() as u64,
+                    outcome.wakeups.len() as u64,
+                    outcome.empty_wakeups,
+                    outcome.served.len() as u64,
+                );
+                p.journal.emit(|| DecisionEvent::DutyCycleFallback {
+                    day: day.day,
+                    window_start: window.start,
+                    arrivals: n_arrivals,
+                    wakeups: n_wakeups,
+                    empty_wakeups: n_empty,
+                    served: n_served,
+                });
+            }
+            let (mut instant, mut off) = (None, 0);
+            for &(arr_idx, served_at) in &outcome.served {
+                let orig_idx = in_window[arr_idx].1;
+                let demand = &day.activities[orig_idx];
+                if instant != Some(served_at) {
+                    instant = Some(served_at);
+                    off = 0;
+                }
+                let at = served_at + off;
+                off += demand.duration.max(1);
+                executed[orig_idx] = at;
+                if at == demand.start {
+                    plan.executions.push(Execution::natural(demand));
+                } else {
+                    plan.executions.push(Execution::moved(demand, at));
+                }
+                p.stats.duty_served += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn window_cursor_walk_matches_the_search_walk() {
+        use netmaster_trace::event::{ActivityCause, AppId, NetworkActivity, ScreenSession};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2614);
+        let (mut short_runs, mut long_runs, mut reseeks) = (0, 0, 0);
+        for case in 0..300 {
+            let mut day = DayTrace::new(case % 3);
+            let span = day.span();
+            // Sessions with gaps from a minute to a few hours, so the
+            // day has windows on both sides of `duty_min_window`.
+            let mut t = span.start + rng.random_range(0..3_000u64);
+            while t < span.end - 600 {
+                let len: u64 = rng.random_range(0..900);
+                day.sessions.push(ScreenSession {
+                    start: t,
+                    end: (t + len).min(span.end),
+                });
+                t += len + rng.random_range(1..4 * 3_600u64);
+            }
+            // Unsorted sessions give windows that start before the
+            // previous one.
+            if case % 4 == 3 && day.sessions.len() > 2 {
+                let i = rng.random_range(1..day.sessions.len());
+                day.sessions.swap(0, i);
+                reseeks += 1;
+            }
+            for _ in 0..rng.random_range(0..60) {
+                day.activities.push(NetworkActivity {
+                    start: rng.random_range(span.start..span.end),
+                    duration: rng.random_range(0..40u64),
+                    bytes_down: 1_000,
+                    bytes_up: 0,
+                    app: AppId(0),
+                    cause: ActivityCause::Background,
+                });
+            }
+            day.activities.sort_by_key(|a| a.start);
+            let mut scratch = DayScratch::default();
+            for (idx, a) in day.activities.iter().enumerate() {
+                if rng.random_bool(0.6) {
+                    scratch.duty_pending.push((a.start, idx));
+                }
+            }
+            scratch.duty_pending.sort_unstable();
+            scratch.executed = day.activities.iter().map(|a| a.start).collect();
+            for w in NetMasterPolicy::screen_off_windows(&day) {
+                let pending = scratch.duty_pending.iter().any(|&(t, _)| w.contains(t));
+                if w.len() < NetMasterConfig::default().duty_min_window {
+                    short_runs += pending as usize;
+                } else {
+                    long_runs += 1;
+                }
+            }
+
+            let mut by_search = scratch_copy(&scratch);
+            let (mut p, mut q) = (policy(), policy());
+            let (mut plan, mut expected) = (DayPlan::default(), DayPlan::default());
+            p.duty_cycle_windows(&day, &mut scratch, &mut plan, &mut [], false);
+            duty_cycle_windows_by_search(&mut q, &day, &mut by_search, &mut expected);
+            assert_eq!(plan, expected, "case {case}: {:?}", day.sessions);
+            assert_eq!(scratch.executed, by_search.executed, "case {case}");
+            assert_eq!(p.stats.duty_served, q.stats.duty_served, "case {case}");
+            assert_eq!(p.drain_journal(), q.drain_journal(), "case {case}");
+        }
+        assert!(short_runs > 50 && long_runs > 300 && reseeks > 50);
+    }
+
+    fn scratch_copy(s: &DayScratch) -> DayScratch {
+        DayScratch {
+            duty_pending: s.duty_pending.clone(),
+            executed: s.executed.clone(),
+            ..DayScratch::default()
         }
     }
 

@@ -136,8 +136,6 @@ impl OvProblem {
 pub struct OvSolution {
     /// `assignment[j] = Some(slot)` when item `j` is scheduled.
     pub assignment: Vec<Option<usize>>,
-    /// Items per slot.
-    pub per_slot: Vec<Vec<usize>>,
     /// Total profit of the assignment.
     pub profit: f64,
     /// Used capacity per slot.
@@ -264,10 +262,11 @@ pub fn solve_with(problem: &OvProblem, eps: f64, scratch: &mut OvScratch) -> OvS
     solve_steps::<false>(problem, eps, scratch)
 }
 
-/// Algorithm 1's five steps. With `ALWAYS_SORT` step 2 ratio-sorts
-/// every slot's list, not only the lists that bind; the tests use it as
-/// the reference that shows the skip changes no answer.
-fn solve_steps<const ALWAYS_SORT: bool>(
+/// Algorithm 1's five steps. With `ALWAYS_SOLVE` step 2 ratio-sorts
+/// every slot's list and step 3 hands every list to [`solve_auto`], not
+/// only the lists that bind; the tests use it as the reference that
+/// shows answering the fitting slots directly changes no answer.
+fn solve_steps<const ALWAYS_SOLVE: bool>(
     problem: &OvProblem,
     eps: f64,
     scratch: &mut OvScratch,
@@ -281,10 +280,10 @@ fn solve_steps<const ALWAYS_SORT: bool>(
         slot_items,
         slot_weight,
         items_buf,
-        selected,
         chosen_slots,
         problem: _,
     } = scratch;
+    let slot_items = &mut slot_items[..nslots];
 
     // --- Step 1: duplication — build each slot's (item, profit) list.
     // Candidates no solver can ever accept (non-positive profit, or
@@ -311,20 +310,47 @@ fn solve_steps<const ALWAYS_SORT: bool>(
         if list.is_empty() {
             continue;
         }
+        let capacity = problem.capacities[slot];
+        // A slot whose whole list fits is answered here: the list is
+        // exactly the eligible set `solve_auto` would build, so its fast
+        // path would take every item, with its chosen indices in list
+        // order. Step 4 then assigns each of them somewhere, and
+        // GreedyAdd has nothing left to scan in the slot, so the list
+        // needs no sort either.
+        if !ALWAYS_SOLVE && slot_weight[slot] <= capacity as u128 {
+            netmaster_obs::counter!(netmaster_obs::names::KNAPSACK_FASTPATH_TOTAL);
+            solver[slot] = Some(SolverKind::Fastpath);
+            for &(j, ..) in list.iter() {
+                chosen_slots[j].push(slot);
+            }
+            #[cfg(feature = "strict-invariants")]
+            {
+                items_buf.clear();
+                items_buf.extend(
+                    list.iter()
+                        .map(|&(j, p, _)| Item::new(p, problem.items[j].weight)),
+                );
+                let all = crate::item::Solution::from_indices(items_buf, (0..list.len()).collect());
+                crate::solvers::assert_solution_invariants(
+                    capacity,
+                    crate::solvers::greedy_half(items_buf, capacity).profit,
+                    &all,
+                    "overlapped fast path",
+                );
+            }
+            continue;
+        }
         // Sorting step (paper's step 2); the solvers are order-free,
         // but the canonical order makes reconstruction deterministic.
-        // A slot whose whole list fits skips it: `solve_auto` takes
-        // every item there, so step 4 assigns each of them somewhere
-        // and GreedyAdd has nothing left to scan in that slot.
-        if ALWAYS_SORT {
+        if ALWAYS_SOLVE {
             list.sort_by(|a, b| {
                 let ra = a.1 / problem.items[a.0].weight.max(1) as f64;
                 let rb = b.1 / problem.items[b.0].weight.max(1) as f64;
                 rb.total_cmp(&ra)
             });
-        } else if slot_weight[slot] > problem.capacities[slot] as u128 {
+        } else {
             // Each entry's ratio is computed once, with the same
-            // expression the `ALWAYS_SORT` comparator evaluates, so the
+            // expression the `ALWAYS_SOLVE` comparator evaluates, so the
             // stable sort puts the list in the same order.
             for e in list.iter_mut() {
                 e.2 = e.1 / problem.items[e.0].weight.max(1) as f64;
@@ -336,20 +362,17 @@ fn solve_steps<const ALWAYS_SORT: bool>(
             list.iter()
                 .map(|&(j, p, _)| Item::new(p, problem.items[j].weight)),
         );
-        let sol = solve_auto(items_buf, problem.capacities[slot], eps, knap);
+        let sol = solve_auto(items_buf, capacity, eps, knap);
         solver[slot] = knap.last_solver();
-        selected[slot].extend(sol.chosen.iter().map(|&k| list[k].0));
+        for &k in &sol.chosen {
+            chosen_slots[list[k].0].push(slot);
+        }
     }
 
     // --- Step 4: filtering — items chosen in two slots keep one copy.
     // Keep the higher-profit copy (preserves the (1−ε)/2 bound); on a
     // profit tie use the paper's rule, the slot with smaller residual
     // C(t_i) − V(n_j), leaving the roomier slot free for GreedyAdd.
-    for (slot, items) in selected.iter().enumerate() {
-        for &j in items {
-            chosen_slots[j].push(slot);
-        }
-    }
     // lint:allow(hot-path-alloc) OvSolution::assignment is the caller-owned result value, not reusable scratch
     let mut assignment: Vec<Option<usize>> = vec![None; nitems];
     // lint:allow(hot-path-alloc) OvSolution::used is the caller-owned result value, not reusable scratch
@@ -363,6 +386,7 @@ fn solve_steps<const ALWAYS_SORT: bool>(
             .unwrap_or(f64::NEG_INFINITY)
     };
     for (j, slots) in chosen_slots.iter().enumerate() {
+        let slots = slots.as_slice();
         let keep = match slots.len() {
             0 => continue,
             1 => slots[0],
@@ -418,35 +442,23 @@ fn solve_steps<const ALWAYS_SORT: bool>(
     }
 
     // Assemble.
-    // lint:allow(hot-path-alloc) OvSolution::per_slot is the caller-owned result value, not reusable scratch
-    let mut per_slot: Vec<Vec<usize>> = vec![Vec::new(); nslots];
     let mut profit = 0.0;
     for (j, a) in assignment.iter().enumerate() {
-        if let Some(slot) = a {
-            per_slot[*slot].push(j);
-            profit += profit_of(j, *slot);
+        if let Some(slot) = *a {
+            profit += profit_of(j, slot);
         }
     }
     let out = OvSolution {
         assignment,
-        per_slot,
         profit,
         used,
         solver,
     };
     #[cfg(feature = "strict-invariants")]
-    {
-        assert!(
-            out.feasible(problem),
-            "strict-invariants: overlapped solve produced an infeasible assignment"
-        );
-        let placed: usize = out.per_slot.iter().map(Vec::len).sum();
-        assert_eq!(
-            placed,
-            out.scheduled_count(),
-            "strict-invariants: per_slot and assignment disagree on scheduled items"
-        );
-    }
+    assert!(
+        out.feasible(problem),
+        "strict-invariants: overlapped solve produced an infeasible assignment"
+    );
     out
 }
 
@@ -458,7 +470,6 @@ pub fn brute_force(problem: &OvProblem) -> OvSolution {
     let nslots = problem.capacities.len();
     let mut best = OvSolution {
         assignment: vec![None; n],
-        per_slot: vec![Vec::new(); nslots],
         profit: 0.0,
         used: vec![0; nslots],
         solver: Vec::new(),
@@ -497,12 +508,6 @@ pub fn brute_force(problem: &OvProblem) -> OvSolution {
     }
     let mut used = vec![0u64; nslots];
     rec(0, problem, &mut assignment, &mut used, 0.0, &mut best);
-    // Rebuild per_slot.
-    for (j, a) in best.assignment.iter().enumerate() {
-        if let Some(slot) = a {
-            best.per_slot[*slot].push(j);
-        }
-    }
     best
 }
 
@@ -783,11 +788,31 @@ mod tests {
         }
     }
 
+    /// The arm [`solve_auto`] picks for `slot`'s eligible list: none
+    /// for an empty list, the fast path when the list fits.
+    fn expected_fast_path(p: &OvProblem, slot: usize) -> Option<bool> {
+        let cap = p.capacities[slot];
+        let weights = p.items.iter().filter(|it| {
+            it.weight <= cap
+                && it
+                    .candidates
+                    .iter()
+                    .any(|c| c.slot == slot && c.profit > 0.0)
+        });
+        let (n, total) = weights.fold((0, 0u128), |(n, w), it| (n + 1, w + it.weight as u128));
+        (n > 0).then_some(total <= cap as u128)
+    }
+
+    fn fastpath_total() -> u64 {
+        netmaster_obs::snapshot().counter(netmaster_obs::names::KNAPSACK_FASTPATH_TOTAL)
+    }
+
     #[test]
     fn skipping_the_sort_for_slots_that_fit_is_an_identity() {
         // Random instances where some slots fit their whole list and
-        // others bind, through one warm scratch per arm: the solver must
-        // return exactly what sorting every slot's list returns.
+        // others bind, through one warm scratch per arm: answering the
+        // fitting slots in step 1 must return exactly what sorting every
+        // slot's list and solving it returns, solver arms included.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(2323);
@@ -826,7 +851,9 @@ mod tests {
                 .collect();
             let p = OvProblem { capacities, items };
             let eps = [0.05, 0.1, 0.3][trial % 3];
+            let ticks = fastpath_total();
             let fast = solve_with(&p, eps, &mut skip);
+            let ticks = fastpath_total() - ticks;
             let sorted = solve_steps::<true>(&p, eps, &mut always);
             assert_eq!(
                 fast.profit.to_bits(),
@@ -834,8 +861,32 @@ mod tests {
                 "trial {trial}"
             );
             assert_eq!(fast, sorted, "trial {trial}");
-            for kind in fast.solver.iter().flatten() {
-                arms[*kind as usize] += 1;
+            let mut fitting = 0u64;
+            for (slot, kind) in fast.solver.iter().enumerate() {
+                match expected_fast_path(&p, slot) {
+                    None => assert_eq!(*kind, None, "trial {trial}, slot {slot}"),
+                    Some(true) => {
+                        assert_eq!(
+                            *kind,
+                            Some(SolverKind::Fastpath),
+                            "trial {trial}, slot {slot}"
+                        );
+                        fitting += 1;
+                    }
+                    Some(false) => assert!(
+                        matches!(kind, Some(SolverKind::Bnb | SolverKind::Dp)),
+                        "trial {trial}, slot {slot}: {kind:?}"
+                    ),
+                }
+                if let Some(kind) = kind {
+                    arms[*kind as usize] += 1;
+                }
+            }
+            // Other tests in this binary solve concurrently and share
+            // the process-wide registry, so this is a floor; the exact
+            // count is pinned by `tests/fastpath_counter.rs`.
+            if netmaster_obs::runtime_enabled() {
+                assert!(ticks >= fitting, "trial {trial}: {ticks} < {fitting}");
             }
         }
         // Every arm answered some slot, so fitting and binding slots

@@ -230,17 +230,14 @@ pub fn solve(problem: &OvProblem, eps: f64) -> OvSolution {
     }
 
     // Assemble.
-    let mut per_slot: Vec<Vec<usize>> = vec![Vec::new(); nslots];
     let mut profit = 0.0;
     for (j, a) in assignment.iter().enumerate() {
-        if let Some(slot) = a {
-            per_slot[*slot].push(j);
-            profit += profit_of(j, *slot);
+        if let Some(slot) = *a {
+            profit += profit_of(j, slot);
         }
     }
     OvSolution {
         assignment,
-        per_slot,
         profit,
         used,
         solver: Vec::new(),

@@ -193,10 +193,28 @@ pub struct OvScratch {
     pub(crate) slot_weight: Vec<u128>,
     /// Per-slot `Item` views handed to `sin_knap_with`.
     pub(crate) items_buf: Vec<Item>,
-    /// Per-slot selected item ids from the SinKnap pass.
-    pub(crate) selected: Vec<Vec<usize>>,
     /// `chosen_slots[item]` = slots whose SinKnap picked the item.
-    pub(crate) chosen_slots: Vec<Vec<usize>>,
+    pub(crate) chosen_slots: Vec<ChosenSlots>,
+}
+
+/// The slots whose single-knapsack solve picked one item, in slot
+/// order. An item lists at most two candidate slots, so it is picked at
+/// most twice and the list lives inline.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ChosenSlots {
+    len: u8,
+    slots: [usize; 2],
+}
+
+impl ChosenSlots {
+    pub(crate) fn push(&mut self, slot: usize) {
+        self.slots[self.len as usize] = slot;
+        self.len += 1;
+    }
+
+    pub(crate) fn as_slice(&self) -> &[usize] {
+        &self.slots[..self.len as usize]
+    }
 }
 
 impl OvScratch {
@@ -220,14 +238,22 @@ impl OvScratch {
         self.problem = problem;
     }
 
-    /// Clears and resizes the per-slot/per-item lists, keeping their
-    /// allocations.
+    /// Clears the per-slot and per-item lists for an instance of
+    /// `nslots` slots and `nitems` items, keeping their allocations.
+    /// `slot_items` may keep more lists than `nslots`, all empty, so that
+    /// a day with fewer slots does not free lists the next one regrows.
     pub(crate) fn begin(&mut self, nslots: usize, nitems: usize) {
-        resize_clear(&mut self.slot_items, nslots);
+        for list in &mut self.slot_items {
+            list.clear();
+        }
+        if self.slot_items.len() < nslots {
+            // lint:allow(hot-path-alloc) amortized: the lists are kept across solves; growth happens once per high-water mark
+            self.slot_items.resize_with(nslots, Vec::new);
+        }
         self.slot_weight.clear();
         self.slot_weight.resize(nslots, 0);
-        resize_clear(&mut self.selected, nslots);
-        resize_clear(&mut self.chosen_slots, nitems);
+        self.chosen_slots.clear();
+        self.chosen_slots.resize(nitems, ChosenSlots::default());
         self.items_buf.clear();
     }
 }
@@ -294,16 +320,6 @@ impl Drop for PooledOvScratch {
                 }
             });
         }
-    }
-}
-
-fn resize_clear<T>(lists: &mut Vec<Vec<T>>, len: usize) {
-    lists.truncate(len);
-    for l in lists.iter_mut() {
-        l.clear();
-    }
-    while lists.len() < len {
-        lists.push(Vec::new()); // lint:allow(hot-path-alloc) amortized: steady-state reuse truncates and clears; growth happens once per high-water mark
     }
 }
 
@@ -385,12 +401,17 @@ mod tests {
     }
 
     #[test]
-    fn resize_clear_reuses_inner_vecs() {
-        let mut lists: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![4]];
-        let ptr = lists[0].as_ptr();
-        resize_clear(&mut lists, 3);
-        assert_eq!(lists.len(), 3);
-        assert!(lists.iter().all(Vec::is_empty));
-        assert_eq!(lists[0].as_ptr(), ptr, "allocation retained");
+    fn begin_keeps_slot_lists_across_smaller_instances() {
+        let mut s = OvScratch::new();
+        s.begin(3, 4);
+        s.slot_items[2].push((0, 1.0, 0.0));
+        let ptr = s.slot_items[2].as_ptr();
+        // A day with fewer slots clears the third list but keeps it.
+        s.begin(1, 2);
+        assert_eq!(s.slot_items.len(), 3);
+        assert!(s.slot_items.iter().all(Vec::is_empty));
+        assert_eq!((s.slot_weight.len(), s.chosen_slots.len()), (1, 2));
+        s.begin(3, 4);
+        assert_eq!(s.slot_items[2].as_ptr(), ptr, "allocation retained");
     }
 }

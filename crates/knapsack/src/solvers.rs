@@ -48,7 +48,7 @@ pub fn brute_force(items: &[Item], capacity: u64) -> Solution {
 /// [`greedy_half`] bound for the FPTAS, both valid because
 /// `OPT ≥ greedy_half`).
 #[cfg(feature = "strict-invariants")]
-fn assert_solution_invariants(capacity: u64, floor: f64, sol: &Solution, what: &str) {
+pub(crate) fn assert_solution_invariants(capacity: u64, floor: f64, sol: &Solution, what: &str) {
     assert!(
         sol.weight <= capacity,
         "strict-invariants: {what} overpacked: weight {} > capacity {capacity}",
@@ -67,7 +67,6 @@ fn assert_solution_invariants(capacity: u64, floor: f64, sol: &Solution, what: &
 pub fn greedy_half(items: &[Item], capacity: u64) -> Solution {
     let mut chosen: Vec<usize> = (0..items.len())
         .filter(|&i| items[i].profit > 0.0 && items[i].weight <= capacity)
-        // lint:allow(hot-path-alloc) the ratio order becomes Solution::chosen, the caller-owned result value
         .collect();
     chosen.sort_by(|&a, &b| items[b].ratio().total_cmp(&items[a].ratio()));
     // Keep each item, in ratio order, that still fits.
@@ -85,7 +84,6 @@ pub fn greedy_half(items: &[Item], capacity: u64) -> Solution {
         .filter(|&i| items[i].weight <= capacity && items[i].profit > 0.0)
         .max_by(|&a, &b| items[a].profit.total_cmp(&items[b].profit));
     match best_single {
-        // lint:allow(hot-path-alloc) single-element result value, not reusable scratch
         Some(i) if items[i].profit > greedy.profit => Solution::from_indices(items, vec![i]),
         _ => greedy,
     }

@@ -66,6 +66,9 @@ pub struct FnNode {
     /// Takes a `self` receiver (method) — used to disambiguate
     /// method-call targets from free functions.
     pub has_self: bool,
+    /// Defined inside an `impl` or `trait` body (see
+    /// [`crate::source::FnInfo::associated`]).
+    pub associated: bool,
 }
 
 /// How a call site was matched.
@@ -192,6 +195,7 @@ impl CallGraph {
                         hot_path: f.hot_path,
                         is_test,
                         has_self: fn_has_self(file, f.body),
+                        associated: f.associated,
                     });
                     by_crate_name
                         .entry((ki, f.name.clone()))
@@ -203,6 +207,11 @@ impl CallGraph {
         }
 
         let deps = dependency_closures(ws, &crate_of);
+        let enabled: Vec<_> = ws
+            .crates
+            .iter()
+            .map(|k| k.manifest.default_features())
+            .collect();
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); fns.len()];
         for caller in 0..fns.len() {
             let (ki, fi) = fns[caller].loc;
@@ -213,6 +222,13 @@ impl CallGraph {
             let end = end.min(code.len());
             let mut i = start;
             while i < end {
+                // A call the default build does not compile
+                // (`#[cfg(feature = "strict-invariants")] check(…);`)
+                // is no edge of the product's graph.
+                if file.is_feature_gated_off(i, &enabled[ki]) {
+                    i += 1;
+                    continue;
+                }
                 // Method call: `. name (` — not a path (`::name(`).
                 if code[i].is_punct('.')
                     && i + 2 < end
@@ -433,21 +449,61 @@ fn dependency_closures(ws: &Workspace, crate_of: &BTreeMap<String, usize>) -> Ve
 
 /// Collects the `::`-separated path ending at the name token `i`,
 /// walking backwards (`a :: b :: name` → `["a","b","name"]`). `::` is
-/// two `:` punct tokens in this lexer.
+/// two `:` punct tokens in this lexer. Generic arguments are skipped:
+/// `Vec::<u8>::new` → `["Vec","new"]`, and a qualified type such as
+/// `<Vec<u8>>::new` or `<T as Tr>::f` yields the type's first name
+/// (`["Vec","new"]`, `["T","f"]`).
 fn path_segments(code: &[crate::lexer::Tok], i: usize, floor: usize) -> Vec<String> {
     let mut segs = vec![code[i].text.clone()];
     let mut j = i;
-    while j >= 3
-        && j - 3 >= floor.min(j)
-        && code[j - 1].is_punct(':')
-        && code[j - 2].is_punct(':')
-        && code[j - 3].kind == TokKind::Ident
-    {
-        segs.push(code[j - 3].text.clone());
-        j -= 3;
+    while j >= floor + 3 && code[j - 1].is_punct(':') && code[j - 2].is_punct(':') {
+        let mut k = j - 3;
+        if code[k].is_punct('>') {
+            let Some(open) = open_angle(code, k, floor) else {
+                break;
+            };
+            if open >= floor + 3 && code[open - 1].is_punct(':') && code[open - 2].is_punct(':') {
+                k = open - 3;
+            } else {
+                if let Some(t) = code.get(open + 1).filter(|t| t.kind == TokKind::Ident) {
+                    segs.push(t.text.clone());
+                }
+                break;
+            }
+        }
+        if code[k].kind != TokKind::Ident {
+            break;
+        }
+        segs.push(code[k].text.clone());
+        j = k;
     }
     segs.reverse();
     segs
+}
+
+/// The `<` that opens the generic argument list closed by the `>` at
+/// `close`, searching back no further than `floor`. An arrow's `>`
+/// (`Fn() -> u8`) closes nothing.
+fn open_angle(code: &[crate::lexer::Tok], close: usize, floor: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    let mut k = close;
+    loop {
+        let t = &code[k];
+        if t.is_punct('>') && !(k > 0 && code[k - 1].is_punct('-')) {
+            depth += 1;
+        } else if t.is_punct('<') {
+            depth -= 1;
+            if depth == 0 {
+                return Some(k);
+            }
+        } else if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
+            return None;
+        }
+        if k <= floor {
+            return None;
+        }
+        k -= 1;
+    }
 }
 
 /// Per-file `use` alias map: local head name → full path segments.
@@ -629,20 +685,23 @@ fn resolve_path(
         None => {
             // Module-qualified local call (`solver::solve(…)`) or a
             // type-associated fn (`Foo::new(…)`): try same crate by
-            // name, then give up rather than guess workspace-wide for
-            // common associated names.
-            let in_crate = by_crate_name
-                .get(&(ki, name.clone()))
-                .cloned()
-                .unwrap_or_default();
-            if !in_crate.is_empty() {
-                return in_crate;
-            }
-            if full
+            // name — only associated fns for a type path, which can
+            // never name a free fn — then give up rather than guess
+            // workspace-wide for common associated names.
+            let type_path = full
                 .first()
-                .is_some_and(|s| s.chars().next().is_some_and(char::is_uppercase))
-            {
-                return Vec::new();
+                .is_some_and(|s| s.chars().next().is_some_and(char::is_uppercase));
+            let in_crate: Vec<FnId> = by_crate_name
+                .get(&(ki, name.clone()))
+                .map(|v| {
+                    v.iter()
+                        .copied()
+                        .filter(|&id| !type_path || fns[id].associated)
+                        .collect()
+                })
+                .unwrap_or_default();
+            if !in_crate.is_empty() || type_path {
+                return in_crate;
             }
             by_name.get(&name).cloned().unwrap_or_default()
         }
@@ -854,6 +913,44 @@ mod tests {
         assert!(g.edges[go]
             .iter()
             .all(|e| e.confident && e.kind == EdgeKind::Path));
+    }
+
+    #[test]
+    fn turbofish_type_paths_reach_only_associated_fns() {
+        // `Vec::<u8>::new()` and `<Vec<u8>>::new()` name an associated
+        // fn of `Vec`: never the file's free `fn new`. `W::<u8>::make()`
+        // still reaches `W`'s associated `make`.
+        let g = CallGraph::build(&ws(vec![(
+            "app",
+            vec![(
+                "lib.rs",
+                "fn new() {}\nstruct W<T>(T);\nimpl<T> W<T> {\n fn make() {}\n}\nfn go() { Vec::<u8>::new(); <Vec<u8>>::new(); W::<u8>::make(); }\n",
+            )],
+        )]));
+        let go = id(&g, "lib.rs", "go");
+        assert_eq!(callees(&g, go), vec!["make"], "{:?}", g.edges[go]);
+        assert!(g.edges[go][0].confident);
+    }
+
+    #[test]
+    fn feature_gated_call_sites_draw_no_edge() {
+        // `floor` is called only under a feature the default build
+        // leaves off; `count` under one it turns on (through `default`
+        // → `obs`), and `probe` outside any gate.
+        let mut w = ws(vec![(
+            "app",
+            vec![(
+                "lib.rs",
+                "fn floor() {}\nfn count() {}\nfn probe() {}\nfn solve() {\n #[cfg(feature = \"strict-invariants\")]\n floor();\n #[cfg(feature = \"obs\")]\n count();\n probe();\n}\n",
+            )],
+        )]);
+        let features = &mut w.crates[0].manifest.features;
+        features.insert("default".to_owned(), vec!["obs".to_owned()]);
+        features.insert("obs".to_owned(), vec!["dep/enabled".to_owned()]);
+        features.insert("strict-invariants".to_owned(), Vec::new());
+        let g = CallGraph::build(&w);
+        let solve = id(&g, "lib.rs", "solve");
+        assert_eq!(callees(&g, solve), vec!["count", "probe"]);
     }
 
     #[test]

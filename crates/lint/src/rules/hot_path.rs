@@ -8,7 +8,9 @@
 //!
 //! Transitive propagation follows confident edges only (see
 //! [`crate::callgraph`]): ambiguous method dispatch degrades to the
-//! body-only check, never to false positives.
+//! body-only check, never to false positives. Code under a
+//! `#[cfg(feature = …)]` the crate's default build leaves off is
+//! skipped, as the call graph skips calls made from it.
 
 use super::{emit, seq_at, WaiverLedger};
 use crate::callgraph::CallGraph;
@@ -77,6 +79,11 @@ pub fn check(
     }
 
     let (reach, parent) = graph.reachable(&seeds);
+    let enabled: Vec<_> = ws
+        .crates
+        .iter()
+        .map(|k| k.manifest.default_features())
+        .collect();
 
     for (fid, node) in graph.fns.iter().enumerate() {
         if !reach[fid] || node.is_test {
@@ -86,6 +93,12 @@ pub fn check(
         let (start, end) = node.body;
         let mut i = start;
         while i < end.min(file.code.len()) {
+            // Checks the default build does not compile (a
+            // `strict-invariants` oracle) are not on the product's path.
+            if file.is_feature_gated_off(i, &enabled[node.loc.0]) {
+                i += 1;
+                continue;
+            }
             for (needle, why) in BANNED {
                 if seq_at(&file.code, i, needle) {
                     let msg = if node.hot_path {

@@ -9,6 +9,7 @@
 //! pass of broken code).
 
 use crate::lexer::{lex, Tok, TokKind};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 /// What part of a crate a file belongs to — rules scope on this.
@@ -46,6 +47,9 @@ pub struct FnInfo {
     pub body: (usize, usize),
     /// `true` when a `// lint:hot-path` marker targets this function.
     pub hot_path: bool,
+    /// `true` when the function sits inside an `impl` or `trait` body:
+    /// an associated function, callable as `Type::name(…)`.
+    pub associated: bool,
 }
 
 /// A lexed and structurally-annotated source file.
@@ -64,6 +68,9 @@ pub struct SourceFile {
     in_test: Vec<bool>,
     /// Per-code-token: inside a `#[cfg(feature = "obs")]` region.
     in_obs: Vec<bool>,
+    /// Items under a `#[cfg(…)]` naming features: (first token, last
+    /// token, the features named).
+    feature_gates: Vec<(usize, usize, Vec<String>)>,
     /// The whole file is test-gated (declared `#[cfg(test)] mod x;`).
     pub file_test_gated: bool,
     /// The whole file is obs-gated (declared `#[cfg(feature = "obs")] mod x;`).
@@ -97,6 +104,7 @@ impl SourceFile {
             role,
             in_test: vec![false; code.len()],
             in_obs: vec![false; code.len()],
+            feature_gates: Vec::new(),
             code,
             comments,
             file_test_gated: false,
@@ -122,6 +130,16 @@ impl SourceFile {
         self.file_obs_gated || self.in_obs.get(i).copied().unwrap_or(false)
     }
 
+    /// `true` when code token `i` lies under a `#[cfg(feature = …)]`
+    /// none of whose features is in `enabled` (the crate's default
+    /// features): code the default build does not compile. `cfg(test)`
+    /// regions are [`SourceFile::is_test`]'s business.
+    pub fn is_feature_gated_off(&self, i: usize, enabled: &BTreeSet<String>) -> bool {
+        self.feature_gates.iter().any(|(start, end, features)| {
+            (*start..=*end).contains(&i) && features.iter().all(|f| !enabled.contains(f))
+        })
+    }
+
     /// A waiver for `rule` covering `line` (the waiver's own line or
     /// the line directly above). Returns the waiver index.
     pub fn waiver_for(&self, rule: &str, line: u32) -> Option<usize> {
@@ -143,7 +161,8 @@ impl SourceFile {
                     None => break,
                 };
                 let (is_test, is_obs) = classify_cfg(&self.code[i + 2..close]);
-                if is_test || is_obs {
+                let features = cfg_features(&self.code[i + 2..close]);
+                if is_test || is_obs || !features.is_empty() {
                     if let Some(end) = self.item_extent(close + 1) {
                         for k in close + 1..=end.min(n - 1) {
                             if is_test {
@@ -155,6 +174,9 @@ impl SourceFile {
                         }
                         // `#[cfg(...)] mod name;` gates a whole child file.
                         self.record_gated_mod(close + 1, end, is_test, is_obs);
+                        if !features.is_empty() {
+                            self.feature_gates.push((close + 1, end, features));
+                        }
                     }
                 }
                 i = close + 1;
@@ -300,6 +322,7 @@ impl SourceFile {
         marker_lines.sort_unstable();
 
         let n = self.code.len();
+        let blocks = self.impl_and_trait_bodies();
         let mut fns = Vec::new();
         let mut i = 0usize;
         while i < n {
@@ -335,12 +358,43 @@ impl SourceFile {
                         line,
                         body,
                         hot_path: hot,
+                        associated: blocks.iter().any(|&(open, close)| open < i && i < close),
                     });
                 }
             }
             i += 1;
         }
         self.fns = fns;
+    }
+
+    /// Brace ranges of the item-level `impl` and `trait` bodies. An
+    /// `impl` in type position (`-> impl Iterator`, `x: impl Fn()`)
+    /// follows a token no item can follow, and is skipped.
+    fn impl_and_trait_bodies(&self) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for (i, t) in self.code.iter().enumerate() {
+            let item_start = match i.checked_sub(1).map(|p| &self.code[p]) {
+                None => true,
+                Some(p) if p.kind == TokKind::Punct => {
+                    matches!(p.text.as_str(), "}" | ";" | "]" | "{" | ")")
+                }
+                Some(p) => p.is_ident("pub") || p.is_ident("unsafe") || p.is_ident("default"),
+            };
+            if !(t.is_ident("trait") || (t.is_ident("impl") && item_start)) {
+                continue;
+            }
+            let body = self.code[i..]
+                .iter()
+                .position(|t| t.is_punct('{') || t.is_punct(';'))
+                .map(|k| i + k)
+                .filter(|&k| self.code[k].is_punct('{'));
+            if let Some(open) = body {
+                if let Some(close) = self.matching_brace(open) {
+                    out.push((open, close));
+                }
+            }
+        }
+        out
     }
 
     fn first_fn_line_at_or_after(&self, line: u32) -> Option<u32> {
@@ -420,6 +474,18 @@ fn classify_cfg(toks: &[Tok]) -> (bool, bool) {
         .windows(3)
         .any(|w| w[0].is_ident("feature") && w[1].is_punct('=') && w[2].str_value() == Some("obs"));
     (has_test, has_obs_feature)
+}
+
+/// The features a `#[cfg(…)]` attribute names, or none when it is not
+/// a `cfg` or negates (`not(...)` gates nothing out).
+fn cfg_features(toks: &[Tok]) -> Vec<String> {
+    if !toks.first().is_some_and(|t| t.is_ident("cfg")) || toks.iter().any(|t| t.is_ident("not")) {
+        return Vec::new();
+    }
+    toks.windows(3)
+        .filter(|w| w[0].is_ident("feature") && w[1].is_punct('='))
+        .filter_map(|w| w[2].str_value().map(str::to_owned))
+        .collect()
 }
 
 #[cfg(test)]

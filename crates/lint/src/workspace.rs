@@ -11,7 +11,7 @@
 //! `target/`.
 
 use crate::source::{FileRole, SourceFile};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -36,6 +36,30 @@ pub struct Manifest {
     pub features: BTreeMap<String, Vec<String>>,
     /// `[workspace.dependencies]` (root manifest only).
     pub workspace_deps: BTreeMap<String, DepEntry>,
+}
+
+impl Manifest {
+    /// The package's own features a default build enables: `default`
+    /// and everything it forwards to, transitively. Entries that
+    /// enable a dependency's feature (`dep/feature`, `dep:name`) are not
+    /// the package's own and are left out.
+    pub fn default_features(&self) -> BTreeSet<String> {
+        let mut on = BTreeSet::new();
+        let mut stack = vec!["default".to_owned()];
+        while let Some(f) = stack.pop() {
+            if let Some(forwards) = self.features.get(&f) {
+                stack.extend(
+                    forwards
+                        .iter()
+                        .filter(|e| !e.contains('/') && !e.starts_with("dep:"))
+                        .filter(|e| !on.contains(*e))
+                        .cloned(),
+                );
+            }
+            on.insert(f);
+        }
+        on
+    }
 }
 
 /// One workspace member with its parsed sources.

@@ -41,28 +41,36 @@ fn real_workspace_is_lint_clean_at_head() {
         "full-workspace lint took {wall:?}, budget is 5s"
     );
     // The waiver budget is explicit: new waivers are a reviewed,
-    // deliberate act, not background noise. The solver-engine overhaul
-    // added five justified construction-invariant `expect()`s (pool
-    // Deref, merge-pick sides, the unbudgeted-search wrapper) plus one
-    // amortized once-per-app allocation in the miner's hot path. The
-    // concurrency-rule audit added fifteen: the registry's
-    // Mutex-ordered Relaxed shard cells, the RUNTIME kill switch, the
-    // serve workers' recv-under-guard dequeue, three amortized or
-    // cold-path allocations now visible through transitive hot-path
-    // propagation, and the linter's own diagnostic timer. The span-tree
-    // tracing layer added three: the trace-capture kill switch's
-    // Relaxed store/load pair (a pure on/off gate publishing no data)
-    // and the capture-gate read on the span fast path. Marking the
-    // planner's instance build (`DecisionMaker::plan_day_with`) hot
-    // added four, all for the routing it returns: the route table and
-    // explanation list of `DayRouting::unrouted` (three findings) and
-    // `slots_for_day`'s slot list. Deleting the solver twins no caller
-    // used removed three result-list waivers (the scratch forms of the
-    // capacity DP and of `greedy_half`); `greedy_half`, which absorbed
-    // its scratch form and is the strict-invariants floor the solvers
-    // call, carries two of them back for its result list.
+    // deliberate act, not background noise. The 46 waived findings:
+    // - 13 atomic-ordering: the registry's Mutex-ordered Relaxed shard
+    //   cells, the RUNTIME and trace-capture kill switches, the span
+    //   fast path's capture-gate read and the trace store's
+    //   configuration value;
+    // - 8 panic-hygiene: construction-invariant `expect()`s (pool
+    //   Deref, merge-pick sides, the unbudgeted-search wrapper, the
+    //   random sleep scheme's rng) and `par`'s deliberate panic
+    //   propagation;
+    // - 1 lock-across-io (the serve workers' recv-under-guard dequeue)
+    //   and 1 determinism (the linter's own diagnostic timer);
+    // - 23 hot-path-alloc, with `NetMasterPolicy::plan_day` marked hot
+    //   so the whole planned day is checked:
+    //   - 16 caller-owned results: `DayRouting`'s vectors (the
+    //     duty-only plan's three empty lists, the flat route table and
+    //     its explanations, `slots_for_day`'s slot list), `OvSolution`'s
+    //     three vectors, `DayPlan::executions`,
+    //     `NetworkPrediction::per_app`, and five solver result lists
+    //     (`Solution::chosen`);
+    //   - the flight recorder's lifecycle records, the ledger's chunk
+    //     for the day;
+    //   - `learn`'s copy of the day, kept verbatim for drift resets;
+    //   - 2 amortized growths (the knapsack scratch's slot lists, the
+    //     miner's per-app box) and 2 one-time `OnceLock` constructions;
+    //   - the rejection-only `format!` in `OvProblem::validate`.
+    // Since the planner's day went flat, its per-hour route table, the
+    // solution's per-slot lists and `greedy_half`'s two strict-only
+    // result lists (a call the default build never makes) need none.
     assert!(
-        report.waived.len() <= 44,
+        report.waived.len() <= 46,
         "waiver count {} crossed the review threshold — prune or justify",
         report.waived.len()
     );

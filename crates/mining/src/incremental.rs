@@ -220,6 +220,12 @@ impl IncrementalMiner {
         predict_with_confidence_from_counts(&self.usage_days, self.days_of, cfg, bound, z)
     }
 
+    /// The habit-stability series, `(day index, correlation)`: the
+    /// [`IncrementalMiner::stability`] report's, without the copy.
+    pub fn stability_series(&self) -> &[(usize, f64)] {
+        &self.series
+    }
+
     /// The habit-stability report — equals [`crate::habit_stability`]
     /// over the same days. The series itself is maintained per-push;
     /// this just packages it.
@@ -247,25 +253,30 @@ impl IncrementalMiner {
             bytes[h] /= days;
             active[h] = count[h] > 0.0;
         }
-        let mut per_app: Vec<AppNetworkPrediction> = self
-            .per_app
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (AppId(i as u16), e)))
-            .map(|(app, e)| {
-                let mut c = e.0;
-                let mut b = e.1;
-                for h in 0..HOURS_PER_DAY {
-                    c[h] /= days;
-                    b[h] /= days;
-                }
-                AppNetworkPrediction {
-                    app,
-                    expected_count: c,
-                    expected_bytes: b,
-                }
-            })
-            .collect();
+        // Sized up front: a filtered `collect` would grow it by
+        // reallocation.
+        let apps = self.per_app.iter().filter(|e| e.is_some()).count();
+        // lint:allow(hot-path-alloc) NetworkPrediction::per_app is the caller-owned result value
+        let mut per_app = Vec::with_capacity(apps);
+        per_app.extend(
+            self.per_app
+                .iter()
+                .enumerate()
+                .filter_map(|(i, e)| e.as_ref().map(|e| (AppId(i as u16), e)))
+                .map(|(app, e)| {
+                    let mut c = e.0;
+                    let mut b = e.1;
+                    for h in 0..HOURS_PER_DAY {
+                        c[h] /= days;
+                        b[h] /= days;
+                    }
+                    AppNetworkPrediction {
+                        app,
+                        expected_count: c,
+                        expected_bytes: b,
+                    }
+                }),
+        );
         per_app.sort_by(|a, b| {
             b.daily_count()
                 .total_cmp(&a.daily_count())

@@ -43,4 +43,4 @@ pub use prediction::{
 };
 pub use predictors::{predict_with, EwmaModel, FrequencyModel, SmoothedModel, UsageModel};
 pub use special::SpecialApps;
-pub use stability::{habit_stability, habit_stability_for, StabilityReport};
+pub use stability::{drift_points, habit_stability, habit_stability_for, StabilityReport};

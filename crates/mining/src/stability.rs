@@ -28,18 +28,7 @@ impl StabilityReport {
     /// Day indices whose correlation sits more than `drop` below the
     /// running mean of the preceding points — candidate habit breaks.
     pub fn drift_days(&self, drop: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut sum = 0.0;
-        for (i, &(day, r)) in self.series.iter().enumerate() {
-            if i >= 3 {
-                let mean_before = sum / i as f64;
-                if r < mean_before - drop {
-                    out.push(day);
-                }
-            }
-            sum += r;
-        }
-        out
+        drift_points(&self.series, drop).collect()
     }
 
     /// `true` when the habit is stable enough for hour-level prediction
@@ -48,6 +37,19 @@ impl StabilityReport {
     pub fn is_predictable(&self) -> bool {
         self.score > 0.2
     }
+}
+
+/// The days of a stability `series` whose correlation sits more than
+/// `drop` below the running mean of the preceding points, in series
+/// order: [`StabilityReport::drift_days`] without the report or the
+/// list.
+pub fn drift_points(series: &[(usize, f64)], drop: f64) -> impl Iterator<Item = usize> + '_ {
+    let mut sum = 0.0;
+    series.iter().enumerate().filter_map(move |(i, &(day, r))| {
+        let drifted = i >= 3 && r < sum / i as f64 - drop;
+        sum += r;
+        drifted.then_some(day)
+    })
 }
 
 /// Computes the stability report over a history. Each day of kind `k`

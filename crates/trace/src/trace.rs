@@ -62,6 +62,51 @@ impl AppRegistry {
     }
 }
 
+/// The merge walk behind [`DayTrace::activity_screen_states`]: answers
+/// [`DayTrace::screen_on_at`] for a run of instants with one cursor over
+/// the sessions, which advances while the instants ascend.
+struct ScreenWalk<'a> {
+    day: &'a DayTrace,
+    /// Whether the day's sessions are sorted by start; if not, every
+    /// answer is a point query.
+    sorted: bool,
+    /// `sessions[..next]` start before `prev`, the last instant asked.
+    next: usize,
+    prev: Timestamp,
+}
+
+impl<'a> ScreenWalk<'a> {
+    fn new(day: &'a DayTrace) -> Self {
+        ScreenWalk {
+            day,
+            sorted: day.sessions.is_sorted_by_key(|s| s.start),
+            next: 0,
+            prev: 0,
+        }
+    }
+
+    fn on_at(&mut self, t: Timestamp) -> bool {
+        let sessions = self.day.sessions.as_slice();
+        if !self.sorted {
+            return self.day.screen_on_at(t);
+        }
+        if t < self.prev {
+            self.next = sessions.partition_point(|s| s.start < t);
+        }
+        while sessions.get(self.next).is_some_and(|s| s.start < t) {
+            self.next += 1;
+        }
+        self.prev = t;
+        // As in `screen_on_at`: a session starting at `t` counts as on,
+        // even a zero-length one; otherwise the last session starting
+        // before `t` decides.
+        match sessions.get(self.next) {
+            Some(s) if s.start == t => true,
+            _ => self.next > 0 && sessions[self.next - 1].span().contains(t),
+        }
+    }
+}
+
 /// Everything that happened on one day: screen sessions, interactions,
 /// and network activities, each sorted by time.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -115,31 +160,22 @@ impl DayTrace {
     /// `screen_on_at` for each activity.
     // lint:hot-path
     pub fn activity_screen_states(&self) -> impl Iterator<Item = (&NetworkActivity, bool)> {
-        let sessions = self.sessions.as_slice();
-        let sorted = sessions.is_sorted_by_key(|s| s.start);
-        // `sessions[..next]` start before `prev`, the last start seen.
-        let (mut next, mut prev) = (0, 0);
-        self.activities.iter().map(move |a| {
-            let t = a.start;
-            if !sorted {
-                return (a, self.screen_on_at(t));
-            }
-            if t < prev {
-                next = sessions.partition_point(|s| s.start < t);
-            }
-            while sessions.get(next).is_some_and(|s| s.start < t) {
-                next += 1;
-            }
-            prev = t;
-            // As in `screen_on_at`: a session starting at `t` counts as
-            // on, even a zero-length one; otherwise the last session
-            // starting before `t` decides.
-            let on = match sessions.get(next) {
-                Some(s) if s.start == t => true,
-                _ => next > 0 && sessions[next - 1].span().contains(t),
-            };
-            (a, on)
-        })
+        let mut walk = ScreenWalk::new(self);
+        self.activities
+            .iter()
+            .map(move |a| (a, walk.on_at(a.start)))
+    }
+
+    /// [`activity_screen_states`](Self::activity_screen_states)' answers
+    /// by activity index, written over `out`: the form for a caller that
+    /// keeps a day's states in a buffer it reuses.
+    // lint:hot-path
+    pub fn activity_screen_states_into(&self, out: &mut Vec<bool>) {
+        let mut walk = ScreenWalk::new(self);
+        out.resize(self.activities.len(), false);
+        for (on, a) in out.iter_mut().zip(&self.activities) {
+            *on = walk.on_at(a.start);
+        }
     }
 
     /// Splits activities into (screen-on, screen-off) by their start time.
@@ -375,8 +411,14 @@ mod tests {
 
     #[test]
     fn screen_state_walk_answers_like_point_queries() {
-        let walk =
-            |d: &DayTrace| -> Vec<bool> { d.activity_screen_states().map(|(_, on)| on).collect() };
+        let walk = |d: &DayTrace| -> Vec<bool> {
+            let states: Vec<bool> = d.activity_screen_states().map(|(_, on)| on).collect();
+            // The buffer form writes the same answers over a dirty buffer.
+            let mut buf = vec![true; 3];
+            d.activity_screen_states_into(&mut buf);
+            assert_eq!(buf, states);
+            states
+        };
         let mut d = DayTrace::new(0);
         // Starts on a session's start and end, a zero-length session,
         // and starts that go backwards.

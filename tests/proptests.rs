@@ -431,6 +431,11 @@ fn screen_state_walk_matches_point_queries() {
             .map(|a| (a.start, day.screen_on_at(a.start)))
             .collect();
         assert_eq!(walked, asked, "case {case}: {:?}", day.sessions);
+        // The buffer form, over a buffer left dirty by another length.
+        let mut buf = vec![true; (case % 5) as usize];
+        day.activity_screen_states_into(&mut buf);
+        let asked: Vec<bool> = asked.iter().map(|&(_, on)| on).collect();
+        assert_eq!(buf, asked, "case {case}: {:?}", day.sessions);
     };
     for case in 0..CASES {
         let mut rng = case_rng(212, case);
