@@ -1,10 +1,13 @@
 //! Criterion benches for the knapsack solvers: the cost of the paper's
-//! ε = 0.1 choice, solver scaling, and Algorithm 1 on day-sized
-//! instances.
+//! ε = 0.1 choice, solver scaling, Algorithm 1 on day-sized instances,
+//! and the two arms that answer a binding slot.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netmaster_knapsack::overlapped::{self, OvItem, OvProblem};
-use netmaster_knapsack::{branch_and_bound, greedy_half, sin_knap, Item};
+use netmaster_knapsack::{
+    branch_and_bound, branch_and_bound_budgeted, greedy_half, quantized_dp, sin_knap, BnbScratch,
+    Item, SolverScratch,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -87,12 +90,82 @@ fn bench_exact(c: &mut Criterion) {
     g.finish();
 }
 
+/// A slot list shaped like the planner's on a binding link: 20–40
+/// items in runs of identical ones (one pool's predicted demands), byte
+/// weights, profits of a few joules, in ratio order as step 2 leaves
+/// it, and a capacity holding about two fifths of the list's weight.
+fn binding_slot(seed: u64) -> (Vec<Item>, u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.random_range(20..=40usize);
+    let mut it = Vec::with_capacity(n);
+    while it.len() < n {
+        let copies = rng.random_range(1..=6usize).min(n - it.len());
+        let item = Item::new(rng.random_range(0.5..12.0), rng.random_range(256..50_000));
+        it.extend(std::iter::repeat_n(item, copies));
+    }
+    it.sort_by(|a, b| b.ratio().total_cmp(&a.ratio()));
+    let total: u64 = it.iter().map(|x| x.weight).sum();
+    (it, total * 2 / 5)
+}
+
+/// The budget `solve_auto` gives the search: 64 nodes per eligible item.
+fn dispatch_budget(it: &[Item], cap: u64) -> usize {
+    64 * it.iter().filter(|x| x.weight <= cap).count()
+}
+
+fn bench_binding_slot(c: &mut Criterion) {
+    // The first eight seeds whose budgeted search finishes, and the
+    // first eight whose budget runs out (where `solve_auto` then runs
+    // the quantized DP).
+    let mut bnb = BnbScratch::new();
+    let (mut completed, mut exhausted) = (Vec::new(), Vec::new());
+    for seed in 0.. {
+        let (it, cap) = binding_slot(seed);
+        let done = branch_and_bound_budgeted(&it, cap, dispatch_budget(&it, cap), &mut bnb);
+        let set = if done.is_some() {
+            &mut completed
+        } else {
+            &mut exhausted
+        };
+        if set.len() < 8 {
+            set.push((it, cap));
+        }
+        if completed.len() == 8 && exhausted.len() == 8 {
+            break;
+        }
+    }
+    let mut g = c.benchmark_group("binding_slot");
+    for (name, set) in [("bnb_completed", &completed), ("bnb_exhausted", &exhausted)] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                for (it, cap) in set.iter() {
+                    black_box(branch_and_bound_budgeted(
+                        it,
+                        *cap,
+                        dispatch_budget(it, *cap),
+                        &mut bnb,
+                    ));
+                }
+            })
+        });
+    }
+    let mut scratch = SolverScratch::new();
+    g.bench_function("quantized_dp", |b| {
+        b.iter(|| {
+            for (it, cap) in &exhausted {
+                black_box(quantized_dp(it, *cap, 0.1, &mut scratch));
+            }
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_sin_knap, bench_alternatives, bench_algorithm1, bench_exact
+    targets = bench_sin_knap, bench_alternatives, bench_algorithm1, bench_exact, bench_binding_slot
 }
 criterion_main!(benches);

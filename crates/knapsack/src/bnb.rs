@@ -33,22 +33,19 @@ pub fn branch_and_bound(items: &[Item], capacity: u64) -> Solution {
         .expect("unbounded search cannot exhaust its budget")
 }
 
-/// Dantzig bound from `depth` onward: take remaining items greedily by
-/// ratio, the last one fractionally.
-fn bound(items: &[Item], order: &[usize], mut depth: usize, mut room: u64, base: f64) -> f64 {
+/// Dantzig bound of `base` plus the ratio-ordered suffix `weight`,
+/// `profit`: take items greedily while they fit `room`, the first one
+/// that does not fractionally.
+pub(crate) fn dantzig(weight: &[u64], profit: &[f64], mut room: u64, base: f64) -> f64 {
     let mut b = base;
-    while depth < order.len() {
-        let it = &items[order[depth]];
-        if it.weight <= room {
-            room -= it.weight;
-            b += it.profit;
+    for (&w, &p) in weight.iter().zip(profit) {
+        if w <= room {
+            room -= w;
+            b += p;
         } else {
-            if it.weight > 0 {
-                b += it.profit * room as f64 / it.weight as f64;
-            }
-            return b;
+            // w > room ≥ 0, so the division is by a positive weight.
+            return b + p * room as f64 / w as f64;
         }
-        depth += 1;
     }
     b
 }
@@ -67,11 +64,14 @@ pub fn branch_and_bound_budgeted(
 ) -> Option<Solution> {
     let BnbScratch {
         order,
+        weight,
+        profit,
         stack,
-        current,
+        path,
         best,
     } = scratch;
-    // Eligible items sorted by ratio (needed for the fractional bound).
+    // Eligible items sorted by ratio (needed for the fractional bound),
+    // with their weights and profits laid out in that order.
     order.clear();
     order
         .extend((0..items.len()).filter(|&i| items[i].profit > 0.0 && items[i].weight <= capacity));
@@ -80,67 +80,86 @@ pub fn branch_and_bound_budgeted(
         return Some(Solution::default());
     }
     let n = order.len();
-
-    // Explicit DFS, visiting nodes in exactly the order the old
-    // recursion did: incumbent check on entry, Dantzig prune, then the
-    // take branch before the skip branch. `current` is the shared path;
-    // each frame records the path length at its parent plus its own
-    // take/skip decision, so entering a frame first rewinds the path.
-    stack.clear();
-    current.clear();
+    weight.clear();
+    weight.extend(order.iter().map(|&i| items[i].weight));
+    profit.clear();
+    profit.extend(order.iter().map(|&i| items[i].profit));
+    let (weight, profit) = (&weight[..n], &profit[..n]);
+    path.clear();
+    path.resize(n.div_ceil(64), 0);
     best.clear();
+    best.resize(n.div_ceil(64), 0);
+
+    // Explicit DFS, visiting nodes in exactly the order the recursion
+    // did: incumbent check on entry, Dantzig prune, then the take branch
+    // before the skip branch. A node's first child pops right after it,
+    // so the inner loop walks it in place and only the skip sibling of
+    // a take goes on the stack. Each visit counts against the budget at
+    // the same point, so the node count, the prunes and the exhaustion
+    // point are those of a search that pushes and pops every child.
+    // * Only a take can raise the incumbent: a skip child carries its
+    //   parent's profit, which the parent's own visit already compared.
+    // * A take child's Dantzig bound is its parent's: the greedy fill
+    //   from the parent takes the same item first, with the same
+    //   floating-point sum.
+    stack.clear();
     let mut best_profit = 0.0f64;
+    let mut best_depth = 0usize;
     let mut nodes = 0usize;
     stack.push(BnbFrame {
         depth: 0,
-        parent_len: 0,
-        take: false,
         used: 0,
         profit: 0.0,
     });
-    while let Some(f) = stack.pop() {
-        nodes += 1;
-        if nodes > node_budget {
-            return None;
-        }
-        current.truncate(f.parent_len as usize);
-        if f.take {
-            current.push(order[f.depth as usize - 1]);
-        }
-        if f.profit > best_profit {
-            best_profit = f.profit;
-            best.clear();
-            best.extend_from_slice(current);
-        }
-        let depth = f.depth as usize;
-        if depth == n {
-            continue;
-        }
-        if bound(items, order, depth, capacity - f.used, f.profit) <= best_profit + 1e-12 {
-            continue; // cannot beat the incumbent
-        }
-        let it = items[order[depth]];
-        let len = current.len() as u32;
-        // Skip branch pushed first so the take branch pops first.
-        stack.push(BnbFrame {
-            depth: f.depth + 1,
-            parent_len: len,
-            take: false,
-            used: f.used,
-            profit: f.profit,
-        });
-        if f.used + it.weight <= capacity {
-            stack.push(BnbFrame {
-                depth: f.depth + 1,
-                parent_len: len,
-                take: true,
-                used: f.used + it.weight,
-                profit: f.profit + it.profit,
-            });
+    while let Some(frame) = stack.pop() {
+        let (mut depth, mut used, mut gained) = (frame.depth as usize, frame.used, frame.profit);
+        let mut took = false;
+        let mut ub = 0.0f64;
+        loop {
+            nodes += 1;
+            if nodes > node_budget {
+                return None;
+            }
+            if depth > 0 {
+                let (word, bit) = ((depth - 1) / 64, 1u64 << ((depth - 1) % 64));
+                if took {
+                    path[word] |= bit;
+                    if gained > best_profit {
+                        best_profit = gained;
+                        best_depth = depth;
+                        best.copy_from_slice(path);
+                    }
+                } else {
+                    path[word] &= !bit;
+                }
+            }
+            if depth == n {
+                break;
+            }
+            if !took {
+                ub = dantzig(&weight[depth..], &profit[depth..], capacity - used, gained);
+            }
+            if ub <= best_profit + 1e-12 {
+                break; // cannot beat the incumbent
+            }
+            took = used + weight[depth] <= capacity;
+            if took {
+                stack.push(BnbFrame {
+                    depth: depth as u32 + 1,
+                    used,
+                    profit: gained,
+                });
+                used += weight[depth];
+                gained += profit[depth];
+            }
+            depth += 1;
         }
     }
+    let taken = |d: &usize| best[d / 64] >> (d % 64) & 1 == 1;
     // lint:allow(hot-path-alloc) Solution::chosen is the caller-owned result value, not reusable scratch
-    Some(Solution::from_indices(items, best.clone()))
+    let mut chosen = Vec::with_capacity((0..best_depth).filter(taken).count());
+    chosen.extend((0..best_depth).filter(taken).map(|d| order[d]));
+    Some(Solution::from_indices(items, chosen))
 }
 
 #[cfg(test)]

@@ -58,3 +58,6 @@ pub use solvers::{
 /// oracles into the solvers; tests assert on it so a feature-gated CI
 /// run provably exercised the checked configuration.
 pub const STRICT_INVARIANTS: bool = cfg!(feature = "strict-invariants");
+
+#[cfg(test)]
+mod identity;

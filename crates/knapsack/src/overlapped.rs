@@ -455,11 +455,80 @@ fn solve_steps<const ALWAYS_SOLVE: bool>(
         solver,
     };
     #[cfg(feature = "strict-invariants")]
-    assert!(
-        out.feasible(problem),
-        "strict-invariants: overlapped solve produced an infeasible assignment"
-    );
+    {
+        assert!(
+            out.feasible(problem),
+            "strict-invariants: overlapped solve produced an infeasible assignment"
+        );
+        // Lemma IV.1 against its certificate. The Dantzig bound can
+        // exceed a slot's optimum by most of one item, so a correct
+        // solve can miss it; the lemma's proof bounds the profit by half
+        // the per-slot optima, so a miss is rechecked against those.
+        let eps = eps.clamp(1e-6, 0.999);
+        let floor = |bound: f64| (1.0 - eps) / 2.0 * bound - 1e-9 * bound.max(1.0);
+        if out.profit < floor(upper_bound(problem)) {
+            let exact = slot_sum_bound(problem, |list, capacity| {
+                let search = crate::bnb::branch_and_bound_budgeted(
+                    list,
+                    capacity,
+                    1 << 20,
+                    &mut crate::scratch::BnbScratch::new(),
+                );
+                search.map_or_else(|| dantzig_of(list, capacity), |s| s.profit)
+            });
+            assert!(
+                out.profit >= floor(exact),
+                "strict-invariants: overlapped profit {} below (1-ε)/2 of the optimum's bound {exact}",
+                out.profit
+            );
+        }
+    }
     out
+}
+
+/// An upper bound on the optimum of `problem`, the certificate that
+/// Lemma IV.1's `(1 − ε)/2` guarantee is checked against. It is the
+/// smaller of two bounds, each over the eligible candidates only
+/// (positive profit, no heavier than the slot, as in step 1):
+/// * the sum over slots of the Dantzig bound on the slot's candidates,
+///   since the optimum's items in one slot are a feasible single
+///   knapsack there;
+/// * the sum over items of each item's best candidate profit, since
+///   the optimum places each item at most once.
+pub fn upper_bound(problem: &OvProblem) -> f64 {
+    slot_sum_bound(problem, dantzig_of)
+}
+
+/// The smaller of the sum of `slot_bound` over each slot's eligible
+/// candidates and the sum of each item's best eligible profit.
+fn slot_sum_bound(problem: &OvProblem, slot_bound: impl Fn(&[Item], u64) -> f64) -> f64 {
+    let mut slots: Vec<Vec<Item>> = vec![Vec::new(); problem.capacities.len()];
+    let mut best_profits = 0.0;
+    for it in &problem.items {
+        let mut best = 0.0f64;
+        for c in it.candidates.iter() {
+            if c.profit > 0.0 && it.weight <= problem.capacities[c.slot] {
+                slots[c.slot].push(Item::new(c.profit, it.weight));
+                best = best.max(c.profit);
+            }
+        }
+        best_profits += best;
+    }
+    let per_slot: f64 = slots
+        .iter()
+        .zip(&problem.capacities)
+        .map(|(list, &capacity)| slot_bound(list, capacity))
+        .sum();
+    per_slot.min(best_profits)
+}
+
+/// The Dantzig bound of one slot's candidates.
+fn dantzig_of(list: &[Item], capacity: u64) -> f64 {
+    let mut sorted = list.to_vec();
+    sorted.sort_by(|a, b| b.ratio().total_cmp(&a.ratio()));
+    let (weight, profit): (Vec<u64>, Vec<f64>) =
+        sorted.iter().map(|it| (it.weight, it.profit)).unzip();
+    crate::bnb::dantzig(&weight, &profit, capacity, 0.0)
 }
 
 /// Exact solver by exhaustive assignment enumeration, for instances of
@@ -941,6 +1010,68 @@ mod tests {
             );
             assert!(s.feasible(&p), "trial {trial}");
         }
+    }
+
+    #[test]
+    fn upper_bound_is_at_least_the_optimum() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(412);
+        for trial in 0..400 {
+            let nslots = rng.random_range(1..=4usize);
+            let capacities: Vec<u64> = (0..nslots).map(|_| rng.random_range(0..50)).collect();
+            let nitems = rng.random_range(0..=12usize);
+            let items: Vec<OvItem> = (0..nitems)
+                .map(|_| {
+                    // Zero weights and non-positive profits included.
+                    let w = rng.random_range(0..30);
+                    let mut profit = || match rng.random_range(0..6) {
+                        0 => -2.0,
+                        1 => 0.0,
+                        _ => rng.random_range(0.1..20.0),
+                    };
+                    let (p1, p2) = (profit(), profit());
+                    let a = rng.random_range(0..nslots);
+                    if nslots > 1 && rng.random_bool(0.7) {
+                        OvItem::pair(w, (a, p1), ((a + 1) % nslots, p2))
+                    } else {
+                        OvItem::single(w, a, p1)
+                    }
+                })
+                .collect();
+            let p = OvProblem { capacities, items };
+            let opt = brute_force(&p).profit;
+            let bound = upper_bound(&p);
+            assert!(
+                bound >= opt - 1e-9,
+                "trial {trial}: bound {bound} < optimum {opt}"
+            );
+            assert!(solve(&p, 0.1).profit <= bound + 1e-9, "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn certificate_can_miss_where_the_lemma_holds() {
+        // Slot 1 holds one of three items; its Dantzig bound adds most
+        // of a second. Both slots pick the middle item, filtering keeps
+        // its slot-1 copy, and nothing else fits where it is eligible:
+        // 16.48 against an optimum of 22.05 (0.75 of it, well inside
+        // the lemma) but under 0.45 of the 36.7 certificate. The strict
+        // check must fall back to the per-slot optima and pass.
+        let p = OvProblem {
+            capacities: vec![32, 40],
+            items: vec![
+                OvItem::single(20, 1, 15.357),
+                OvItem::pair(24, (0, 6.616), (1, 16.483)),
+                OvItem::single(21, 1, 15.434),
+            ],
+        };
+        let s = solve(&p, 0.1);
+        let opt = brute_force(&p).profit;
+        assert!((s.profit - 16.483).abs() < 1e-9);
+        assert!((opt - 22.05).abs() < 1e-9);
+        assert!(s.profit < 0.45 * upper_bound(&p));
+        assert!(s.profit >= 0.45 * opt);
     }
 
     #[test]

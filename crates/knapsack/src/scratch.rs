@@ -78,31 +78,38 @@ impl BitGrid {
     }
 }
 
-/// One sparse DP state of the profit-quantized Pareto-frontier solver
-/// ([`crate::solvers::quantized_dp`]): a reachable (weight, scaled
-/// profit) pair plus the arena link that reconstructs its item set.
+/// One state on the Pareto frontier of the profit-quantized solver
+/// ([`crate::solvers::quantized_dp`]): a reachable (scaled profit,
+/// weight) pair, kept inline so the merge reads it without a hop into
+/// the arena, plus the arena node that reconstructs its item set.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct QState {
-    /// Total weight of the subset.
-    pub(crate) w: u64,
     /// Total scaled profit of the subset.
     pub(crate) q: u64,
-    /// Eligible-item index taken to reach this state.
+    /// Total weight of the subset.
+    pub(crate) w: u64,
+    /// Arena index of the node that reached this state.
+    pub(crate) node: u32,
+}
+
+/// One arena node of the quantized DP: the item taken and the node it
+/// was taken on, a parent chain back to the empty set.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct QNode {
+    /// Eligible-item index taken (`u32::MAX` at the root).
     pub(crate) item: u32,
-    /// Arena index of the predecessor state (`u32::MAX` = root).
+    /// Arena index of the predecessor node (`u32::MAX` at the root).
     pub(crate) parent: u32,
 }
 
-/// One pending node of the iterative branch-and-bound search
-/// ([`crate::bnb::branch_and_bound_budgeted`]).
+/// One pending skip branch of the iterative branch-and-bound search
+/// ([`crate::bnb::branch_and_bound_budgeted`]). Take branches and the
+/// only child of a node whose item does not fit are walked in place, so
+/// the stack holds only the skip siblings still to visit.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BnbFrame {
     /// Depth in the ratio order (how many items decided).
     pub(crate) depth: u32,
-    /// Length of the shared path vector when this node's parent forked.
-    pub(crate) parent_len: u32,
-    /// Whether this node takes item `order[depth - 1]`.
-    pub(crate) take: bool,
     /// Capacity used by the path.
     pub(crate) used: u64,
     /// Profit accumulated by the path.
@@ -110,18 +117,23 @@ pub(crate) struct BnbFrame {
 }
 
 /// Reusable workspace for the iterative branch-and-bound solver: the
-/// ratio order, the explicit DFS stack, the shared path vector, and the
-/// incumbent set. Contents are unspecified between calls.
+/// ratio order and the weights and profits laid out in it, the explicit
+/// DFS stack, and the take flags of the current path and of the
+/// incumbent, one bit per depth. Contents are unspecified between calls.
 #[derive(Debug, Clone, Default)]
 pub struct BnbScratch {
     /// Eligible item indices in profit-to-weight order.
     pub(crate) order: Vec<usize>,
-    /// Explicit DFS stack (replaces the old recursion).
+    /// `weight[d]` = weight of item `order[d]`.
+    pub(crate) weight: Vec<u64>,
+    /// `profit[d]` = profit of item `order[d]`.
+    pub(crate) profit: Vec<f64>,
+    /// Skip branches still to visit (replaces the old recursion).
     pub(crate) stack: Vec<BnbFrame>,
-    /// The current partial selection, shared across frames.
-    pub(crate) current: Vec<usize>,
-    /// The incumbent (best-so-far) selection.
-    pub(crate) best: Vec<usize>,
+    /// Bit `d` set when the current path takes item `order[d]`.
+    pub(crate) path: Vec<u64>,
+    /// The incumbent's take flags, valid below its depth.
+    pub(crate) best: Vec<u64>,
 }
 
 impl BnbScratch {
@@ -149,12 +161,12 @@ pub struct SolverScratch {
     pub(crate) scaled: Vec<u64>,
     /// Ratio order for the Dantzig bound.
     pub(crate) order: Vec<usize>,
-    /// State arena of the sparse quantized DP.
-    pub(crate) arena: Vec<QState>,
-    /// Current Pareto frontier (arena indices, scaled profit ascending).
-    pub(crate) frontier: Vec<u32>,
+    /// Node arena of the sparse quantized DP.
+    pub(crate) arena: Vec<QNode>,
+    /// Current Pareto frontier, scaled profit (and weight) descending.
+    pub(crate) frontier: Vec<QState>,
     /// Merge buffer for the next frontier.
-    pub(crate) merged: Vec<u32>,
+    pub(crate) merged: Vec<QState>,
     /// Nested workspace for the branch-and-bound dispatch arm.
     pub(crate) bnb: BnbScratch,
     /// Which arm answered the last [`crate::solvers::solve_auto`] call.

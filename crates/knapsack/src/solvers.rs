@@ -198,9 +198,16 @@ pub fn sin_knap_with(
     // than the reference's `p_total + 1` cells when capacity binds.
     order.clear();
     order.extend(0..n);
+    // A weightless item whose profit scales to zero adds nothing to the
+    // bound wherever it sorts. Weighing it 1 orders it at ratio 0: as
+    // 0/0 it would tie with every item, which is no total order.
+    let ratio = |j: usize| {
+        let w = items[eligible[j]].weight;
+        let w = if scaled[j] == 0 { w.max(1) } else { w };
+        (scaled[j] as u128, w as u128)
+    };
     order.sort_by(|&a, &b| {
-        let (pa, wa) = (scaled[a] as u128, items[eligible[a]].weight as u128);
-        let (pb, wb) = (scaled[b] as u128, items[eligible[b]].weight as u128);
+        let ((pa, wa), (pb, wb)) = (ratio(a), ratio(b));
         (pb * wa).cmp(&(pa * wb)) // scaled ratio, descending
     });
     let mut room = capacity;
@@ -324,10 +331,22 @@ pub fn quantized_dp(
     eps: f64,
     scratch: &mut SolverScratch,
 ) -> Solution {
-    use crate::scratch::QState;
+    quantized_dp_within(items, capacity, eps, scratch, QDP_ARENA_BUDGET)
+}
+
+/// [`quantized_dp`] with the arena budget as an argument, so a test can
+/// force the dense fallback with a small one.
+pub(crate) fn quantized_dp_within(
+    items: &[Item],
+    capacity: u64,
+    eps: f64,
+    scratch: &mut SolverScratch,
+    arena_budget: usize,
+) -> Solution {
+    use crate::scratch::{QNode, QState};
     let eps = eps.clamp(1e-6, 0.999);
-    const NO_PARENT: u32 = u32::MAX;
-    let best_idx: Option<u32> = {
+    const ROOT: u32 = u32::MAX;
+    let best_node: Option<u32> = {
         let SolverScratch {
             eligible,
             scaled,
@@ -358,13 +377,15 @@ pub fn quantized_dp(
 
         arena.clear();
         frontier.clear();
-        arena.push(QState {
-            w: 0,
-            q: 0,
-            item: u32::MAX,
-            parent: NO_PARENT,
+        arena.push(QNode {
+            item: ROOT,
+            parent: ROOT,
         });
-        frontier.push(0);
+        frontier.push(QState {
+            q: 0,
+            w: 0,
+            node: 0,
+        });
         let mut overflow = false;
         for j in 0..n {
             let (pj, wj) = (scaled[j], items[eligible[j]].weight);
@@ -377,71 +398,53 @@ pub fn quantized_dp(
             // descending and keeping a state only when strictly lighter
             // than everything at higher-or-equal profit. Equal-q ties
             // process the lighter state first; full ties keep the old.
+            // Weights fall along the frontier with q, so the states the
+            // item fits on are a suffix: the take side starts there. A
+            // take state outranks the old state it was made from, so
+            // the take side runs out first and the old side is never
+            // empty before it does.
             merged.clear();
-            let (mut i, mut t) = (frontier.len(), frontier.len());
+            let f = &frontier[..];
+            let mut t = f.partition_point(|s| s.w + wj > capacity);
+            let mut i = 0;
             let mut best_w = u64::MAX;
-            loop {
-                let take = loop {
-                    if t == 0 {
-                        break None;
-                    }
-                    let s = arena[frontier[t - 1] as usize];
-                    if s.w + wj <= capacity {
-                        break Some((s.q + pj, s.w + wj, frontier[t - 1]));
-                    }
-                    t -= 1;
-                };
-                let old = if i > 0 {
-                    let s = arena[frontier[i - 1] as usize];
-                    Some((s.q, s.w, frontier[i - 1]))
-                } else {
-                    None
-                };
-                let pick_take = match (old, take) {
-                    (None, None) => break,
-                    (Some(_), None) => false,
-                    (None, Some(_)) => true,
-                    (Some((oq, ow, _)), Some((tq, tw, _))) => {
-                        if tq != oq {
-                            tq > oq
-                        } else {
-                            tw < ow // equal profit: lighter first; full tie: old first
-                        }
-                    }
-                };
-                if pick_take {
-                    // lint:allow(panic-hygiene) pick_take is only true when the take side exists (merge guard above)
-                    let (q, w, parent) = take.expect("picked side is present");
-                    t -= 1;
-                    if w < best_w {
-                        if arena.len() >= QDP_ARENA_BUDGET {
+            while t < f.len() {
+                let (tq, tw) = (f[t].q + pj, f[t].w + wj);
+                let old = f[i];
+                if tq > old.q || (tq == old.q && tw < old.w) {
+                    if tw < best_w {
+                        if arena.len() >= arena_budget {
                             overflow = true;
                             break;
                         }
-                        arena.push(QState {
-                            w,
-                            q,
+                        arena.push(QNode {
                             item: j as u32,
-                            parent,
+                            parent: f[t].node,
                         });
-                        merged.push((arena.len() - 1) as u32);
-                        best_w = w;
+                        merged.push(QState {
+                            q: tq,
+                            w: tw,
+                            node: (arena.len() - 1) as u32,
+                        });
+                        best_w = tw;
                     }
+                    t += 1;
                 } else {
-                    // lint:allow(panic-hygiene) !pick_take requires the old side to exist (merge guard above)
-                    let (_, w, idx) = old.expect("picked side is present");
-                    i -= 1;
-                    if w < best_w {
-                        merged.push(idx);
-                        best_w = w;
+                    if old.w < best_w {
+                        merged.push(old);
+                        best_w = old.w;
                     }
+                    i += 1;
                 }
             }
             if overflow {
                 break;
             }
-            frontier.clear();
-            frontier.extend(merged.iter().rev().copied());
+            // The old states left are lighter the lower they sit, so the
+            // ones still kept are a suffix.
+            let rest = &f[i..];
+            merged.extend_from_slice(&rest[rest.partition_point(|s| s.w >= best_w)..]);
+            std::mem::swap(frontier, merged);
         }
         netmaster_obs::gauge_max(
             netmaster_obs::names::KNAPSACK_QDP_STATES_HIGHWATER,
@@ -451,10 +454,10 @@ pub fn quantized_dp(
             None
         } else {
             netmaster_obs::counter!(netmaster_obs::names::KNAPSACK_DP_TOTAL);
-            frontier.last().copied()
+            frontier.first().map(|s| s.node)
         }
     };
-    let Some(best) = best_idx else {
+    let Some(best) = best_node else {
         // Frontier outgrew its arena: the dense (truncated, bit-packed)
         // table is the bounded-memory fallback. It counts its own DP
         // tick and keeps the same guarantee.
@@ -464,12 +467,12 @@ pub fn quantized_dp(
     // lint:allow(hot-path-alloc) Solution::chosen is the caller-owned result value, not reusable scratch
     let mut chosen = Vec::new();
     let mut cur = best;
-    while cur != NO_PARENT {
-        let s = scratch.arena[cur as usize];
-        if s.item != u32::MAX {
-            chosen.push(scratch.eligible[s.item as usize]);
+    while cur != ROOT {
+        let node = scratch.arena[cur as usize];
+        if node.item != ROOT {
+            chosen.push(scratch.eligible[node.item as usize]);
         }
-        cur = s.parent;
+        cur = node.parent;
     }
     let sol = Solution::from_indices(items, chosen);
     #[cfg(feature = "strict-invariants")]
@@ -564,6 +567,7 @@ pub fn solve_auto(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bnb::branch_and_bound;
     use crate::reference;
 
     fn items(v: &[(f64, u64)]) -> Vec<Item> {
@@ -690,6 +694,24 @@ mod tests {
     }
 
     #[test]
+    fn weightless_items_whose_profit_scales_to_zero_sort() {
+        // Every fourth item weighs nothing and its profit scales to 0:
+        // as 0/0 ratios they tied with every item, and the bound's sort
+        // panicked on the comparator that was no total order.
+        let it: Vec<Item> = (0..24u64)
+            .map(|i| match i % 4 {
+                0 => Item::new(0.005, 0),
+                _ => Item::new(1.0 + (i * 7 % 19) as f64, 1 + i * 5 % 19),
+            })
+            .collect();
+        let cap = it.iter().map(|x| x.weight).sum::<u64>() / 2;
+        let s = sin_knap(&it, cap, 0.1);
+        let opt = branch_and_bound(&it, cap);
+        assert!(s.feasible(cap));
+        assert!(s.profit >= 0.9 * opt.profit - 1e-9);
+    }
+
+    #[test]
     fn fast_path_takes_everything_under_slack_capacity() {
         // Total eligible weight 6 ≤ capacity 100: the optimum is all
         // positive-profit fitting items, no DP needed.
@@ -735,6 +757,67 @@ mod tests {
             } else {
                 // DP path: same tables, same traversal — bit-identical.
                 assert_eq!(s_new, s_ref, "trial {trial}");
+            }
+        }
+    }
+
+    #[test]
+    fn arena_overflow_falls_back_to_the_dense_table() {
+        // No workload outgrows the sparse frontier's real budget, so a
+        // budget of a few states forces the dense fallback. The metrics
+        // registry is process-wide and other tests in this binary tick
+        // the DP counter concurrently, so the exact tick count is read in
+        // a child process that runs only this test.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const ALONE: &str = "NETMASTER_KNAPSACK_TEST_ALONE";
+        let alone = std::env::var_os(ALONE).is_some();
+        if !alone {
+            let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+                .args([
+                    "--exact",
+                    "solvers::tests::arena_overflow_falls_back_to_the_dense_table",
+                    "--test-threads=1",
+                ])
+                .env(ALONE, "1")
+                .output()
+                .expect("child test run");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(out.status.success(), "child run failed:\n{stdout}");
+            assert!(stdout.contains("1 passed"), "child ran no test:\n{stdout}");
+        }
+        let dp_total =
+            || netmaster_obs::snapshot().counter(netmaster_obs::names::KNAPSACK_DP_TOTAL);
+        let mut rng = StdRng::seed_from_u64(1 << 20);
+        let mut scratch = SolverScratch::new();
+        for trial in 0..60 {
+            let n = rng.random_range(15..=40);
+            let it: Vec<Item> = (0..n)
+                .map(|_| Item::new(rng.random_range(0.5..12.0), rng.random_range(256..50_000)))
+                .collect();
+            let total: u64 = it.iter().map(|x| x.weight).sum();
+            let cap = total / rng.random_range(2..5u64);
+            let eps = [0.05, 0.1, 0.3][trial % 3];
+            let budget = rng.random_range(2..8);
+            let ticks = dp_total();
+            let s = quantized_dp_within(&it, cap, eps, &mut scratch, budget);
+            let ticks = dp_total() - ticks;
+            assert_eq!(
+                scratch.arena.len(),
+                budget,
+                "trial {trial}: frontier overflowed"
+            );
+            assert_eq!(s, sin_knap_with(&it, cap, eps, &mut SolverScratch::new()));
+            let opt = branch_and_bound(&it, cap);
+            assert!(s.feasible(cap), "trial {trial}");
+            assert!(
+                s.profit >= (1.0 - eps) * opt.profit - 1e-9,
+                "trial {trial}: {} < (1-ε)·{}",
+                s.profit,
+                opt.profit
+            );
+            if alone && netmaster_obs::runtime_enabled() {
+                assert_eq!(ticks, 1, "trial {trial}: one DP tick per solve");
             }
         }
     }
