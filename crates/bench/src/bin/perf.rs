@@ -70,7 +70,6 @@ struct Comparison {
 /// live, kept from the attempt with the lowest overhead.
 #[derive(Serialize)]
 struct Overhead {
-    compiled: bool,
     /// Wall seconds of the bare fleet.
     bare_secs: f64,
     /// Wall seconds of the fleet with the attachment live.
@@ -377,7 +376,6 @@ fn best_of(
         );
         if best.as_ref().is_none_or(|b| overhead < b.overhead) {
             best = Some(Overhead {
-                compiled: netmaster_obs::ENABLED,
                 bare_secs,
                 live_secs,
                 events: count,
@@ -559,15 +557,14 @@ fn failures(report: &PerfReport, smoke: bool) -> Vec<String> {
         if smoke { 0.25 } else { 1.0 },
     ));
     // <2% for each live attachment; smoke runs are too short to resolve
-    // 2%, so they only sanity-check the bound. With obs compiled out
-    // both arms run the same code, so there is nothing to budget.
+    // 2%, so they only sanity-check the bound.
     let budget = if smoke { 0.15 } else { 0.02 };
     for (what, o) in [
         ("scrape-under-load", &report.scrape_overhead),
         ("recorder+alerting", &report.recorder_overhead),
         ("tracing+profiler", &report.tracing_overhead),
     ] {
-        if netmaster_obs::ENABLED && o.overhead >= budget {
+        if o.overhead >= budget {
             failures.push(format!(
                 "{what} overhead {:.2}% exceeds the {:.0}% budget",
                 100.0 * o.overhead,

@@ -651,19 +651,11 @@ fn history_plane(
 /// serving surface: `--traces N` resizes the global span-tree ring and
 /// `--profile-hz N` starts the always-on sampling profiler. Returns
 /// the running profiler (stop it when the run ends) so its aggregate
-/// can feed the server's `/profile` endpoint. Errors loudly when
-/// either flag is given but observability is compiled out.
+/// can feed the server's `/profile` endpoint.
 fn trace_profile_plane(args: &Args) -> Result<Option<netmaster_obs::Profiler>, String> {
     let wants = args.options.contains_key("profile-hz") || args.options.contains_key("traces");
     if !wants {
         return Ok(None);
-    }
-    if !netmaster_obs::ENABLED {
-        return Err(
-            "--profile-hz/--traces need observability, but this build has obs disabled \
-             (compiled with --no-default-features); rebuild with the default `obs` feature"
-                .into(),
-        );
     }
     if let Some(spec) = args.options.get("traces") {
         let capacity: usize = spec
@@ -685,8 +677,7 @@ fn trace_profile_plane(args: &Args) -> Result<Option<netmaster_obs::Profiler>, S
 
 /// Starts a scrape server when `--serve` was given: returns the
 /// [`ServePlane`] to publish into (call [`ServePlane::finish`] after
-/// the run). Errors loudly when observability is compiled out — a
-/// server over a disabled registry would scrape as all-empty.
+/// the run).
 fn maybe_serve(args: &Args, out: &mut dyn Write) -> Result<Option<ServePlane>, String> {
     use netmaster_obs::{ObsServer, Sampler, ServeOptions, ServeState, TelemetryHub};
     use std::sync::Arc;
@@ -700,13 +691,6 @@ fn maybe_serve(args: &Args, out: &mut dyn Write) -> Result<Option<ServePlane>, S
             );
         }
         return Ok(None);
-    }
-    if !netmaster_obs::ENABLED {
-        return Err(
-            "--serve needs observability, but this build has obs disabled \
-             (compiled with --no-default-features); rebuild with the default `obs` feature"
-                .into(),
-        );
     }
     let profiler = trace_profile_plane(args)?;
     let hub = Arc::new(TelemetryHub::new());
@@ -850,13 +834,6 @@ fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     use netmaster_obs::{ledger, ObsServer, Sampler, ServeOptions, ServeState, TelemetryHub};
     use std::sync::Arc;
 
-    if !netmaster_obs::ENABLED {
-        return Err(
-            "serve-obs needs observability, but this build has obs disabled \
-             (compiled with --no-default-features); rebuild with the default `obs` feature"
-                .into(),
-        );
-    }
     let users: usize = args.num("users", 3)?;
     let days: usize = args.num("days", 16)?;
     let seed: u64 = args.num("seed", 2014)?;
@@ -973,9 +950,7 @@ fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 /// Runs a few users through the [`netmaster_core::MiddlewareService`]
 /// and dumps the telemetry the run produced: the metrics registry (as a
 /// table, JSON, or Prometheus text) and optionally the decision-audit
-/// journal as JSONL. With observability compiled out
-/// (`--no-default-features`) the command still runs and reports an
-/// empty snapshot.
+/// journal as JSONL.
 fn obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     use netmaster_core::MiddlewareService;
 
@@ -1040,8 +1015,8 @@ fn obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 /// history series; `--query METRIC` runs one window query (`--fn`,
 /// `--from`, `--to`, `--step`, `--q`); otherwise `/snapshot` renders
 /// through the same table/JSON paths as a local run. All requests
-/// honour `--timeout-secs`. Works in no-obs builds too: the telemetry
-/// lives in the *server's* process.
+/// honour `--timeout-secs`. The telemetry lives in the *server's*
+/// process.
 fn obs_remote(url: &str, args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let base = url.trim_end_matches('/');
     let timeout_secs: f64 = args.num("timeout-secs", 10.0)?;
@@ -1216,7 +1191,6 @@ fn profile_remote(url: &str, args: &Args, out: &mut dyn Write) -> Result<(), Str
 /// habit shift injected into one member, and the per-user scorecards
 /// roll up into a fleet health report (healthy/degraded/critical
 /// counts plus the worst-K members with reasons).
-#[cfg(feature = "obs")]
 fn watch_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     use netmaster_core::watchtower::{run_watch, run_watch_observed, HabitShift, WatchSpec};
     use netmaster_obs::health::{HealthStatus, Scorecard};
@@ -1410,25 +1384,12 @@ fn watch_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     Ok(())
 }
 
-/// With observability compiled out there are no drift monitors, no
-/// journal, and no scorecards — fail loudly rather than print an empty
-/// report.
-#[cfg(not(feature = "obs"))]
-fn watch_cmd(_args: &Args, _out: &mut dyn Write) -> Result<(), String> {
-    Err(
-        "the watch command needs observability, but this build has obs disabled \
-         (compiled with --no-default-features); rebuild with the default `obs` feature"
-            .into(),
-    )
-}
-
 /// Reconstructs the flight recorder's view of a simulated fleet: every
 /// activity's causal chain (generation → classification → knapsack →
 /// execution → radio bill), per-app energy bills, and worst-offender
 /// exemplars that link the latency/energy tails back to concrete trace
 /// ids. `--user/--day/--app/--activity` narrow the records before
 /// rollup, JSON output, and JSONL export.
-#[cfg(feature = "obs")]
 fn explain_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     use netmaster_core::MiddlewareService;
     use netmaster_obs::{ledger, ActivityTrace};
@@ -1682,7 +1643,6 @@ fn explain_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 /// Renders one lifecycle record as its full causal chain: generation →
 /// plan decision (with the knapsack's "why") → execution outcome →
 /// radio energy bill.
-#[cfg(feature = "obs")]
 fn write_causal_chain(
     out: &mut dyn Write,
     user: u32,
@@ -1785,18 +1745,6 @@ fn write_causal_chain(
     }
     .map_err(io_err)?;
     Ok(())
-}
-
-/// With observability compiled out the policy records no lifecycle
-/// traces, so there are no causal chains to reconstruct — fail loudly
-/// rather than print an empty ledger.
-#[cfg(not(feature = "obs"))]
-fn explain_cmd(_args: &Args, _out: &mut dyn Write) -> Result<(), String> {
-    Err(
-        "the explain command needs observability, but this build has obs disabled \
-         (compiled with --no-default-features); rebuild with the default `obs` feature"
-            .into(),
-    )
 }
 
 fn timeline_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
@@ -2036,43 +1984,33 @@ mod tests {
     fn obs_command_reports_telemetry() {
         let _g = registry_serial();
         let table = run_to_string(&args("obs --users 2 --days 16 --seed 7")).unwrap();
-        if netmaster_obs::ENABLED {
-            assert!(table.contains("service_days_total"), "{table}");
-            assert!(table.contains("stage_run_day_seconds"), "{table}");
-            assert!(table.contains("sched_deferred_total"), "{table}");
-            // The flight recorder's ledger counters flow through the
-            // same snapshot.
-            assert!(table.contains("ledger_records_total"), "{table}");
-        } else {
-            assert!(table.contains("no metrics"), "{table}");
-        }
+        assert!(table.contains("service_days_total"), "{table}");
+        assert!(table.contains("stage_run_day_seconds"), "{table}");
+        assert!(table.contains("sched_deferred_total"), "{table}");
+        // The flight recorder's ledger counters flow through the same
+        // snapshot.
+        assert!(table.contains("ledger_records_total"), "{table}");
 
         let json = run_to_string(&args("obs --users 1 --days 16 --json")).unwrap();
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert!(v["counters"].is_array());
 
         let prom = run_to_string(&args("obs --users 1 --days 16 --prom")).unwrap();
-        if netmaster_obs::ENABLED {
-            assert!(
-                prom.contains("# TYPE netmaster_service_days_total counter"),
-                "{prom}"
-            );
-            assert!(prom.contains("_bucket{le=\"+Inf\"}"), "{prom}");
-        }
+        assert!(
+            prom.contains("# TYPE netmaster_service_days_total counter"),
+            "{prom}"
+        );
+        assert!(prom.contains("_bucket{le=\"+Inf\"}"), "{prom}");
 
         let jp = tmp("obs.jsonl");
         let msg = run_to_string(&args(&format!("obs --users 1 --days 16 --journal {jp}"))).unwrap();
         assert!(msg.contains("journal entries"));
         let raw = fs::read_to_string(&jp).unwrap();
         let entries = netmaster_obs::parse_jsonl(&raw).unwrap();
-        if netmaster_obs::ENABLED {
-            assert!(!entries.is_empty(), "trained days must journal decisions");
-            // JSONL round-trips byte-for-byte.
-            assert_eq!(netmaster_obs::to_jsonl(&entries).unwrap(), raw);
-            assert!(entries.iter().any(|e| e.event.kind() == "DayExecuted"));
-        } else {
-            assert!(entries.is_empty());
-        }
+        assert!(!entries.is_empty(), "trained days must journal decisions");
+        // JSONL round-trips byte-for-byte.
+        assert_eq!(netmaster_obs::to_jsonl(&entries).unwrap(), raw);
+        assert!(entries.iter().any(|e| e.event.kind() == "DayExecuted"));
 
         assert!(run_to_string(&args("obs --users 0")).is_err());
         assert!(run_to_string(&args("obs --days 1")).is_err());
@@ -2085,12 +2023,9 @@ mod tests {
     fn obs_prometheus_exposition_is_valid() {
         let _g = registry_serial();
         let prom = run_to_string(&args("obs --users 1 --days 16 --seed 3 --prom")).unwrap();
-        if netmaster_obs::ENABLED {
-            netmaster_obs::validate_prometheus(&prom).unwrap();
-        }
+        netmaster_obs::validate_prometheus(&prom).unwrap();
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn watch_command_reports_fleet_health() {
         // Quiet fleet: table lists every member as healthy.
@@ -2126,9 +2061,7 @@ mod tests {
     }
 
     /// CI's watch smoke command, pinned byte for byte: every scorecard
-    /// field, `deferral_p99_secs` included. Gated only because the
-    /// watchtower does not exist without `obs` (see below).
-    #[cfg(feature = "obs")]
+    /// field, `deferral_p99_secs` included.
     #[test]
     fn watch_json_matches_the_golden_fleet() {
         let out = run_to_string(&args("watch --users 3 --days 12 --seed 2014 --json")).unwrap();
@@ -2138,20 +2071,9 @@ mod tests {
         );
     }
 
-    /// Without the `obs` feature the watchtower does not exist; the
-    /// command must say so rather than print an empty report.
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn watch_command_degrades_without_obs() {
-        let err = run_to_string(&args("watch")).unwrap_err();
-        assert!(err.contains("observability"), "{err}");
-        assert!(err.contains("obs disabled"), "{err}");
-    }
-
     /// One test drives every `explain` mode: summary table, drill-down
     /// into a worst-offender exemplar's causal chain, JSON rollup, and
     /// JSONL lifecycle export.
-    #[cfg(feature = "obs")]
     #[test]
     fn explain_command_reconstructs_causal_chains() {
         let out =
@@ -2220,16 +2142,6 @@ mod tests {
         assert!(run_to_string(&args("explain --users 1 --days 16 --activity d99-a0")).is_err());
     }
 
-    /// Without the `obs` feature the policy records no lifecycle
-    /// traces; the command must say so rather than print empty bills.
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn explain_command_degrades_without_obs() {
-        let err = run_to_string(&args("explain")).unwrap_err();
-        assert!(err.contains("observability"), "{err}");
-        assert!(err.contains("obs disabled"), "{err}");
-    }
-
     #[test]
     fn fleet_command_reports_distribution() {
         let out = run_to_string(&args("fleet --users 3 --seed 5")).unwrap();
@@ -2290,11 +2202,25 @@ mod tests {
 
         server.shutdown();
         // A dead endpoint is a hard error, not an empty table.
-        assert!(run_to_string(&args(&format!("obs --url {url}"))).is_err());
+        let err = run_to_string(&args(&format!("obs --url {url}"))).unwrap_err();
+        assert!(err.contains("cannot connect"), "{err}");
         assert!(run_to_string(&args("obs --url ftp://x --prom")).is_err());
     }
 
-    #[cfg(feature = "obs")]
+    /// `profile --url` against a port nothing listens on fails with a
+    /// transport error, not a panic or an empty profile.
+    #[test]
+    fn profile_url_fails_on_a_dead_endpoint() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        drop(listener);
+        let err = run_to_string(&args(&format!(
+            "profile --url http://127.0.0.1:{port} --timeout-secs 1"
+        )))
+        .unwrap_err();
+        assert!(err.contains("cannot connect"), "{err}");
+    }
+
     #[test]
     fn serve_obs_runs_a_workload_and_drains() {
         let _g = registry_serial();
@@ -2315,7 +2241,6 @@ mod tests {
         assert!(run_to_string(&args("serve-obs --addr 999.999.0.1:x")).is_err());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn fleet_serves_while_running() {
         let out =
@@ -2327,7 +2252,6 @@ mod tests {
         assert!(out.contains("fleet of 2"), "{out}");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn watch_serves_and_registers() {
         let p = tmp("watch-runs.jsonl");
@@ -2347,17 +2271,6 @@ mod tests {
         assert_eq!(rows[0].kind, "watch");
         assert_eq!(rows[0].kpis.get("healthy"), Some(&3.0));
         assert_eq!(rows[0].kpis.get("members"), Some(&3.0));
-    }
-
-    /// Without observability a scrape server would serve an all-empty
-    /// registry — the serving entry points must say so loudly.
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn serve_entry_points_degrade_without_obs() {
-        for cmd in ["serve-obs", "fleet --users 1 --serve"] {
-            let err = run_to_string(&args(cmd)).unwrap_err();
-            assert!(err.contains("obs disabled"), "{cmd}: {err}");
-        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! panel members, with an optional habit shift. Not part of the test
 //! suite; used to pick WatchConfig defaults.
 
-#[cfg(feature = "obs")]
 fn main() {
     use netmaster_core::MiddlewareService;
     use netmaster_trace::gen::TraceGenerator;
@@ -58,6 +57,3 @@ fn main() {
         println!();
     }
 }
-
-#[cfg(not(feature = "obs"))]
-fn main() {}

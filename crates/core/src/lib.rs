@@ -44,7 +44,6 @@ pub mod dutycycle;
 pub mod monitoring;
 pub mod policies;
 pub mod service;
-#[cfg(feature = "obs")]
 pub mod watchtower;
 
 pub use config::NetMasterConfig;

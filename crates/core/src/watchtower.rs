@@ -16,9 +16,6 @@
 //! ([`MiddlewareService::trigger_remine`]) so predictions restart from
 //! the user's new life. Per-user [`Scorecard`]s roll up into a fleet
 //! health report via `netmaster_sim::fleet::FleetHealth`.
-//!
-//! Only compiled with the `obs` feature; the `netmaster watch` CLI
-//! subcommand degrades with a clear error otherwise.
 
 use crate::service::{DayReport, MiddlewareService};
 use netmaster_obs::drift::{Direction, DriftAlarm, DriftSignal, MetricMonitor};
@@ -495,11 +492,9 @@ mod tests {
         for o in &outcomes {
             let c = &o.scorecard;
             assert_eq!(c.days, 14);
-            if netmaster_obs::ENABLED {
-                assert!(c.hit_rate.is_some(), "trained days must feed hit-rate");
-                assert!(c.saving.is_some());
-                assert!(c.saving_mean > 0.2, "panel users save energy: {c:?}");
-            }
+            assert!(c.hit_rate.is_some(), "trained days must feed hit-rate");
+            assert!(c.saving.is_some());
+            assert!(c.saving_mean > 0.2, "panel users save energy: {c:?}");
         }
     }
 

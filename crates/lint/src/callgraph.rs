@@ -428,7 +428,7 @@ fn dependency_closures(ws: &Workspace, crate_of: &BTreeMap<String, usize>) -> Ve
         .map(|k| {
             k.manifest
                 .deps
-                .keys()
+                .iter()
                 .filter_map(|d| crate_of.get(&norm(d)).copied())
                 .collect()
         })
@@ -723,7 +723,7 @@ pub fn calls_in_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workspace::{CrateInfo, DepEntry, Manifest};
+    use crate::workspace::{CrateInfo, Manifest};
     use std::path::PathBuf;
 
     fn ws(crates: Vec<(&str, Vec<(&str, &str)>)>) -> Workspace {
@@ -752,7 +752,6 @@ mod tests {
         Workspace {
             root: PathBuf::from("/"),
             crates,
-            root_manifest: Manifest::default(),
         }
     }
 
@@ -936,17 +935,17 @@ mod tests {
     fn feature_gated_call_sites_draw_no_edge() {
         // `floor` is called only under a feature the default build
         // leaves off; `count` under one it turns on (through `default`
-        // → `obs`), and `probe` outside any gate.
+        // → `metrics`), and `probe` outside any gate.
         let mut w = ws(vec![(
             "app",
             vec![(
                 "lib.rs",
-                "fn floor() {}\nfn count() {}\nfn probe() {}\nfn solve() {\n #[cfg(feature = \"strict-invariants\")]\n floor();\n #[cfg(feature = \"obs\")]\n count();\n probe();\n}\n",
+                "fn floor() {}\nfn count() {}\nfn probe() {}\nfn solve() {\n #[cfg(feature = \"strict-invariants\")]\n floor();\n #[cfg(feature = \"metrics\")]\n count();\n probe();\n}\n",
             )],
         )]);
         let features = &mut w.crates[0].manifest.features;
-        features.insert("default".to_owned(), vec!["obs".to_owned()]);
-        features.insert("obs".to_owned(), vec!["dep/enabled".to_owned()]);
+        features.insert("default".to_owned(), vec!["metrics".to_owned()]);
+        features.insert("metrics".to_owned(), vec!["dep/enabled".to_owned()]);
         features.insert("strict-invariants".to_owned(), Vec::new());
         let g = CallGraph::build(&w);
         let solve = id(&g, "lib.rs", "solve");
@@ -971,10 +970,7 @@ mod tests {
             ("mid", vec![("mid.rs", "pub fn noop() {}\n")]),
         ]);
         for (krate, dep) in [(2, "mid"), (3, "b")] {
-            w.crates[krate]
-                .manifest
-                .deps
-                .insert(dep.to_owned(), DepEntry::default());
+            w.crates[krate].manifest.deps.insert(dep.to_owned());
         }
         let g = CallGraph::build(&w);
         let a = id(&g, "a.rs", "f");

@@ -15,12 +15,11 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-/// The nine rule ids, in catalogue order. The last four are the
+/// The eight rule ids, in catalogue order. The last four are the
 /// call-graph–aware concurrency rules (PR 9); `hot-path-alloc` is
 /// transitive over the same graph.
-pub const RULE_IDS: [&str; 9] = [
+pub const RULE_IDS: [&str; 8] = [
     "hot-path-alloc",
-    "feature-gate",
     "metric-names",
     "panic-hygiene",
     "determinism",

@@ -5,7 +5,6 @@
 //! | rule               | enforces                                                  |
 //! |--------------------|-----------------------------------------------------------|
 //! | `hot-path-alloc`   | no allocation in (or reachable from) `lint:hot-path` fns  |
-//! | `feature-gate`     | obs feature wiring: manifests + scrape-API gating         |
 //! | `metric-names`     | one registry for metric/journal names, docs in sync       |
 //! | `panic-hygiene`    | no unwrap/expect/panic in library code outside tests      |
 //! | `determinism`      | no wall clocks / unseeded RNG outside obs + bench         |
@@ -94,9 +93,8 @@ pub fn run_lint(root: &Path, cfg: &LintConfig) -> Result<Report, LoadError> {
     }
 
     type RuleFn = fn(&Workspace, &CallGraph, &LintConfig, &mut Report, &mut WaiverLedger);
-    let catalogue: [(&'static str, RuleFn); 9] = [
+    let catalogue: [(&'static str, RuleFn); 8] = [
         ("hot-path-alloc", rules::hot_path),
-        ("feature-gate", rules::feature_gate),
         ("metric-names", rules::metric_names),
         ("panic-hygiene", rules::panic_hygiene),
         ("determinism", rules::determinism),

@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`hot-path-alloc`, `feature-gate`, …).
+    /// Rule id (`hot-path-alloc`, `metric-names`, …).
     pub rule: &'static str,
     /// Workspace-relative file (or `Cargo.toml` path) the finding is in.
     pub file: String,

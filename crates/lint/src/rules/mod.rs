@@ -5,7 +5,6 @@
 mod atomic_ordering;
 pub mod concurrency;
 mod determinism;
-mod feature_gate;
 mod hot_path;
 mod lock_across_io;
 mod lock_order;
@@ -15,7 +14,6 @@ mod thread_lifecycle;
 
 pub use atomic_ordering::check as atomic_ordering;
 pub use determinism::check as determinism;
-pub use feature_gate::check as feature_gate;
 pub use hot_path::check as hot_path;
 pub use lock_across_io::check as lock_across_io;
 pub use lock_order::check as lock_order;

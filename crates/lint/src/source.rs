@@ -1,6 +1,6 @@
 //! Per-file structural model built on the token stream: `#[cfg(test)]`
-//! / `#[cfg(feature = "obs")]` regions, function bodies, inline
-//! waivers, and `lint:hot-path` markers.
+//! and `#[cfg(feature = …)]` regions, function bodies, inline waivers,
+//! and `lint:hot-path` markers.
 //!
 //! The analysis is deliberately lexical: attribute regions are matched
 //! by brace/semicolon extent, not a full parse. That is exact for the
@@ -66,24 +66,20 @@ pub struct SourceFile {
     pub comments: Vec<Tok>,
     /// Per-code-token: inside a `#[cfg(test)]` region.
     in_test: Vec<bool>,
-    /// Per-code-token: inside a `#[cfg(feature = "obs")]` region.
-    in_obs: Vec<bool>,
     /// Items under a `#[cfg(…)]` naming features: (first token, last
     /// token, the features named).
     feature_gates: Vec<(usize, usize, Vec<String>)>,
     /// The whole file is test-gated (declared `#[cfg(test)] mod x;`).
     pub file_test_gated: bool,
-    /// The whole file is obs-gated (declared `#[cfg(feature = "obs")] mod x;`).
-    pub file_obs_gated: bool,
     /// Functions (in token order).
     pub fns: Vec<FnInfo>,
     /// Waivers found in comments.
     pub waivers: Vec<Waiver>,
     /// Lines carrying a malformed `lint:` directive, with the problem.
     pub directive_errors: Vec<(u32, String)>,
-    /// `mod name;` declarations with their gating, for module-tree
-    /// propagation: (module name, test_gated, obs_gated).
-    pub mod_decls: Vec<(String, bool, bool)>,
+    /// `mod name;` declarations with their test gating, for
+    /// module-tree propagation: (module name, test_gated).
+    pub mod_decls: Vec<(String, bool)>,
 }
 
 impl SourceFile {
@@ -103,12 +99,10 @@ impl SourceFile {
             abs_path,
             role,
             in_test: vec![false; code.len()],
-            in_obs: vec![false; code.len()],
             feature_gates: Vec::new(),
             code,
             comments,
             file_test_gated: false,
-            file_obs_gated: false,
             fns: Vec::new(),
             waivers: Vec::new(),
             directive_errors: Vec::new(),
@@ -123,11 +117,6 @@ impl SourceFile {
     /// `true` when code token `i` is inside test-gated code.
     pub fn is_test(&self, i: usize) -> bool {
         self.file_test_gated || self.in_test.get(i).copied().unwrap_or(false)
-    }
-
-    /// `true` when code token `i` is inside obs-feature-gated code.
-    pub fn is_obs_gated(&self, i: usize) -> bool {
-        self.file_obs_gated || self.in_obs.get(i).copied().unwrap_or(false)
     }
 
     /// `true` when code token `i` lies under a `#[cfg(feature = …)]`
@@ -160,20 +149,17 @@ impl SourceFile {
                     Some(c) => c,
                     None => break,
                 };
-                let (is_test, is_obs) = classify_cfg(&self.code[i + 2..close]);
+                let is_test = is_test_cfg(&self.code[i + 2..close]);
                 let features = cfg_features(&self.code[i + 2..close]);
-                if is_test || is_obs || !features.is_empty() {
+                if is_test || !features.is_empty() {
                     if let Some(end) = self.item_extent(close + 1) {
-                        for k in close + 1..=end.min(n - 1) {
-                            if is_test {
+                        if is_test {
+                            for k in close + 1..=end.min(n - 1) {
                                 self.in_test[k] = true;
                             }
-                            if is_obs {
-                                self.in_obs[k] = true;
-                            }
+                            // `#[cfg(test)] mod name;` gates a whole child file.
+                            self.record_test_mod(close + 1, end);
                         }
-                        // `#[cfg(...)] mod name;` gates a whole child file.
-                        self.record_gated_mod(close + 1, end, is_test, is_obs);
                         if !features.is_empty() {
                             self.feature_gates.push((close + 1, end, features));
                         }
@@ -188,10 +174,9 @@ impl SourceFile {
                 && self.code[i + 1].kind == TokKind::Ident
                 && self.code[i + 2].is_punct(';')
                 && !self.in_test[i]
-                && !self.in_obs[i]
             {
                 let name = self.code[i + 1].text.clone();
-                self.mod_decls.push((name, false, false));
+                self.mod_decls.push((name, false));
                 i += 3;
                 continue;
             }
@@ -199,7 +184,7 @@ impl SourceFile {
         }
     }
 
-    fn record_gated_mod(&mut self, start: usize, end: usize, is_test: bool, is_obs: bool) {
+    fn record_test_mod(&mut self, start: usize, end: usize) {
         let mut j = start;
         // Skip stacked attributes and visibility.
         while j < end {
@@ -226,8 +211,7 @@ impl SourceFile {
             && self.code[j + 1].kind == TokKind::Ident
             && self.code[j + 2].is_punct(';')
         {
-            self.mod_decls
-                .push((self.code[j + 1].text.clone(), is_test, is_obs));
+            self.mod_decls.push((self.code[j + 1].text.clone(), true));
         }
     }
 
@@ -460,20 +444,12 @@ impl SourceFile {
     }
 }
 
-/// Classifies an attribute's token list: (`cfg(test)`-like,
-/// `cfg(feature = "obs")`-like). `not(...)` attributes gate nothing.
-fn classify_cfg(toks: &[Tok]) -> (bool, bool) {
-    if !toks.first().is_some_and(|t| t.is_ident("cfg")) {
-        return (false, false);
-    }
-    if toks.iter().any(|t| t.is_ident("not")) {
-        return (false, false);
-    }
-    let has_test = toks.iter().any(|t| t.is_ident("test"));
-    let has_obs_feature = toks
-        .windows(3)
-        .any(|w| w[0].is_ident("feature") && w[1].is_punct('=') && w[2].str_value() == Some("obs"));
-    (has_test, has_obs_feature)
+/// `true` when an attribute's token list is `cfg(test)`-like.
+/// `not(...)` attributes gate nothing.
+fn is_test_cfg(toks: &[Tok]) -> bool {
+    toks.first().is_some_and(|t| t.is_ident("cfg"))
+        && !toks.iter().any(|t| t.is_ident("not"))
+        && toks.iter().any(|t| t.is_ident("test"))
 }
 
 /// The features a `#[cfg(…)]` attribute names, or none when it is not
@@ -519,22 +495,25 @@ mod tests {
     }
 
     #[test]
-    fn obs_gated_item_and_mod_decl() {
-        let src = "#[cfg(feature = \"obs\")]\npub mod watchtower;\nfn open() {}\n#[cfg(feature = \"obs\")]\nfn gated() { scrape(); }\n";
+    fn feature_gated_item_and_test_gated_mod_decl() {
+        let src = "#[cfg(test)]\nmod helpers;\npub mod open;\n#[cfg(feature = \"strict\")]\nfn gated() { check(); }\n";
         let f = file(src);
-        assert_eq!(f.mod_decls, vec![("watchtower".to_owned(), false, true)]);
-        let scrape = f.code.iter().position(|t| t.is_ident("scrape")).unwrap();
-        assert!(f.is_obs_gated(scrape));
-        let open = f.code.iter().position(|t| t.is_ident("open")).unwrap();
-        assert!(!f.is_obs_gated(open));
+        assert_eq!(
+            f.mod_decls,
+            vec![("helpers".to_owned(), true), ("open".to_owned(), false)]
+        );
+        let check = f.code.iter().position(|t| t.is_ident("check")).unwrap();
+        assert!(f.is_feature_gated_off(check, &BTreeSet::new()));
+        let on = BTreeSet::from(["strict".to_owned()]);
+        assert!(!f.is_feature_gated_off(check, &on));
     }
 
     #[test]
     fn negated_cfg_gates_nothing() {
-        let src = "#[cfg(not(test))]\nfn prod() { a.unwrap(); }\n#[cfg(not(feature = \"obs\"))]\nfn stub() { b(); }\n";
+        let src = "#[cfg(not(test))]\nfn prod() { a.unwrap(); }\n#[cfg(not(feature = \"strict\"))]\nfn stub() { b(); }\n";
         let f = file(src);
         assert!(f.in_test.iter().all(|&x| !x));
-        assert!(f.in_obs.iter().all(|&x| !x));
+        assert!((0..f.code.len()).all(|i| !f.is_feature_gated_off(i, &BTreeSet::new())));
     }
 
     #[test]

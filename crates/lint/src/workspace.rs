@@ -1,7 +1,7 @@
 //! Workspace discovery: enumerates the project's crates, parses their
 //! manifests (a hand-rolled TOML subset — enough for `[dependencies]`
 //! and `[features]`), lexes every source file, and propagates
-//! `#[cfg(...)] mod x;` gating down the module tree.
+//! `#[cfg(test)] mod x;` gating down the module tree.
 //!
 //! Scope policy: the root package plus everything under `crates/` is
 //! linted; `vendor/` holds offline stand-ins for external dependencies
@@ -15,27 +15,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// One parsed dependency entry.
-#[derive(Debug, Clone, Default)]
-pub struct DepEntry {
-    /// `default-features = false` was given (directly or via the
-    /// workspace dependency table).
-    pub default_features_off: bool,
-}
-
 /// The subset of a `Cargo.toml` the lint rules need.
 #[derive(Debug, Clone, Default)]
 pub struct Manifest {
     /// `[package] name`.
     pub name: String,
-    /// `[dependencies]` (name → entry).
-    pub deps: BTreeMap<String, DepEntry>,
-    /// `[dev-dependencies]` names.
-    pub dev_deps: BTreeMap<String, DepEntry>,
+    /// `[dependencies]` names.
+    pub deps: BTreeSet<String>,
     /// `[features]` (name → forwarded entries).
     pub features: BTreeMap<String, Vec<String>>,
-    /// `[workspace.dependencies]` (root manifest only).
-    pub workspace_deps: BTreeMap<String, DepEntry>,
 }
 
 impl Manifest {
@@ -80,8 +68,6 @@ pub struct Workspace {
     pub root: PathBuf,
     /// Members (root package first, then `crates/*` sorted by name).
     pub crates: Vec<CrateInfo>,
-    /// Root manifest (for `[workspace.dependencies]` checks).
-    pub root_manifest: Manifest,
 }
 
 /// Errors from workspace loading.
@@ -114,11 +100,10 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
 
 /// Loads and analyzes the workspace rooted at `root`.
 pub fn load(root: &Path) -> Result<Workspace, LoadError> {
-    let root_manifest = parse_manifest(&root.join("Cargo.toml"))?;
     let mut crates = Vec::new();
 
     // The root package.
-    crates.push(load_crate(root, root, String::new(), &root_manifest)?);
+    crates.push(load_crate(root, root, String::new())?);
 
     // crates/* members, sorted for deterministic output.
     let crates_dir = root.join("crates");
@@ -133,30 +118,17 @@ pub fn load(root: &Path) -> Result<Workspace, LoadError> {
             "crates/{}",
             dir.file_name().and_then(|n| n.to_str()).unwrap_or("?")
         );
-        crates.push(load_crate(root, &dir, rel, &root_manifest)?);
+        crates.push(load_crate(root, &dir, rel)?);
     }
 
     Ok(Workspace {
         root: root.to_path_buf(),
         crates,
-        root_manifest,
     })
 }
 
-fn load_crate(
-    root: &Path,
-    dir: &Path,
-    rel_dir: String,
-    root_manifest: &Manifest,
-) -> Result<CrateInfo, LoadError> {
-    let mut manifest = parse_manifest(&dir.join("Cargo.toml"))?;
-    // A `name.workspace = true` dependency inherits the root table's
-    // default-features setting.
-    for (name, entry) in manifest.deps.iter_mut().chain(manifest.dev_deps.iter_mut()) {
-        if let Some(ws) = root_manifest.workspace_deps.get(name) {
-            entry.default_features_off |= ws.default_features_off;
-        }
-    }
+fn load_crate(root: &Path, dir: &Path, rel_dir: String) -> Result<CrateInfo, LoadError> {
+    let manifest = parse_manifest(&dir.join("Cargo.toml"))?;
 
     let mut files = Vec::new();
     for (sub, role) in [
@@ -211,45 +183,34 @@ fn collect_rs(
     Ok(())
 }
 
-/// Pushes `#[cfg(test)]` / `#[cfg(feature = "obs")]` gates on
-/// `mod x;` declarations down to the declared files, transitively.
+/// Pushes `#[cfg(test)]` gates on `mod x;` declarations down to the
+/// declared files, transitively.
 fn propagate_mod_gates(files: &mut [SourceFile]) {
-    // (dir that child modules resolve against, decl name, test, obs)
-    let mut pending: Vec<(PathBuf, String, bool, bool)> = Vec::new();
-    for f in files.iter() {
-        let base = module_child_dir(&f.abs_path);
-        for (name, test, obs) in &f.mod_decls {
-            pending.push((base.clone(), name.clone(), *test, *obs));
-        }
-    }
-    // Fixpoint: a gated parent gates its children's declarations too.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for (base, name, test, obs) in pending.clone() {
-            let child_rs = base.join(format!("{name}.rs"));
-            let child_mod = base.join(name.clone()).join("mod.rs");
-            for f in files.iter_mut() {
-                if f.abs_path == child_rs || f.abs_path == child_mod {
-                    let new_test = f.file_test_gated || test;
-                    let new_obs = f.file_obs_gated || obs;
-                    if new_test != f.file_test_gated || new_obs != f.file_obs_gated {
-                        f.file_test_gated = new_test;
-                        f.file_obs_gated = new_obs;
-                        changed = true;
-                    }
-                    if new_test || new_obs {
-                        let child_base = module_child_dir(&f.abs_path);
-                        for (n, t, o) in &f.mod_decls {
-                            let entry =
-                                (child_base.clone(), n.clone(), new_test || *t, new_obs || *o);
-                            if !pending.contains(&entry) {
-                                pending.push(entry);
-                                changed = true;
-                            }
-                        }
-                    }
-                }
+    // (dir that child modules resolve against, decl name) of every
+    // test-gated declaration not yet applied.
+    let mut pending: Vec<(PathBuf, String)> = files
+        .iter()
+        .flat_map(|f| {
+            let base = module_child_dir(&f.abs_path);
+            f.mod_decls
+                .iter()
+                .filter(|(_, test)| *test)
+                .map(move |(name, _)| (base.clone(), name.clone()))
+        })
+        .collect();
+    // A gated file gates every module it declares in turn.
+    while let Some((base, name)) = pending.pop() {
+        let child_rs = base.join(format!("{name}.rs"));
+        let child_mod = base.join(&name).join("mod.rs");
+        for f in files.iter_mut() {
+            if (f.abs_path == child_rs || f.abs_path == child_mod) && !f.file_test_gated {
+                f.file_test_gated = true;
+                let child_base = module_child_dir(&f.abs_path);
+                pending.extend(
+                    f.mod_decls
+                        .iter()
+                        .map(|(n, _)| (child_base.clone(), n.clone())),
+                );
             }
         }
     }
@@ -301,19 +262,10 @@ pub fn parse_manifest(path: &Path) -> Result<Manifest, LoadError> {
             "package" if key == "name" => {
                 m.name = unquote(value).to_owned();
             }
-            "dependencies" | "dev-dependencies" | "workspace.dependencies" => {
-                let (dep_name, entry) = parse_dep(key, value);
-                match section.as_str() {
-                    "dependencies" => {
-                        m.deps.insert(dep_name, entry);
-                    }
-                    "dev-dependencies" => {
-                        m.dev_deps.insert(dep_name, entry);
-                    }
-                    _ => {
-                        m.workspace_deps.insert(dep_name, entry);
-                    }
-                }
+            "dependencies" => {
+                // `dep = { … }` or the dotted `dep.workspace = true` form.
+                m.deps
+                    .insert(key.split('.').next().unwrap_or(key).trim().to_owned());
             }
             "features" => {
                 m.features.insert(key.to_owned(), parse_string_array(value));
@@ -329,19 +281,6 @@ pub fn parse_manifest(path: &Path) -> Result<Manifest, LoadError> {
             .unwrap_or_default();
     }
     Ok(m)
-}
-
-fn parse_dep(key: &str, value: &str) -> (String, DepEntry) {
-    // `dep.workspace = true` / `dep.features = [...]` dotted form.
-    let dep_name = key.split('.').next().unwrap_or(key).trim().to_owned();
-    let mut entry = DepEntry::default();
-    if value.contains("default-features") {
-        // `{ ..., default-features = false }` inline table.
-        if let Some(rest) = value.split("default-features").nth(1) {
-            entry.default_features_off = rest.trim_start_matches([' ', '=']).starts_with("false");
-        }
-    }
-    (dep_name, entry)
 }
 
 fn parse_string_array(value: &str) -> Vec<String> {
@@ -410,34 +349,37 @@ name = "demo" # trailing comment
 
 [dependencies]
 netmaster-obs.workspace = true
-other = { path = "../other", default-features = false }
+other = { path = "../other" }
+
+[dev-dependencies]
+rand.workspace = true
 
 [features]
-default = ["obs"]
-obs = [
-    "netmaster-obs/enabled",
-    "other/obs",
+default = ["strict"]
+strict = [
+    "netmaster-knapsack/strict",
+    "other/strict",
 ]
 "#,
         );
         let m = parse_manifest(&path).unwrap();
         assert_eq!(m.name, "demo");
-        assert!(m.deps.contains_key("netmaster-obs"));
-        assert!(m.deps["other"].default_features_off);
-        assert_eq!(m.features["default"], vec!["obs"]);
         assert_eq!(
-            m.features["obs"],
-            vec!["netmaster-obs/enabled", "other/obs"]
+            m.deps,
+            BTreeSet::from(["netmaster-obs".to_owned(), "other".to_owned()])
+        );
+        assert_eq!(m.features["default"], vec!["strict"]);
+        assert_eq!(
+            m.features["strict"],
+            vec!["netmaster-knapsack/strict", "other/strict"]
         );
     }
 
     #[test]
-    fn workspace_dep_table_is_separated() {
-        let path = tmp_manifest(
-            "[workspace.dependencies]\nnetmaster-obs = { path = \"crates/obs\", default-features = false }\n",
-        );
+    fn workspace_dep_table_is_not_a_dependency() {
+        let path =
+            tmp_manifest("[workspace.dependencies]\nnetmaster-obs = { path = \"crates/obs\" }\n");
         let m = parse_manifest(&path).unwrap();
-        assert!(m.workspace_deps["netmaster-obs"].default_features_off);
         assert!(m.deps.is_empty());
     }
 }

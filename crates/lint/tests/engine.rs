@@ -114,23 +114,6 @@ fn thread_lifecycle_fixture_trips_discard_and_joinless() {
 }
 
 #[test]
-fn feature_gate_fixture_trips_manifest_checks() {
-    let report = run_lint(&fixture("feature_gate"), &only("feature-gate")).unwrap();
-    // Two manifest findings: missing default-features = false, and the
-    // obs feature not forwarding netmaster-obs/enabled.
-    assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
-    assert!(report.findings.iter().all(|f| f.rule == "feature-gate"));
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.message.contains("default-features")));
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.message.contains("forward")));
-}
-
-#[test]
 fn metric_names_fixture_trips_unregistered_literal() {
     let report = run_lint(&fixture("metric_names"), &only("metric-names")).unwrap();
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);

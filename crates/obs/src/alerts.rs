@@ -554,9 +554,6 @@ mod tests {
     #[test]
     fn threshold_walks_pending_firing_resolved() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         let store = MetricStore::new(StoreOptions::default());
         let engine = AlertEngine::new(vec![AlertRule::parse(
@@ -619,9 +616,6 @@ mod tests {
     #[test]
     fn pending_resets_on_recovery() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         let store = MetricStore::new(StoreOptions::default());
         let engine = AlertEngine::new(vec![AlertRule::parse("f:t_alert_gauge<0.5:for=3").unwrap()]);
@@ -640,9 +634,6 @@ mod tests {
     #[test]
     fn absence_and_burn_rate_fire() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         let store = MetricStore::new(StoreOptions::default());
         let engine = AlertEngine::new(vec![

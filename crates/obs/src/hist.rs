@@ -92,8 +92,7 @@ pub(crate) fn quantile(
 /// A histogram on the grid: total count (overflow included), sum of
 /// observed seconds, and the non-empty finite buckets.
 ///
-/// Recording into a `Histogram` is plain arithmetic, whether or not the
-/// `enabled` feature is on and whatever
+/// Recording into a `Histogram` is plain arithmetic, whatever
 /// [`runtime_enabled`](crate::runtime_enabled) says: only the
 /// registry's handles are gated. Merging and differencing saturate;
 /// neither panics.

@@ -41,16 +41,14 @@
 //!   / burn-rate [`AlertRule`]s evaluated into
 //!   pending→firing→resolved transitions by an [`AlertEngine`]).
 //!
-//! ## Feature gating
+//! ## Switching it off
 //!
-//! Everything is erased at compile time when the `enabled` feature is
-//! off. Consumer crates depend on this crate unconditionally (with
-//! `default-features = false`) and forward their own `obs` feature to
-//! `netmaster-obs/enabled`; with the feature off every macro expands to
-//! a no-op, [`ENABLED`] is `false`, and the remaining API calls
-//! const-fold away — no `#[cfg]` at call sites. A runtime kill switch
-//! ([`set_runtime_enabled`]) additionally lets one binary A/B its own
-//! instrumentation overhead (the perf harness's <2% guard).
+//! There is one build, with every recording path compiled in. A
+//! run-time kill switch ([`set_runtime_enabled`]) turns collection off:
+//! counters, histograms, spans, the journal and the flight recorder
+//! all return before they touch shared state. `nmbench` prices that
+//! switch as `obs.runtime_share`, and [`set_trace_capture`] prices
+//! span-tree capture the same way.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -106,24 +104,23 @@ pub use tracectx::{
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// `true` when instrumentation is compiled in (the `enabled` feature).
-pub const ENABLED: bool = cfg!(feature = "enabled");
+/// Always `true`: instrumentation is always compiled in. Kept only for
+/// `nmbench`'s start-up check, and deleted together with that check.
+pub const ENABLED: bool = true;
 
 static RUNTIME: AtomicBool = AtomicBool::new(true);
 
-/// Switches recording on or off at run time (on by default). Used by
-/// the perf harness to measure instrumentation overhead inside one
-/// binary; compiled-out builds ignore it.
+/// Switches recording on or off at run time (on by default). This is
+/// the only off switch; the benchmark A/Bs it to price the
+/// instrumentation inside one binary.
 pub fn set_runtime_enabled(on: bool) {
     RUNTIME.store(on, Ordering::Relaxed); // lint:allow(atomic-ordering) pure on/off gate toggled between measured phases; no data is published under it
 }
 
-/// `true` when instrumentation is compiled in *and* runtime-enabled.
-/// With the feature off this is `const false` and recording paths fold
-/// away entirely.
+/// `true` unless [`set_runtime_enabled`] switched recording off.
 #[inline]
 pub fn runtime_enabled() -> bool {
-    ENABLED && RUNTIME.load(Ordering::Relaxed) // lint:allow(atomic-ordering) kill-switch read on the record fast path: no data is published under this flag, and Relaxed keeps the disabled path fence-free
+    RUNTIME.load(Ordering::Relaxed) // lint:allow(atomic-ordering) kill-switch read on the record fast path: no data is published under this flag, and Relaxed keeps the disabled path fence-free
 }
 
 /// An in-flight timer; records elapsed wall-clock seconds into its
@@ -161,19 +158,6 @@ impl Span {
             _ => Span(None),
         }
     }
-
-    /// [`Span::enter`] under the generic name `"span"`, kept for
-    /// callers that predate the span tree.
-    #[inline]
-    pub fn new(hist: Option<Hist>) -> Span {
-        Span::enter("span", hist)
-    }
-
-    /// A span that records nothing.
-    #[inline]
-    pub const fn disabled() -> Span {
-        Span(None)
-    }
 }
 
 impl Drop for Span {
@@ -195,8 +179,7 @@ impl Drop for Span {
 /// Adds to a named counter: `counter!("sched_deferred_total")` adds 1,
 /// `counter!("sched_deferred_total", n)` adds `n: u64`. The handle is
 /// registered once per thread and cached; an increment is one relaxed
-/// atomic RMW. Expands to a no-op when the `enabled` feature is off.
-#[cfg(feature = "enabled")]
+/// atomic RMW.
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {
@@ -213,20 +196,8 @@ macro_rules! counter {
     }};
 }
 
-/// Disabled-build `counter!`: evaluates the amount (for side-effect
-/// parity) and discards it.
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! counter {
-    ($name:expr) => {{}};
-    ($name:expr, $n:expr) => {{
-        let _: u64 = $n;
-    }};
-}
-
 /// Records a value (in seconds, wall-clock or simulated) into a named
 /// histogram: `observe!("deferral_latency_seconds", secs)`.
-#[cfg(feature = "enabled")]
 #[macro_export]
 macro_rules! observe {
     ($name:expr, $secs:expr) => {{
@@ -237,21 +208,11 @@ macro_rules! observe {
     }};
 }
 
-/// Disabled-build `observe!`.
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! observe {
-    ($name:expr, $secs:expr) => {{
-        let _: f64 = $secs;
-    }};
-}
-
 /// Times a pipeline stage: `let _span = obs::span!("plan_day");`
 /// records into the `stage_plan_day_seconds` histogram when the guard
 /// drops, and opens a `"plan_day"` node in the span tree — nested
 /// `span!` guards become its children, and the sampling profiler sees
 /// it on the live stack.
-#[cfg(feature = "enabled")]
 #[macro_export]
 macro_rules! span {
     ($name:literal) => {{
@@ -266,19 +227,9 @@ macro_rules! span {
     }};
 }
 
-/// Disabled-build `span!`.
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! span {
-    ($name:literal) => {
-        $crate::Span::disabled()
-    };
-}
-
 /// Like [`span!`] but records under the literal histogram name
 /// (`timer!("fleet_member_seconds")`), for timings that are not
 /// pipeline stages.
-#[cfg(feature = "enabled")]
 #[macro_export]
 macro_rules! timer {
     ($name:literal) => {{
@@ -292,38 +243,17 @@ macro_rules! timer {
     }};
 }
 
-/// Disabled-build `timer!`.
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! timer {
-    ($name:literal) => {
-        $crate::Span::disabled()
-    };
-}
-
 /// Attaches a typed attribute to the innermost open span on this
 /// thread: `obs::span_attr!("day", day)` tags the enclosing
 /// [`span!`] guard's tree node with `day=<value>`, so
 /// `netmaster explain` can jump from a metric to the exact causal
-/// tree. The value is only formatted while tree capture is live; with
-/// the `enabled` feature off the whole call folds away.
-#[cfg(feature = "enabled")]
+/// tree. The value is only formatted while tree capture is live.
 #[macro_export]
 macro_rules! span_attr {
     ($key:literal, $value:expr) => {{
         if $crate::spantree::trace_capture_enabled() {
             $crate::spantree::set_attr($key, $value);
         }
-    }};
-}
-
-/// Disabled-build `span_attr!`: references the value (for side-effect
-/// parity) and discards it.
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! span_attr {
-    ($key:literal, $value:expr) => {{
-        let _ = &$value;
     }};
 }
 
@@ -340,9 +270,6 @@ mod tests {
     #[test]
     fn macros_record_through_the_registry() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         for _ in 0..3 {
             crate::counter!("lib_macro_total");
@@ -369,9 +296,6 @@ mod tests {
     #[test]
     fn panicking_span_is_abandoned_not_recorded() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         crate::spantree::TraceStore::global().clear();
         let unwound = std::panic::catch_unwind(|| {
@@ -392,14 +316,32 @@ mod tests {
     }
 
     #[test]
-    fn disabled_build_is_inert() {
-        if crate::ENABLED {
-            return;
-        }
+    fn runtime_switch_off_makes_the_macros_inert() {
+        let _g = crate::test_serial();
+        crate::reset();
+        crate::spantree::TraceStore::global().clear();
+        crate::set_runtime_enabled(false);
+        assert!(!crate::runtime_enabled());
         crate::counter!("never_total", 5);
         crate::observe!("never_seconds", 1.0);
-        let _span = crate::span!("never");
-        assert!(crate::snapshot().is_empty());
-        assert!(!crate::runtime_enabled());
+        {
+            let _span = crate::span!("never");
+            crate::span_attr!("day", 3u32);
+        }
+        {
+            let _t = crate::timer!("never_timer_seconds");
+        }
+        crate::set_runtime_enabled(true);
+        let snap = crate::snapshot();
+        assert_eq!(snap.counter("never_total"), 0);
+        for h in [
+            "never_seconds",
+            "stage_never_seconds",
+            "never_timer_seconds",
+        ] {
+            assert!(snap.histogram(h).is_none_or(|h| h.count == 0), "{h}");
+        }
+        assert!(crate::spantree::TraceStore::global().is_empty());
+        crate::reset();
     }
 }

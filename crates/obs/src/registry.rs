@@ -404,9 +404,6 @@ mod tests {
     #[test]
     fn counters_merge_across_shards() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         reset();
         let a = counter_handle("test_merge_total");
         let b = counter_handle("test_merge_total");
@@ -425,9 +422,6 @@ mod tests {
     #[test]
     fn histogram_records_counts_sum_and_quantiles() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         reset();
         let h = hist_handle("test_hist_seconds");
         for _ in 0..90 {
@@ -450,9 +444,6 @@ mod tests {
     #[test]
     fn quantiles_interpolate_within_one_bucket_width_of_truth() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         reset();
         let h = hist_handle("test_quantile_seconds");
         // Uniform over 0.01 s ..= 1.00 s: true p50 = 0.50 s, p99 = 0.99 s.
@@ -488,9 +479,6 @@ mod tests {
     #[test]
     fn gauges_set_and_high_water() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         reset();
         gauge_set("test_gauge", 5.0);
         gauge_max("test_gauge", 3.0);
@@ -504,9 +492,6 @@ mod tests {
     #[test]
     fn poisoned_registry_lock_recovers() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::set_runtime_enabled(true);
         reset();
         // Poison the gauges lock: a thread panics while holding it.
@@ -530,9 +515,6 @@ mod tests {
     #[test]
     fn torn_histogram_shard_still_scrapes_cumulative() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         reset();
         // A shard as a scrape finds it mid-burst: bucket increments
         // have landed (two of them past the last finite bound) whose
@@ -558,9 +540,6 @@ mod tests {
     #[test]
     fn runtime_toggle_suppresses_recording() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         reset();
         let c = counter_handle("test_toggle_total");
         crate::set_runtime_enabled(false);

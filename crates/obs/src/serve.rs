@@ -690,17 +690,13 @@ mod tests {
         let hub = Arc::new(TelemetryHub::new());
         let server = start_test_server(Arc::clone(&hub), 0);
         let url = server.base_url();
-        if crate::ENABLED {
-            crate::reset();
-            crate::counter!("serve_test_total", 3);
-        }
+        crate::reset();
+        crate::counter!("serve_test_total", 3);
         let (status, body) = http_get(&format!("{url}/metrics")).unwrap();
         assert_eq!(status, 200);
         crate::validate_prometheus(&body).unwrap();
-        if crate::ENABLED {
-            assert!(body.contains("netmaster_serve_test_total 3"));
-            crate::reset();
-        }
+        assert!(body.contains("netmaster_serve_test_total 3"));
+        crate::reset();
         server.shutdown();
     }
 
@@ -724,9 +720,6 @@ mod tests {
     #[test]
     fn healthz_degrades_past_the_drop_threshold() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         let hub = Arc::new(TelemetryHub::new());
         // Overflow a tiny journal ring: 2 drops.
@@ -869,9 +862,6 @@ mod tests {
     #[test]
     fn firing_page_alert_degrades_healthz() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         let hub = Arc::new(TelemetryHub::new());
         let store = Arc::new(crate::store::MetricStore::default());
@@ -921,9 +911,6 @@ mod tests {
     #[test]
     fn profile_endpoint_serves_folded_and_json() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         crate::spantree::TraceStore::global().clear();
         let hub = Arc::new(TelemetryHub::new());

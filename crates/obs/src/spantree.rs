@@ -18,11 +18,10 @@
 //!
 //! [`span!`](crate::span) call sites keep compiling unchanged: the
 //! macro threads the stage name into [`Span::enter`](crate::Span::enter)
-//! and nesting falls out of RAII drop order. The whole layer erases
-//! with the `enabled` feature and obeys the runtime kill switch
-//! ([`crate::set_runtime_enabled`]); tree *capture* additionally
-//! toggles via [`set_trace_capture`] so the perf harness can A/B it in
-//! one binary.
+//! and nesting falls out of RAII drop order. The whole layer obeys the
+//! runtime kill switch ([`crate::set_runtime_enabled`]); tree *capture*
+//! additionally toggles via [`set_trace_capture`] so the benchmark can
+//! A/B it in one binary.
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -927,9 +926,6 @@ mod tests {
     #[test]
     fn nested_spans_build_a_tree_with_self_time() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         TraceStore::global().clear();
         {
@@ -974,9 +970,6 @@ mod tests {
     #[test]
     fn capture_toggle_skips_tree_assembly_but_keeps_histograms() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         TraceStore::global().clear();
         set_trace_capture(false);
@@ -1023,9 +1016,6 @@ mod tests {
     #[test]
     fn captured_children_past_the_cap_are_counted_not_kept() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         TraceStore::global().clear();
         {
@@ -1053,9 +1043,6 @@ mod tests {
     #[test]
     fn abandoned_child_leaves_its_parent_recorded() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         TraceStore::global().clear();
         {
@@ -1083,9 +1070,6 @@ mod tests {
     #[test]
     fn threads_capture_into_their_own_shards() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         let store = TraceStore::global();
         store.clear();

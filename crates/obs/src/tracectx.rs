@@ -217,7 +217,7 @@ impl TraceLedger {
     }
 
     /// Appends one day's records, as written, in one chunk. A no-op
-    /// when observability is compiled out or switched off at run time.
+    /// when observability is switched off at run time.
     pub fn record_day(&mut self, records: Vec<ActivityTrace>) {
         if !runtime_enabled() {
             return;
@@ -326,9 +326,6 @@ mod tests {
     #[test]
     fn ring_bounds_and_counts_drops() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         crate::reset();
         let mut l = TraceLedger::with_capacity(3);
         l.record_day((0..2).map(|i| rec(0, i)).collect());
@@ -352,9 +349,6 @@ mod tests {
     #[test]
     fn newest_day_is_mutable_in_place() {
         let _g = crate::test_serial();
-        if !crate::ENABLED {
-            return;
-        }
         let mut l = TraceLedger::new();
         l.record_day(vec![rec(0, 0)]);
         assert!(l.day_mut(1).is_none(), "day 1 has not been recorded");
@@ -441,13 +435,19 @@ mod tests {
     }
 
     #[test]
-    fn disabled_ledger_stays_empty() {
-        if crate::ENABLED {
-            return;
-        }
-        let mut l = TraceLedger::new();
-        l.record_day(vec![rec(0, 0)]);
+    fn switched_off_ledger_stays_empty() {
+        let _g = crate::test_serial();
+        crate::reset();
+        // Two records into a one-slot ring would drop one if recorded.
+        let mut l = TraceLedger::with_capacity(1);
+        crate::set_runtime_enabled(false);
+        l.record_day(vec![rec(0, 0), rec(0, 1)]);
+        crate::set_runtime_enabled(true);
         assert!(l.is_empty());
         assert_eq!(l.dropped(), 0);
+        let snap = crate::snapshot();
+        assert_eq!(snap.counter(crate::names::LEDGER_DROPPED_TOTAL), 0);
+        assert_eq!(snap.counter(crate::names::LEDGER_RECORDS_TOTAL), 0);
+        crate::reset();
     }
 }

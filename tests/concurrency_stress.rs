@@ -6,11 +6,6 @@
 //! ordering is exact (producers join → run ends → scrapers drain →
 //! sampler stops → server drains), and every post-drain assertion is
 //! on state that joins have already made single-threaded.
-//!
-//! Deliberately NOT gated on the `obs` feature: under
-//! `--no-default-features` the same thread topology runs — the server
-//! still serves, the sampler thread still spins and stops — but
-//! recording folds away, which the tail assertions pin down.
 
 use netmaster_obs::serve::ServeState;
 use netmaster_obs::{
@@ -158,13 +153,7 @@ fn scrape_burst_with_producers_and_sampler_drains_exactly() {
     // sample, after which the store goes quiet for good.
     sampler.stop();
     let samples = store.samples_total();
-    if netmaster_obs::ENABLED {
-        assert!(samples >= 1, "the final stop() tick must always sample");
-    } else {
-        // Compiled-out builds keep the thread topology but fold
-        // recording away entirely.
-        assert_eq!(samples, 0, "no-obs builds must not record samples");
-    }
+    assert!(samples >= 1, "the final stop() tick must always sample");
     thread::sleep(Duration::from_millis(20));
     assert_eq!(
         store.samples_total(),
@@ -224,21 +213,16 @@ fn profiler_ticks_account_for_every_live_stack_exactly() {
     }
 
     let report = agg.report();
-    if netmaster_obs::ENABLED {
-        let expected = PROF_THREADS as u64 * PROF_TICKS;
-        assert_eq!(report.samples_total, expected);
-        // Every worker holds the identical stack, so the folded
-        // aggregate collapses to one row accounting for all samples.
-        assert_eq!(report.stacks.len(), 1, "{:?}", report.stacks);
-        assert_eq!(
-            report.stacks[0].stack,
-            "stress_prof_outer;stress_prof_inner"
-        );
-        assert_eq!(report.stacks[0].count, expected);
-    } else {
-        assert_eq!(report.samples_total, 0);
-        assert!(report.stacks.is_empty());
-    }
+    let expected = PROF_THREADS as u64 * PROF_TICKS;
+    assert_eq!(report.samples_total, expected);
+    // Every worker holds the identical stack, so the folded aggregate
+    // collapses to one row accounting for all samples.
+    assert_eq!(report.stacks.len(), 1, "{:?}", report.stacks);
+    assert_eq!(
+        report.stacks[0].stack,
+        "stress_prof_outer;stress_prof_inner"
+    );
+    assert_eq!(report.stacks[0].count, expected);
 }
 
 /// A scrape server on port 0 with `threads` workers and nothing attached.

@@ -3,12 +3,6 @@
 //! segment file, queried back over HTTP, with an [`AlertEngine`] rule
 //! driven through its full inactive → pending → firing → resolved
 //! cycle and the `/healthz` degradation that firing implies.
-//!
-//! Deliberately NOT gated on the `obs` feature: the store, alert, and
-//! serve modules compile in both configurations (only the recording
-//! macros compile out), so the same end-to-end flow must hold under
-//! `--no-default-features` too — there it runs on hand-built snapshots
-//! instead of live registry traffic.
 
 use netmaster_obs::serve::ServeState;
 use netmaster_obs::store::{PointValue, SeriesKind};
@@ -163,25 +157,16 @@ fn sample_persist_query_fire_and_resolve_round_trip() {
     let (status, _) = get(&base, "/healthz");
     assert_eq!(status, 200);
 
-    // The transition journal carries one firing and one resolved event
-    // — unless observability is compiled out, where journal emission
-    // no-ops while the alert state machine above still runs.
+    // The transition journal carries one firing and one resolved event.
     let jsonl = engine.drain_journal_jsonl();
-    if netmaster_obs::ENABLED {
-        assert!(
-            jsonl.contains(netmaster_obs::names::KIND_ALERT_FIRING),
-            "{jsonl}"
-        );
-        assert!(
-            jsonl.contains(netmaster_obs::names::KIND_ALERT_RESOLVED),
-            "{jsonl}"
-        );
-    } else {
-        assert!(
-            jsonl.is_empty(),
-            "no-obs build must not emit journal events: {jsonl}"
-        );
-    }
+    assert!(
+        jsonl.contains(netmaster_obs::names::KIND_ALERT_FIRING),
+        "{jsonl}"
+    );
+    assert!(
+        jsonl.contains(netmaster_obs::names::KIND_ALERT_RESOLVED),
+        "{jsonl}"
+    );
 
     // Persist and read back bit-for-bit: every series, every point.
     let path = tmp_path("round_trip.nmts");
@@ -264,11 +249,10 @@ fn counter_resets_survive_persistence_and_queries() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// With the `obs` feature on, the background [`Sampler`] drives the
-/// same loop from the *live* registry: a watch-style workload publishes
+/// The background [`Sampler`] drives the same loop from the *live*
+/// registry: a watch-style workload publishes
 /// the gauge, the sampler records + evaluates + persists on its own
 /// thread, and alert transitions land in the hub's journal tail.
-#[cfg(feature = "obs")]
 #[test]
 fn background_sampler_records_live_registry_and_fires() {
     use std::time::{Duration, Instant};

@@ -1,10 +1,8 @@
-//! The obs-enabled NetMaster policy must feed the metrics registry: a
+//! The NetMaster policy must feed the metrics registry: a
 //! trained policy simulated over held-out days records prediction hits
 //! and times its day planning. The registry is process-global and other
 //! tests reset it, so this check is the only test in its binary; it
 //! compares snapshots taken around the run rather than resetting.
-
-#![cfg(feature = "obs")]
 
 use netmaster_bench::harness::{self, TEST_DAYS};
 use netmaster_obs::names::{PREDICTION_HITS_TOTAL, STAGE_PLAN_DAY_SECONDS};

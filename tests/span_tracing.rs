@@ -4,10 +4,6 @@
 //! contract (the `explain` jump and the flamegraph export both key on
 //! them), so a drive-by span rename or a lost parent/child edge fails
 //! here, not in a dashboard.
-//!
-//! Deliberately NOT gated on the `obs` feature: under
-//! `--no-default-features` the same workload runs and the store must
-//! stay empty.
 
 use netmaster_core::MiddlewareService;
 use netmaster_obs::{SpanNode, TraceStore};
@@ -70,14 +66,6 @@ fn one_trained_day_produces_the_golden_span_tree() {
     let mut svc = MiddlewareService::new().import_history(&trace.days[..TRAIN_DAYS]);
     let report = svc.run_day(&trace.days[TRAIN_DAYS]);
     assert_eq!(report.day, TRAIN_DAYS);
-
-    if !netmaster_obs::ENABLED {
-        assert!(
-            TraceStore::global().is_empty(),
-            "no-obs builds must capture no span trees"
-        );
-        return;
-    }
 
     let tree = TraceStore::global()
         .exemplar("run_day")

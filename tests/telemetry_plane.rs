@@ -3,8 +3,6 @@
 //! endpoint is polled over HTTP; a concurrent request burst and a
 //! graceful shutdown close the loop.
 
-#![cfg(feature = "obs")]
-
 use netmaster_core::watchtower::{run_watch_observed, WatchSpec};
 use netmaster_obs::{http_get, HealthzReport, ObsServer, ServeOptions, TelemetryHub};
 use netmaster_sim::FleetHealth;

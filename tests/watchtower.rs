@@ -2,8 +2,6 @@
 //! injected mid-run must raise a `DriftDetected` journal event within
 //! days, while unshifted panel users sail through healthy.
 
-#![cfg(feature = "obs")]
-
 use netmaster_core::watchtower::{run_watch, HabitShift, WatchSpec};
 use netmaster_obs::health::HealthStatus;
 use netmaster_obs::DecisionEvent;
