@@ -3,6 +3,7 @@
 //! suite; used to pick WatchConfig defaults.
 
 fn main() {
+    use netmaster_core::watchtower::rotate_rhythm;
     use netmaster_core::MiddlewareService;
     use netmaster_trace::gen::TraceGenerator;
     use netmaster_trace::profile::UserProfile;
@@ -19,13 +20,9 @@ fn main() {
                     .with_seed(seed)
                     .generate(days);
                 if shifted {
-                    let mut p = profile.clone();
-                    p.weekday_intensity.rotate_right(12);
-                    p.weekend_intensity.rotate_right(12);
-                    for app in &mut p.apps {
-                        app.hourly_affinity.rotate_right(12);
-                    }
-                    let alt = TraceGenerator::new(p).with_seed(seed).generate(days);
+                    let alt = TraceGenerator::new(rotate_rhythm(profile.clone(), 12))
+                        .with_seed(seed)
+                        .generate(days);
                     for d in shift_day..days {
                         trace.days[d] = alt.days[d].clone();
                     }

@@ -14,6 +14,7 @@ use crate::config::NetMasterConfig;
 use netmaster_knapsack::overlapped::{self, Candidate, Candidates, ItemWhy, OvItem, OvProblem};
 use netmaster_knapsack::OvScratch;
 use netmaster_mining::{ActiveSlotPrediction, NetworkPrediction};
+use netmaster_obs::{PlanReason, RejectReason};
 use netmaster_radio::{LinkModel, RrcModel};
 use netmaster_trace::time::{DayIndex, Interval, Timestamp, HOURS_PER_DAY, SECS_PER_HOUR};
 use serde::{Deserialize, Serialize};
@@ -39,40 +40,6 @@ pub enum Disposition {
     DutyCycle,
 }
 
-/// Why the duty-cycle layer got a demand the planner saw (mirrors
-/// [`netmaster_knapsack::overlapped::OvRejectReason`] on a serde
-/// surface).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RouteReject {
-    /// The predicted item had no adjacent active slot.
-    NoCandidate,
-    /// The deferral penalty beat the energy saving in every slot.
-    NoPositiveProfit,
-    /// Profitable slots existed but their capacity ran out.
-    CapacityFull,
-}
-
-/// The planner's causal explanation for one routing-table entry — the
-/// flight-recorder record of *why* a disposition was chosen, captured
-/// from [`netmaster_knapsack::overlapped::OvSolution::why`] at plan
-/// time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PlanWhy {
-    /// Predicted item weight (payload bytes).
-    pub weight: u64,
-    /// Profit (ΔE − ΔP, joules) of the chosen slot; `0` when rejected.
-    pub profit: f64,
-    /// The competing adjacent slot the item did *not* go to.
-    pub runner_up_slot: Option<usize>,
-    /// That competitor's profit.
-    pub runner_up_profit: f64,
-    /// Which [`netmaster_knapsack::solve_auto`] arm answered the
-    /// winning slot (`None` when the item was rejected).
-    pub solver: Option<netmaster_obs::SolverArm>,
-    /// Why the item fell through to duty cycle, when it did.
-    pub reject: Option<RouteReject>,
-}
-
 /// The compiled plan for one day.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DayRouting {
@@ -89,10 +56,10 @@ pub struct DayRouting {
     /// Where each hour's list starts in `route`; the last entry is
     /// `route.len()`.
     hour_start: [u32; HOURS_PER_DAY + 1],
-    /// Causal explanations aligned with `route`: `why[i]` explains
-    /// `route[i]`, `None` for an `Immediate` placeholder. Populated
-    /// only while observability is runtime-enabled; empty otherwise.
-    why: Vec<Option<PlanWhy>>,
+    /// The flight recorder's reason for each `route` entry (`None` for
+    /// an `Immediate` placeholder); empty unless
+    /// [`DecisionMaker::record_why`] was set while observability was live.
+    why: Vec<Option<PlanReason>>,
     /// Total planner profit (ΔE − ΔP over scheduled predicted items).
     pub planned_profit: f64,
 }
@@ -127,11 +94,11 @@ impl DayRouting {
             .map_or(Disposition::DutyCycle, |i| self.route[i])
     }
 
-    /// Causal explanation for the `k`-th screen-off arrival in hour
-    /// `h`, cycled exactly like [`DayRouting::disposition`]. `None`
-    /// when why-tracking was off at plan time, the hour routes to duty
-    /// cycle by default, or the entry is an `Immediate` placeholder.
-    pub fn why_for(&self, hour: usize, k: usize) -> Option<PlanWhy> {
+    /// Plan reason for the `k`-th screen-off arrival in hour `h`,
+    /// cycled exactly like [`DayRouting::disposition`]. `None` when
+    /// why-tracking was off at plan time, the hour routes to duty cycle
+    /// by default, or the entry is an `Immediate` placeholder.
+    pub fn why_for(&self, hour: usize, k: usize) -> Option<PlanReason> {
         *self.why.get(self.entry(hour, k)?)?
     }
 
@@ -165,9 +132,10 @@ pub struct DecisionMaker {
     /// Radio model with *stock* tails — `ΔE` is the saving relative to
     /// what the default device would burn on an isolated transfer.
     pub radio: RrcModel,
-    /// Whether to capture per-item [`PlanWhy`] explanations while
-    /// observability is live. Part of the flight-recorder detail level
-    /// (see [`crate::policies::NetMasterPolicy::with_flight_recorder`]);
+    /// Whether to record each planner-routed item's [`PlanReason`] in
+    /// the routing while observability is live. Part of the
+    /// flight-recorder detail level (see
+    /// [`crate::policies::NetMasterPolicy::with_flight_recorder`]);
     /// metrics-only deployments turn it off.
     pub record_why: bool,
 }
@@ -289,22 +257,13 @@ impl DecisionMaker {
         // slow-trace exemplar explains *which* algorithm ran. Guarded by
         // the capture toggle so the A/B's untraced arm allocates nothing.
         if netmaster_obs::trace_capture_enabled() {
-            let (mut fastpath, mut bnb, mut dp) = (0usize, 0usize, 0usize);
-            for kind in solution.solver.iter().flatten() {
-                match kind {
-                    netmaster_knapsack::SolverKind::Fastpath => fastpath += 1,
-                    netmaster_knapsack::SolverKind::Bnb => bnb += 1,
-                    netmaster_knapsack::SolverKind::Dp => dp += 1,
-                }
-            }
-            let arm = match (fastpath, bnb, dp) {
-                (0, 0, 0) => None,
-                (_, 0, 0) => Some("fastpath"),
-                (0, _, 0) => Some("bnb"),
-                (0, 0, _) => Some("dp"),
-                _ => Some("mixed"),
-            };
-            if let Some(arm) = arm {
+            let mut arms = solution.solver.iter().flatten();
+            if let Some(&first) = arms.next() {
+                let arm = if arms.all(|&a| a == first) {
+                    first.name()
+                } else {
+                    "mixed"
+                };
                 netmaster_obs::span_attr!("arm", arm);
             }
         }
@@ -330,15 +289,16 @@ impl DecisionMaker {
             }
             let hour_begins = Interval::hour(day, hour).start;
             for j in hour_first[hour]..hour_first[hour + 1] {
-                route.push(match solution.assignment[j] {
+                let (disposition, prefetch) = match solution.assignment[j] {
                     Some(slot) if slots[slot].end <= hour_begins => {
-                        Disposition::PrefetchIn { slot }
+                        (Disposition::PrefetchIn { slot }, true)
                     }
-                    Some(slot) => Disposition::DeferTo { slot },
-                    None => Disposition::DutyCycle,
-                });
+                    Some(slot) => (Disposition::DeferTo { slot }, false),
+                    None => (Disposition::DutyCycle, false),
+                };
+                route.push(disposition);
                 if record_why {
-                    why.push(Some(plan_why(solution.why(&problem, j))));
+                    why.push(Some(plan_reason(solution.why(&problem, j), prefetch)));
                 }
             }
         }
@@ -424,23 +384,23 @@ impl DecisionMaker {
     }
 }
 
-/// The flight-recorder record of one solved item.
-fn plan_why(iw: ItemWhy) -> PlanWhy {
-    PlanWhy {
-        weight: iw.weight,
-        profit: iw.chosen.map_or(0.0, |c| c.profit),
-        runner_up_slot: iw.runner_up.map(|c| c.slot),
-        runner_up_profit: iw.runner_up.map_or(0.0, |c| c.profit),
-        solver: iw.solver.map(|k| match k {
-            netmaster_knapsack::SolverKind::Fastpath => netmaster_obs::SolverArm::Fastpath,
-            netmaster_knapsack::SolverKind::Bnb => netmaster_obs::SolverArm::Bnb,
-            netmaster_knapsack::SolverKind::Dp => netmaster_obs::SolverArm::Dp,
-        }),
-        reject: iw.reject.map(|r| match r {
-            overlapped::OvRejectReason::NoCandidate => RouteReject::NoCandidate,
-            overlapped::OvRejectReason::NoPositiveProfit => RouteReject::NoPositiveProfit,
-            overlapped::OvRejectReason::CapacityFull => RouteReject::CapacityFull,
-        }),
+/// The flight-recorder record of one solved item: the slot it won and
+/// against what competition, or why no slot took it. `prefetch` says
+/// whether the winning slot lies before the item's hour.
+fn plan_reason(iw: ItemWhy, prefetch: bool) -> PlanReason {
+    match iw.chosen {
+        Some(won) => PlanReason::Assigned {
+            slot: won.slot,
+            profit: won.profit,
+            weight: iw.weight,
+            runner_up_slot: iw.runner_up.map(|c| c.slot),
+            runner_up_profit: iw.runner_up.map_or(0.0, |c| c.profit),
+            prefetch,
+            solver: iw.solver,
+        },
+        None => PlanReason::Rejected {
+            reason: iw.reject.unwrap_or(RejectReason::NoCandidate),
+        },
     }
 }
 
@@ -619,10 +579,6 @@ mod tests {
         let pred = two_slot_prediction();
         let net = network_with_hours(&[(3, 2.0, 8_000.0), (8, 1.0, 1_000.0)]);
         let routing = m.plan_day(0, &pred, &net);
-        if !netmaster_obs::runtime_enabled() {
-            assert!(routing.why.is_empty());
-            return;
-        }
         // `why` is aligned with `route`: an explanation for every
         // planner-routed entry, none for the `Immediate` placeholders.
         assert_eq!(routing.why.len(), routing.route.len());
@@ -632,15 +588,25 @@ mod tests {
         // Active hour 8: an Immediate placeholder without explanation.
         assert_eq!(routing.disposition(8, 0), Disposition::Immediate);
         assert_eq!(routing.why_for(8, 0), None);
-        // Hour 3 demands were deferred into slot 0; the explanation
-        // names the winning slot's profit and the item weight.
+        // Hour 3 demands were deferred into slot 0; the reason names
+        // the winning slot, its profit and the item weight.
         assert_eq!(routing.disposition(3, 0), Disposition::DeferTo { slot: 0 });
         let w = routing
             .why_for(3, 0)
             .expect("deferred entry explains itself");
-        assert!(w.profit > 0.0, "{w:?}");
-        assert!(w.weight > 0, "{w:?}");
-        assert_eq!(w.reject, None);
+        assert!(
+            matches!(
+                w,
+                PlanReason::Assigned {
+                    slot: 0,
+                    prefetch: false,
+                    profit,
+                    weight,
+                    ..
+                } if profit > 0.0 && weight > 0
+            ),
+            "{w:?}"
+        );
         // Round-trips through serde, why table included.
         let json = serde_json::to_string(&routing).unwrap();
         let back: DayRouting = serde_json::from_str(&json).unwrap();
@@ -650,7 +616,7 @@ mod tests {
     /// The routing as per-hour lists plus hour-tagged explanations,
     /// rebuilt from the plan's own instance and solution the way the
     /// planner flattened them before the table went flat.
-    type PerHour = (Vec<Vec<Disposition>>, Vec<(u8, PlanWhy)>, f64);
+    type PerHour = (Vec<Vec<Disposition>>, Vec<(u8, PlanReason)>, f64);
 
     fn per_hour_lists(
         m: &DecisionMaker,
@@ -686,7 +652,8 @@ mod tests {
                 };
                 dispositions.push(d);
                 if record_why {
-                    why.push((hour as u8, plan_why(solution.why(&problem, j))));
+                    let prefetch = matches!(d, Disposition::PrefetchIn { .. });
+                    why.push((hour as u8, plan_reason(solution.why(&problem, j), prefetch)));
                 }
             }
         }
@@ -703,7 +670,7 @@ mod tests {
         }
     }
 
-    fn per_hour_why((route, why, _): &PerHour, hour: usize, k: usize) -> Option<PlanWhy> {
+    fn per_hour_why((route, why, _): &PerHour, hour: usize, k: usize) -> Option<PlanReason> {
         let list = route.get(hour).filter(|l| !l.is_empty())?;
         let k = k % list.len();
         if why.is_empty() || matches!(list[k], Disposition::Immediate) {
@@ -842,20 +809,21 @@ mod tests {
         let pred = two_slot_prediction();
         let net = network_with_hours(&[(3, 6.0, 60_000.0)]);
         let routing = m.plan_day(0, &pred, &net);
-        if !netmaster_obs::runtime_enabled() {
-            return;
-        }
         let hour = routing.hour_start[3] as usize..routing.hour_start[4] as usize;
-        let spilled: Vec<PlanWhy> = routing.why[hour]
+        let spilled: Vec<PlanReason> = routing.why[hour]
             .iter()
             .flatten()
-            .filter(|w| w.reject.is_some())
+            .filter(|w| matches!(w, PlanReason::Rejected { .. }))
             .copied()
             .collect();
         assert!(!spilled.is_empty(), "{routing:?}");
         for w in &spilled {
-            assert_eq!(w.reject, Some(RouteReject::CapacityFull), "{w:?}");
-            assert_eq!(w.profit, 0.0);
+            assert_eq!(
+                *w,
+                PlanReason::Rejected {
+                    reason: RejectReason::CapacityFull
+                }
+            );
         }
     }
 

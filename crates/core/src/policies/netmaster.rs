@@ -4,7 +4,7 @@
 //! Special Apps guard the user experience.
 
 use crate::config::NetMasterConfig;
-use crate::decision::{DayRouting, DecisionMaker, Disposition, PlanWhy, RouteReject};
+use crate::decision::{DayRouting, DecisionMaker, Disposition};
 use crate::dutycycle::{run_window_into, DutyOutcome, SleepScheme};
 use crate::monitoring::Monitor;
 use netmaster_knapsack::PooledOvScratch;
@@ -240,27 +240,6 @@ impl NetMasterPolicy {
             .iter()
             .zip(&self.day_scratch.executed)
             .map(|(a, &at)| Interval::new(at, at + a.duration.max(1)))
-    }
-
-    /// Maps a routing-table explanation onto the ledger's plan reason.
-    fn assigned_reason(w: Option<PlanWhy>, slot: usize, prefetch: bool) -> obs::PlanReason {
-        let w = w.unwrap_or(PlanWhy {
-            weight: 0,
-            profit: 0.0,
-            runner_up_slot: None,
-            runner_up_profit: 0.0,
-            solver: None,
-            reject: None,
-        });
-        obs::PlanReason::Assigned {
-            slot,
-            profit: w.profit,
-            weight: w.weight,
-            runner_up_slot: w.runner_up_slot,
-            runner_up_profit: w.runner_up_profit,
-            prefetch,
-            solver: w.solver,
-        }
     }
 
     /// Whether enough history exists to trust predictions.
@@ -595,72 +574,45 @@ impl Policy for NetMasterPolicy {
             let k = hour_seq[h];
             hour_seq[h] += 1;
             match routing.disposition(h, k) {
-                Disposition::Immediate => {
-                    // Predicted active hour, but the screen is off right
-                    // now: the real-time layer still keeps the radio
-                    // down ("turning off the radio in the user active
-                    // slots timely", §IV-C2) and the demand rides the
-                    // next screen-on or duty wake-up — which is imminent,
-                    // since the user is predicted to be around.
-                    scratch.duty_pending.push((a.start, idx));
-                    if record_traces {
-                        traces[idx].plan = obs::PlanReason::InActiveSlot;
-                    }
-                    if trained {
-                        misses += 1;
-                        self.journal.emit(|| DecisionEvent::PredictionMiss {
-                            day: day.day,
-                            hour: h,
-                        });
-                    }
-                }
-                Disposition::DeferTo { slot } => {
+                d @ (Disposition::DeferTo { slot } | Disposition::PrefetchIn { slot }) => {
+                    // A deferred demand fills its slot from the start, a
+                    // prefetched one from the end.
+                    let prefetch = matches!(d, Disposition::PrefetchIn { .. });
                     let s = routing.slots[slot];
-                    let off = &mut scratch.fwd[slot];
-                    let at = (s.start + *off).min(s.end.saturating_sub(1));
-                    *off += a.duration.max(1);
-                    plan.executions.push(Execution::moved(a, at));
-                    scratch.executed[idx] = at;
-                    self.stats.deferred += 1;
-                    let from = a.start;
-                    let latency_secs = at.abs_diff(from);
-                    self.stats.deferral_latency_secs += latency_secs;
-                    if record_traces {
-                        traces[idx].plan =
-                            Self::assigned_reason(routing.why_for(h, k), slot, false);
-                        traces[idx].outcome = obs::Outcome::Deferred { slot };
-                        traces[idx].executed_at = at;
-                        traces[idx].latency_secs = latency_secs;
-                    }
-                    self.journal.emit(|| DecisionEvent::ActivityScheduled {
-                        day: day.day,
-                        hour: h,
-                        slot,
-                        prefetch: false,
-                    });
-                    self.journal.emit(|| DecisionEvent::DeferralExecuted {
-                        day: day.day,
-                        from,
-                        to: at,
-                        latency_secs,
-                    });
-                    obs::observe!(obs::names::DEFERRAL_LATENCY_SECONDS, latency_secs as f64);
-                }
-                Disposition::PrefetchIn { slot } => {
-                    let s = routing.slots[slot];
-                    let off = &mut scratch.back[slot];
                     let dur = a.duration.max(1);
-                    let at = s.end.saturating_sub(*off + dur).max(s.start);
-                    *off += dur;
+                    let at = if prefetch {
+                        self.stats.prefetched += 1;
+                        scratch.back[slot] += dur;
+                        s.end.saturating_sub(scratch.back[slot]).max(s.start)
+                    } else {
+                        self.stats.deferred += 1;
+                        let at = (s.start + scratch.fwd[slot]).min(s.end.saturating_sub(1));
+                        scratch.fwd[slot] += dur;
+                        at
+                    };
                     plan.executions.push(Execution::moved(a, at));
                     scratch.executed[idx] = at;
-                    self.stats.prefetched += 1;
                     let from = a.start;
                     let latency_secs = at.abs_diff(from);
                     self.stats.deferral_latency_secs += latency_secs;
                     if record_traces {
-                        traces[idx].plan = Self::assigned_reason(routing.why_for(h, k), slot, true);
-                        traces[idx].outcome = obs::Outcome::Prefetched { slot };
+                        // No reason only when observability was switched
+                        // on between planning and recording.
+                        traces[idx].plan =
+                            routing.why_for(h, k).unwrap_or(obs::PlanReason::Assigned {
+                                slot,
+                                profit: 0.0,
+                                weight: 0,
+                                runner_up_slot: None,
+                                runner_up_profit: 0.0,
+                                prefetch,
+                                solver: None,
+                            });
+                        traces[idx].outcome = if prefetch {
+                            obs::Outcome::Prefetched { slot }
+                        } else {
+                            obs::Outcome::Deferred { slot }
+                        };
                         traces[idx].executed_at = at;
                         traces[idx].latency_secs = latency_secs;
                     }
@@ -668,7 +620,7 @@ impl Policy for NetMasterPolicy {
                         day: day.day,
                         hour: h,
                         slot,
-                        prefetch: true,
+                        prefetch,
                     });
                     self.journal.emit(|| DecisionEvent::DeferralExecuted {
                         day: day.day,
@@ -678,25 +630,28 @@ impl Policy for NetMasterPolicy {
                     });
                     obs::observe!(obs::names::DEFERRAL_LATENCY_SECONDS, latency_secs as f64);
                 }
-                Disposition::DutyCycle => {
+                d @ (Disposition::Immediate | Disposition::DutyCycle) => {
+                    // Either the plan left the demand to the duty-cycle
+                    // layer, or it arrived in a predicted active hour
+                    // with the screen off: the real-time layer still
+                    // keeps the radio down ("turning off the radio in
+                    // the user active slots timely", §IV-C2) and the
+                    // demand rides the next screen-on or duty wake-up —
+                    // which is imminent, since the user is predicted to
+                    // be around.
                     scratch.duty_pending.push((a.start, idx));
                     if record_traces {
-                        traces[idx].plan = if trained {
-                            let reason = match routing.why_for(h, k).and_then(|w| w.reject) {
-                                Some(RouteReject::NoPositiveProfit) => {
-                                    obs::RejectReason::NoPositiveProfit
-                                }
-                                Some(RouteReject::CapacityFull) => obs::RejectReason::CapacityFull,
-                                // No routing entry at all for this hour:
-                                // the miner predicted no schedulable
-                                // demand here, so no candidate existed.
-                                Some(RouteReject::NoCandidate) | None => {
-                                    obs::RejectReason::NoCandidate
-                                }
-                            };
-                            obs::PlanReason::Rejected { reason }
-                        } else {
-                            obs::PlanReason::Untrained
+                        traces[idx].plan = match d {
+                            Disposition::Immediate => obs::PlanReason::InActiveSlot,
+                            // No routing entry at all for this hour: the
+                            // miner predicted no schedulable demand here,
+                            // so no candidate existed.
+                            _ if trained => {
+                                routing.why_for(h, k).unwrap_or(obs::PlanReason::Rejected {
+                                    reason: obs::RejectReason::NoCandidate,
+                                })
+                            }
+                            _ => obs::PlanReason::Untrained,
                         };
                     }
                     if trained {

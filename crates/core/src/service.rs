@@ -518,9 +518,6 @@ mod tests {
 
     #[test]
     fn ledger_bills_conserve_day_energy() {
-        if !netmaster_obs::runtime_enabled() {
-            return;
-        }
         let t = trace(17);
         let mut svc = MiddlewareService::new().import_history(&t.days[..14]);
         for day in &t.days[14..] {
@@ -571,9 +568,6 @@ mod tests {
     /// chain (plan reasons, outcomes, latencies, bills).
     #[test]
     fn ledger_golden_lifecycle_is_stable() {
-        if !netmaster_obs::runtime_enabled() {
-            return;
-        }
         let run = || {
             let t = trace(16);
             let mut svc = MiddlewareService::new().import_history(&t.days[..14]);

@@ -429,7 +429,7 @@ fn member_trace(spec: &WatchSpec, i: usize) -> Trace {
 
 /// Rotates a profile's daily rhythm forward by `hours`: activity that
 /// used to peak at hour `h` now peaks at `(h + hours) % 24`.
-fn rotate_rhythm(mut profile: UserProfile, hours: usize) -> UserProfile {
+pub fn rotate_rhythm(mut profile: UserProfile, hours: usize) -> UserProfile {
     fn rotate(v: &mut [f64; 24], by: usize) {
         v.rotate_right(by % 24);
     }

@@ -6,9 +6,13 @@
 //! single bit unnoticed. A second test fills the ledger past its bound
 //! without draining and checks that eviction keeps exactly the newest
 //! records, priced as they would have been had they been drained daily.
+//! A third runs a binding link and checks that the branch-and-bound and
+//! DP solver arms reach the assigned records.
 
-use netmaster_core::MiddlewareService;
-use netmaster_obs::{ActivityTrace, DEFAULT_LEDGER_CAPACITY};
+use netmaster_core::watchtower::rotate_rhythm;
+use netmaster_core::{MiddlewareService, NetMasterConfig};
+use netmaster_obs::{ActivityTrace, PlanReason, SolverArm, DEFAULT_LEDGER_CAPACITY};
+use netmaster_radio::{LinkModel, RrcConfig};
 use netmaster_trace::gen::TraceGenerator;
 use netmaster_trace::profile::UserProfile;
 use netmaster_trace::trace::Trace;
@@ -38,13 +42,9 @@ fn trace(user: usize, days: usize, shift_from: Option<usize>) -> Trace {
         .with_seed(seed)
         .generate(days);
     if let Some(from) = shift_from {
-        let mut p = profile;
-        p.weekday_intensity.rotate_right(12);
-        p.weekend_intensity.rotate_right(12);
-        for app in &mut p.apps {
-            app.hourly_affinity.rotate_right(12);
-        }
-        let alt = TraceGenerator::new(p).with_seed(seed).generate(days);
+        let alt = TraceGenerator::new(rotate_rhythm(profile, 12))
+            .with_seed(seed)
+            .generate(days);
         t.days[from..].clone_from_slice(&alt.days[from..]);
     }
     t
@@ -55,9 +55,6 @@ fn trace(user: usize, days: usize, shift_from: Option<usize>) -> Trace {
 /// at the end (thirty days buffered).
 #[test]
 fn service_outputs_match_golden_fingerprint() {
-    if !netmaster_obs::runtime_enabled() {
-        return;
-    }
     let mut h = Fnv1a::new();
     let mut records = 0usize;
     for user in 0..4 {
@@ -91,9 +88,6 @@ fn service_outputs_match_golden_fingerprint() {
 /// records, bit for bit as a twin service that drains daily prices them.
 #[test]
 fn undrained_ledger_keeps_the_newest_records_priced() {
-    if !netmaster_obs::runtime_enabled() {
-        return;
-    }
     let t = trace(0, 120, None);
     let mut kept = MiddlewareService::new();
     let mut twin = MiddlewareService::new();
@@ -119,4 +113,33 @@ fn undrained_ledger_keeps_the_newest_records_priced() {
         assert_eq!(bits(k), bits(w), "{}", k.trace_id);
     }
     assert_eq!(kept.drain_ledger(), newest);
+}
+
+/// Two panel users on a link whose average rates are divided by 10⁶, so
+/// most slots bind: trained 14 days, run 7. The drained ledger's
+/// assigned records name the arm that placed them, branch-and-bound and
+/// DP among them, and none lacks one.
+#[test]
+fn binding_solver_arms_reach_the_ledger() {
+    let mut link = LinkModel::default();
+    link.avg_down_bps /= 1e6;
+    link.avg_up_bps /= 1e6;
+    let mut arms = Vec::new();
+    for user in 0..2 {
+        let t = trace(user, 21, None);
+        let mut svc =
+            MiddlewareService::with_config(NetMasterConfig::default(), RrcConfig::wcdma(), link)
+                .import_history(&t.days[..14]);
+        for day in &t.days[14..] {
+            let _ = svc.run_day(day);
+        }
+        arms.extend(svc.drain_ledger().iter().filter_map(|r| match r.plan {
+            PlanReason::Assigned { solver, .. } => Some(solver),
+            _ => None,
+        }));
+    }
+    let count = |arm: Option<SolverArm>| arms.iter().filter(|&&a| a == arm).count();
+    let (bnb, dp) = (count(Some(SolverArm::Bnb)), count(Some(SolverArm::Dp)));
+    assert!(bnb > 0 && dp > 0, "{bnb} bnb, {dp} dp of {}", arms.len());
+    assert_eq!(count(None), 0, "assigned records without a solver arm");
 }

@@ -167,13 +167,11 @@ fn binding_link_run_metrics_match_golden_fingerprint() {
     };
     let (bnb_before, dp_before) = arm_calls();
     let fingerprint = fleet_fingerprint(RrcConfig::wcdma(), binding_link());
-    if netmaster_obs::runtime_enabled() {
-        // The default-link arms above never leave the fast path, so
-        // these counts come from this arm's binding slots.
-        let (bnb, dp) = arm_calls();
-        assert!(bnb > bnb_before, "no branch-and-bound solve ran");
-        assert!(dp > dp_before, "no DP solve ran");
-    }
+    // The default-link arms above never leave the fast path, so these
+    // counts come from this arm's binding slots.
+    let (bnb, dp) = arm_calls();
+    assert!(bnb > bnb_before, "no branch-and-bound solve ran");
+    assert!(dp > dp_before, "no DP solve ran");
     assert_eq!(
         fingerprint, 0x71de_ec7a_0308_5b76,
         "simulate's binding-link WCDMA RunMetrics moved"

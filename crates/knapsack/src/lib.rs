@@ -50,9 +50,7 @@ pub use bnb::{branch_and_bound, branch_and_bound_budgeted};
 pub use item::{Item, Solution};
 pub use overlapped::{solve_with, Candidate, Candidates, OvItem, OvProblem, OvSolution};
 pub use scratch::{BitGrid, BnbScratch, OvScratch, PooledOvScratch, SolverScratch};
-pub use solvers::{
-    brute_force, greedy_half, quantized_dp, sin_knap, sin_knap_with, solve_auto, SolverKind,
-};
+pub use solvers::{brute_force, greedy_half, quantized_dp, sin_knap, sin_knap_with, solve_auto};
 
 /// `true` when this build compiles the `strict-invariants` runtime
 /// oracles into the solvers; tests assert on it so a feature-gated CI

@@ -17,7 +17,8 @@
 
 use crate::item::Item;
 use crate::scratch::OvScratch;
-use crate::solvers::{solve_auto, SolverKind};
+use crate::solvers::solve_auto;
+use netmaster_obs::{RejectReason, SolverArm};
 
 /// A candidate placement of an item into a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -145,24 +146,12 @@ pub struct OvSolution {
     /// eligible item and no solve ran). Recorded for causal tracing;
     /// empty for solvers that predate the dispatcher
     /// ([`crate::reference`], brute force).
-    pub solver: Vec<Option<SolverKind>>,
-}
-
-/// Why the overlapped solver left an item unscheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OvRejectReason {
-    /// The item listed no candidate slot.
-    NoCandidate,
-    /// No candidate had positive profit (the deferral penalty beat the
-    /// energy saving everywhere).
-    NoPositiveProfit,
-    /// Profitable candidates existed but slot capacity ran out.
-    CapacityFull,
+    pub solver: Vec<Option<SolverArm>>,
 }
 
 /// The causal explanation of one item's outcome, reconstructed
 /// post-hoc from a solution (never touched by solver inner loops).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ItemWhy {
     /// The item's weight.
     pub weight: u64,
@@ -171,9 +160,9 @@ pub struct ItemWhy {
     /// The competing candidate the item did *not* go to.
     pub runner_up: Option<Candidate>,
     /// Which solver arm answered the winning slot.
-    pub solver: Option<SolverKind>,
+    pub solver: Option<SolverArm>,
     /// Why the item was left out, when unscheduled.
-    pub reject: Option<OvRejectReason>,
+    pub reject: Option<RejectReason>,
 }
 
 impl OvSolution {
@@ -184,10 +173,7 @@ impl OvSolution {
         let item = &problem.items[j];
         let mut why = ItemWhy {
             weight: item.weight,
-            chosen: None,
-            runner_up: None,
-            solver: None,
-            reject: None,
+            ..ItemWhy::default()
         };
         match self.assignment.get(j).copied().flatten() {
             Some(slot) => {
@@ -202,11 +188,11 @@ impl OvSolution {
             }
             None => {
                 why.reject = Some(if item.candidates.is_empty() {
-                    OvRejectReason::NoCandidate
+                    RejectReason::NoCandidate
                 } else if !item.candidates.iter().any(|c| c.profit > 0.0) {
-                    OvRejectReason::NoPositiveProfit
+                    RejectReason::NoPositiveProfit
                 } else {
-                    OvRejectReason::CapacityFull
+                    RejectReason::CapacityFull
                 });
             }
         }
@@ -305,7 +291,7 @@ fn solve_steps<const ALWAYS_SOLVE: bool>(
     // --- Steps 2+3: per-slot ratio sort, then the solver dispatcher
     // (slack fast path → exact branch-and-bound → quantized FPTAS).
     // lint:allow(hot-path-alloc) OvSolution::solver is the caller-owned result value, not reusable scratch
-    let mut solver: Vec<Option<SolverKind>> = vec![None; nslots];
+    let mut solver: Vec<Option<SolverArm>> = vec![None; nslots];
     for (slot, list) in slot_items.iter_mut().enumerate() {
         if list.is_empty() {
             continue;
@@ -319,7 +305,7 @@ fn solve_steps<const ALWAYS_SOLVE: bool>(
         // needs no sort either.
         if !ALWAYS_SOLVE && slot_weight[slot] <= capacity as u128 {
             netmaster_obs::counter!(netmaster_obs::names::KNAPSACK_FASTPATH_TOTAL);
-            solver[slot] = Some(SolverKind::Fastpath);
+            solver[slot] = Some(SolverArm::Fastpath);
             for &(j, ..) in list.iter() {
                 chosen_slots[j].push(slot);
             }
@@ -763,14 +749,14 @@ mod tests {
         assert_eq!(w0.weight, 4);
         assert_eq!(
             w0.solver,
-            Some(SolverKind::Fastpath),
+            Some(SolverArm::Fastpath),
             "4 ≤ 10: slack fast path must answer"
         );
         assert_eq!(w0.reject, None);
 
-        assert_eq!(s.why(&p, 1).reject, Some(OvRejectReason::NoPositiveProfit));
-        assert_eq!(s.why(&p, 2).reject, Some(OvRejectReason::NoCandidate));
-        assert_eq!(s.why(&p, 3).reject, Some(OvRejectReason::CapacityFull));
+        assert_eq!(s.why(&p, 1).reject, Some(RejectReason::NoPositiveProfit));
+        assert_eq!(s.why(&p, 2).reject, Some(RejectReason::NoCandidate));
+        assert_eq!(s.why(&p, 3).reject, Some(RejectReason::CapacityFull));
         for j in 1..4 {
             assert_eq!(s.why(&p, j).chosen, None);
         }
@@ -798,14 +784,14 @@ mod tests {
         assert_eq!(
             s.solver,
             vec![
-                Some(SolverKind::Bnb),
-                Some(SolverKind::Fastpath),
+                Some(SolverArm::Bnb),
+                Some(SolverArm::Fastpath),
                 None,
-                Some(SolverKind::Dp),
+                Some(SolverArm::Dp),
             ]
         );
-        assert_eq!(s.why(&p, 2).solver, Some(SolverKind::Fastpath));
-        assert_eq!(s.why(&p, 0).solver, Some(SolverKind::Bnb));
+        assert_eq!(s.why(&p, 2).solver, Some(SolverArm::Fastpath));
+        assert_eq!(s.why(&p, 0).solver, Some(SolverArm::Bnb));
     }
 
     #[test]
@@ -937,13 +923,13 @@ mod tests {
                     Some(true) => {
                         assert_eq!(
                             *kind,
-                            Some(SolverKind::Fastpath),
+                            Some(SolverArm::Fastpath),
                             "trial {trial}, slot {slot}"
                         );
                         fitting += 1;
                     }
                     Some(false) => assert!(
-                        matches!(kind, Some(SolverKind::Bnb | SolverKind::Dp)),
+                        matches!(kind, Some(SolverArm::Bnb | SolverArm::Dp)),
                         "trial {trial}, slot {slot}: {kind:?}"
                     ),
                 }
@@ -954,9 +940,7 @@ mod tests {
             // Other tests in this binary solve concurrently and share
             // the process-wide registry, so this is a floor; the exact
             // count is pinned by `tests/fastpath_counter.rs`.
-            if netmaster_obs::runtime_enabled() {
-                assert!(ticks >= fitting, "trial {trial}: {ticks} < {fitting}");
-            }
+            assert!(ticks >= fitting, "trial {trial}: {ticks} < {fitting}");
         }
         // Every arm answered some slot, so fitting and binding slots
         // were both exercised.

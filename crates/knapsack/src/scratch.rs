@@ -170,7 +170,7 @@ pub struct SolverScratch {
     /// Nested workspace for the branch-and-bound dispatch arm.
     pub(crate) bnb: BnbScratch,
     /// Which arm answered the last [`crate::solvers::solve_auto`] call.
-    pub(crate) last_kind: Option<crate::solvers::SolverKind>,
+    pub(crate) last_arm: Option<netmaster_obs::SolverArm>,
 }
 
 impl SolverScratch {
@@ -183,8 +183,8 @@ impl SolverScratch {
     /// [`crate::solvers::solve_auto`] call through this scratch, or
     /// `None` when the instance had no eligible item (or `solve_auto`
     /// has not run yet).
-    pub fn last_solver(&self) -> Option<crate::solvers::SolverKind> {
-        self.last_kind
+    pub fn last_solver(&self) -> Option<netmaster_obs::SolverArm> {
+        self.last_arm
     }
 }
 

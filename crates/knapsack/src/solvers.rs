@@ -10,6 +10,7 @@
 
 use crate::item::{Item, Solution};
 use crate::scratch::SolverScratch;
+use netmaster_obs::SolverArm;
 
 /// Exact solver by subset enumeration. `O(2^n)`; panics above 24 items.
 /// Reference oracle for tests.
@@ -292,20 +293,6 @@ pub fn sin_knap_with(
     sol
 }
 
-/// Which arm of [`solve_auto`] answered an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverKind {
-    /// Capacity-slack fast path: every eligible item fit together, the
-    /// exact optimum with no search at all.
-    Fastpath,
-    /// Exact branch-and-bound: small instance solved to optimality
-    /// within its node budget.
-    Bnb,
-    /// Profit-quantized `(1 − ε)` DP: the sparse Pareto frontier, or
-    /// its dense fallback when the frontier outgrows its arena budget.
-    Dp,
-}
-
 /// Arena-state budget past which [`quantized_dp`] abandons the sparse
 /// frontier for the dense table — bounds worst-case memory at ~24 MB
 /// of states while the dense path stays within the (truncated,
@@ -493,8 +480,8 @@ const BNB_MAX_N: usize = 40;
 const BNB_NODES_PER_ITEM: usize = 64;
 
 /// The cost-model dispatcher: picks the cheapest solver that fits the
-/// instance, recording its choice in the obs counters and in
-/// [`SolverScratch::last_solver`].
+/// instance, recording its choice in the obs counters and, as a
+/// [`SolverArm`], in [`SolverScratch::last_solver`].
 ///
 /// * **Slack fast path** — every eligible item fits together: take them
 ///   all (exact, no search).
@@ -512,7 +499,7 @@ pub fn solve_auto(
     eps: f64,
     scratch: &mut SolverScratch,
 ) -> Solution {
-    scratch.last_kind = None;
+    scratch.last_arm = None;
     scratch.eligible.clear();
     let mut total_weight: u128 = 0;
     for (i, item) in items.iter().enumerate() {
@@ -526,7 +513,7 @@ pub fn solve_auto(
     }
     if total_weight <= capacity as u128 {
         netmaster_obs::counter!(netmaster_obs::names::KNAPSACK_FASTPATH_TOTAL);
-        scratch.last_kind = Some(SolverKind::Fastpath);
+        scratch.last_arm = Some(SolverArm::Fastpath);
         // lint:allow(hot-path-alloc) the result takes ownership of the index list; cloning keeps scratch reusable
         let sol = Solution::from_indices(items, scratch.eligible.clone());
         #[cfg(feature = "strict-invariants")]
@@ -547,7 +534,7 @@ pub fn solve_auto(
             &mut scratch.bnb,
         ) {
             netmaster_obs::counter!(netmaster_obs::names::KNAPSACK_BNB_TOTAL);
-            scratch.last_kind = Some(SolverKind::Bnb);
+            scratch.last_arm = Some(SolverArm::Bnb);
             // Exact ⇒ dominates greedy, same floor as the exact DP.
             #[cfg(feature = "strict-invariants")]
             assert_solution_invariants(
@@ -560,7 +547,7 @@ pub fn solve_auto(
         }
     }
     let sol = quantized_dp(items, capacity, eps, scratch);
-    scratch.last_kind = Some(SolverKind::Dp);
+    scratch.last_arm = Some(SolverArm::Dp);
     sol
 }
 
@@ -816,7 +803,7 @@ mod tests {
                 s.profit,
                 opt.profit
             );
-            if alone && netmaster_obs::runtime_enabled() {
+            if alone {
                 assert_eq!(ticks, 1, "trial {trial}: one DP tick per solve");
             }
         }

@@ -5,8 +5,9 @@
 //! binary: nothing else solves while it reads counter deltas.
 
 use netmaster_knapsack::overlapped::{solve_with, OvItem, OvProblem};
-use netmaster_knapsack::{OvScratch, SolverKind};
+use netmaster_knapsack::OvScratch;
 use netmaster_obs::names::KNAPSACK_FASTPATH_TOTAL;
+use netmaster_obs::SolverArm;
 
 fn fastpath_total() -> u64 {
     netmaster_obs::snapshot().counter(KNAPSACK_FASTPATH_TOTAL)
@@ -36,14 +37,12 @@ fn one_fast_path_tick_per_fitting_slot() {
         let fast = s
             .solver
             .iter()
-            .filter(|k| **k == Some(SolverKind::Fastpath))
+            .filter(|k| **k == Some(SolverArm::Fastpath))
             .count() as u64;
-        assert_eq!(s.solver[0], Some(SolverKind::Fastpath), "round {round}");
-        assert_eq!(s.solver[1] == Some(SolverKind::Fastpath), round % 2 == 0);
+        assert_eq!(s.solver[0], Some(SolverArm::Fastpath), "round {round}");
+        assert_eq!(s.solver[1] == Some(SolverArm::Fastpath), round % 2 == 0);
         assert_eq!(s.solver[2], None, "round {round}");
-        if netmaster_obs::runtime_enabled() {
-            assert_eq!(ticks, fast, "round {round}");
-        }
+        assert_eq!(ticks, fast, "round {round}");
         seen += fast;
     }
     assert_eq!(seen, 75);

@@ -26,7 +26,8 @@ use serde::{Deserialize, Serialize};
 /// Default ring capacity: several weeks of single-user activity.
 pub const DEFAULT_LEDGER_CAPACITY: usize = 16_384;
 
-/// Why the knapsack stage could not place an item in any active slot.
+/// Why the knapsack stage could not place an item in any active slot
+/// (the overlapped solver reports it per item, in `ItemWhy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RejectReason {
     /// No predicted slot could host the item (no candidate generated).
@@ -37,20 +38,30 @@ pub enum RejectReason {
     CapacityFull,
 }
 
-/// Which solver arm answered the winning slot's knapsack instance.
-///
-/// Mirrors `netmaster_knapsack::SolverKind` (obs sits below the solver
-/// crates in the dependency order, so it keeps its own copy for
-/// serialization); policies map one onto the other when they record a
-/// [`PlanReason::Assigned`].
+/// Which arm of the knapsack dispatcher (`netmaster_knapsack::solve_auto`)
+/// answered a slot's instance. The solver reports it, the planner keeps
+/// it per routed item, and [`PlanReason::Assigned`] records it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SolverArm {
-    /// Capacity-slack fast path: every eligible item fit at once.
+    /// Capacity-slack fast path: every eligible item fit together, the
+    /// exact optimum with no search at all.
     Fastpath,
     /// Exact branch-and-bound within its node budget.
     Bnb,
-    /// Profit-quantized `(1 − ε)` dynamic program.
+    /// Profit-quantized `(1 − ε)` DP: the sparse Pareto frontier, or
+    /// its dense fallback when the frontier outgrows its arena budget.
     Dp,
+}
+
+impl SolverArm {
+    /// Lower-case name, as span attributes spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            SolverArm::Fastpath => "fastpath",
+            SolverArm::Bnb => "bnb",
+            SolverArm::Dp => "dp",
+        }
+    }
 }
 
 /// How the planner routed one screen-off activity (the causal "why"
@@ -81,7 +92,8 @@ pub enum PlanReason {
         /// `false` when deferred later.
         prefetch: bool,
         /// Which solver arm answered the winning slot's knapsack
-        /// (`None` only for records predating the dispatcher).
+        /// (`None` only when the day's routing kept no reasons, as
+        /// when observability was switched on after it was planned).
         solver: Option<SolverArm>,
     },
     /// The knapsack rejected the activity; it fell to the duty-cycle
