@@ -21,8 +21,6 @@
 //! * scrape overhead — a fleet of `FLEET_N` members publishing into a
 //!   telemetry hub while a live HTTP server is scraped at 1 Hz, vs the
 //!   bare fleet;
-//! * recorder overhead — the same fleet with a 1 Hz metrics-history
-//!   sampler and alert engine live, vs bare;
 //! * tracing overhead — the same fleet with span-tree capture on and
 //!   the sampling profiler walking live stacks at ~97 Hz vs both
 //!   switched off.
@@ -74,8 +72,8 @@ struct Overhead {
     bare_secs: f64,
     /// Wall seconds of the fleet with the attachment live.
     live_secs: f64,
-    /// What the attachment did meanwhile: scrape rounds, sampler ticks
-    /// or profiler samples.
+    /// What the attachment did meanwhile: scrape rounds or profiler
+    /// samples.
     events: u64,
     /// `live_secs / bare_secs - 1`; negative when the live arm happened
     /// to run faster.
@@ -91,7 +89,6 @@ struct PerfReport {
     plan_day: Comparison,
     fleet_members: usize,
     scrape_overhead: Overhead,
-    recorder_overhead: Overhead,
     tracing_overhead: Overhead,
 }
 
@@ -409,6 +406,7 @@ fn measure_scrape_overhead(n: usize) -> Result<Overhead, String> {
                 ..Default::default()
             },
             Arc::clone(&hub),
+            None,
         )
         .map_err(|e| format!("scrape A/B: cannot start the scrape server: {e}"))?;
         let url = server.base_url();
@@ -434,42 +432,6 @@ fn measure_scrape_overhead(n: usize) -> Result<Overhead, String> {
         Ok((secs, count.load(Ordering::Relaxed)))
     };
     best_of("scrape", "scrapes", || run_fleet(n, None), live)
-}
-
-/// A/B's the fleet with the history recorder live: a 1 Hz
-/// [`Sampler`](netmaster_obs::Sampler) snapshots the registry into a
-/// [`MetricStore`](netmaster_obs::MetricStore) and runs a small
-/// [`AlertEngine`](netmaster_obs::AlertEngine) rule set on every tick.
-/// No HTTP is involved — this isolates the recorder + alerting cost
-/// from the scrape-plane cost. Events are sampler ticks.
-fn measure_recorder_overhead(n: usize) -> Result<Overhead, String> {
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    // A representative rule mix: one threshold floor, one absence
-    // watchdog, one burn-rate — each evaluated on every sampler tick.
-    let rules = netmaster_obs::AlertRule::parse_list(
-        "saving_floor:fleet_saving_ratio<0.05:sev=page;\
-         liveness:absent(store_samples_total,30);\
-         drop_burn:burn(store_dropped_total,60,300,10)",
-    )
-    .map_err(|e| format!("recorder A/B: static alert rule set does not parse: {e}"))?;
-    let live = || {
-        let store = Arc::new(netmaster_obs::MetricStore::new(Default::default()));
-        let engine = Arc::new(netmaster_obs::AlertEngine::new(rules.clone()));
-        let sampler = netmaster_obs::Sampler::start(
-            Arc::clone(&store),
-            Some(engine),
-            None,
-            Duration::from_secs(1),
-            None,
-        );
-        let secs = run_fleet(n, None);
-        let ticks = store.samples_total();
-        sampler.stop();
-        Ok((secs, ticks))
-    };
-    best_of("recorder", "samples", || run_fleet(n, None), live)
 }
 
 /// A/B's the fleet with the full tracing plane live — span-tree
@@ -561,7 +523,6 @@ fn failures(report: &PerfReport, smoke: bool) -> Vec<String> {
     let budget = if smoke { 0.15 } else { 0.02 };
     for (what, o) in [
         ("scrape-under-load", &report.scrape_overhead),
-        ("recorder+alerting", &report.recorder_overhead),
         ("tracing+profiler", &report.tracing_overhead),
     ] {
         if o.overhead >= budget {
@@ -594,14 +555,9 @@ fn main() -> ExitCode {
     let solver_matrix = solver_matrix(smoke);
     let overlapped = overlapped_comparison(smoke);
     let plan_day = plan_day_comparison(smoke);
-    let overheads = measure_scrape_overhead(n).and_then(|scrape| {
-        Ok((
-            scrape,
-            measure_recorder_overhead(n)?,
-            measure_tracing_overhead(n)?,
-        ))
-    });
-    let (scrape_overhead, recorder_overhead, tracing_overhead) = match overheads {
+    let overheads =
+        measure_scrape_overhead(n).and_then(|scrape| Ok((scrape, measure_tracing_overhead(n)?)));
+    let (scrape_overhead, tracing_overhead) = match overheads {
         Ok(o) => o,
         Err(e) => {
             eprintln!("perf: {e}");
@@ -615,7 +571,6 @@ fn main() -> ExitCode {
         plan_day,
         fleet_members: n,
         scrape_overhead,
-        recorder_overhead,
         tracing_overhead,
     };
 
@@ -637,7 +592,6 @@ fn main() -> ExitCode {
     let kpis = [
         ("members", n as f64),
         ("scrape_overhead", report.scrape_overhead.overhead),
-        ("recorder_overhead", report.recorder_overhead.overhead),
         ("tracing_overhead", report.tracing_overhead.overhead),
     ]
     .into_iter()

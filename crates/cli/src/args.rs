@@ -15,15 +15,7 @@ pub struct Args {
 }
 
 /// Option keys that are boolean flags (consume no value).
-const FLAGS: &[&str] = &[
-    "help",
-    "quiet",
-    "json",
-    "prom",
-    "index-guard",
-    "serve",
-    "series",
-];
+const FLAGS: &[&str] = &["help", "json", "prom", "index-guard", "serve"];
 
 impl Args {
     /// Parses an argument vector (excluding `argv[0]`).

@@ -52,17 +52,17 @@ COMMANDS:
   devourers <trace.json>  Rank apps by attributed radio energy (eprof-style)
       --top N               rows to print (default 10)
       --radio TECH          wcdma | lte
-  anonymize <trace.json>  Strip app names from a trace (writes --out, default anon.json)
-  filter <trace.json>     Keep only some apps' traffic (comma list in --apps; --out)
+  anonymize <trace.json>  Strip app names from a trace
+      --out FILE            output path (default anon.json)
+  filter <trace.json>     Keep only some apps' traffic
+      --apps LIST           comma-separated app names to keep (required)
+      --out FILE            output path (default filtered.json)
   fleet                   Simulate N synthetic users, report the saving distribution
       --users N             fleet size (default 20)
       --seed N              base seed (default 2014)
       --serve               expose live scrape endpoints while the fleet runs
       --addr HOST:PORT      bind address for --serve (default 127.0.0.1:9898)
-      --sample-secs X       metrics-history sampling cadence for --serve (default 1)
-      --retention N         history points kept per series (default 4096)
-      --history FILE        persist sampled history segments (history.nmts)
-      --alerts SPECS        `;`-separated alert rules (name:metric<v:for=N:sev=page …)
+      --drop-threshold N    /healthz turns 503 past this many ring drops (default 0)
       --registry FILE       append a provenance-stamped result row (JSONL)
       --profile-hz N        sample live span stacks at N Hz, served on /profile
       --traces N            span-tree ring capacity for --serve (default 256)
@@ -73,10 +73,6 @@ COMMANDS:
       --seed N              base seed (default 2014)
       --drop-threshold N    /healthz turns 503 past this many ring drops (default 0)
       --linger-secs N       keep serving N seconds after the workload (default 0)
-      --sample-secs X       metrics-history sampling cadence (default 1)
-      --retention N         history points kept per series (default 4096)
-      --history FILE        persist sampled history segments (history.nmts)
-      --alerts SPECS        `;`-separated alert rules evaluated every sample
       --profile-hz N        sample live span stacks at N Hz, served on /profile
       --traces N            span-tree ring capacity (default 256)
   obs                     Run a small simulated fleet and print its telemetry
@@ -85,12 +81,6 @@ COMMANDS:
       --seed N              base seed (default 2014)
       --url URL             scrape a live serve-obs endpoint instead of running
       --timeout-secs X      connect/read timeout for --url requests (default 10)
-      --query METRIC        window-query one recorded series on the server
-      --fn NAME             query function: range | rate | increase | quantile (default range)
-      --from MS --to MS     query window bounds, unix milliseconds
-      --step MS             downsample range output to one point per step
-      --q X                 quantile for --fn quantile (default 0.5)
-      --series              list the server's recorded history series
       --json                JSON metrics snapshot instead of the table
       --prom                Prometheus text exposition instead of the table
       --journal FILE        also drain the decision-audit journal to JSONL
@@ -103,10 +93,7 @@ COMMANDS:
       --worst K             worst members detailed in the report (default 3)
       --serve               expose live scrape endpoints while the fleet runs
       --addr HOST:PORT      bind address for --serve (default 127.0.0.1:9898)
-      --sample-secs X       metrics-history sampling cadence for --serve (default 1)
-      --retention N         history points kept per series (default 4096)
-      --history FILE        persist sampled history segments (history.nmts)
-      --alerts SPECS        `;`-separated alert rules (name:metric<v:for=N:sev=page …)
+      --drop-threshold N    /healthz turns 503 past this many ring drops (default 0)
       --registry FILE       append a provenance-stamped result row (JSONL)
       --profile-hz N        sample live span stacks at N Hz, served on /profile
       --traces N            span-tree ring capacity for --serve (default 256)
@@ -138,31 +125,65 @@ COMMANDS:
   help                    This text
 ";
 
-/// Runs a parsed command, writing human output to `out`.
-/// Returns the process exit code.
+/// Runs a parsed command, writing human output to `out`. An option the
+/// command's block in [`USAGE`] does not list is an error, so a
+/// misspelt or removed option never runs with its default.
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    match args.command.as_str() {
-        "generate" => generate(args, out),
-        "profile" => profile(args, out),
-        "predict" => predict(args, out),
-        "simulate" => cmd_simulate(args, out),
-        "compare" => compare_cmd(args, out),
-        "timeline" => timeline_cmd(args, out),
-        "devourers" => devourers_cmd(args, out),
-        "fleet" => fleet_cmd(args, out),
-        "serve-obs" => serve_obs_cmd(args, out),
-        "obs" => obs_cmd(args, out),
-        "watch" => watch_cmd(args, out),
-        "explain" => explain_cmd(args, out),
-        "anonymize" => anonymize_cmd(args, out),
-        "filter" => filter_cmd(args, out),
-        "lint" => lint_cmd(args, out),
-        "" | "help" => {
-            writeln!(out, "{USAGE}").map_err(io_err)?;
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}; try `netmaster help`")),
+    if args.flag("help") || matches!(args.command.as_str(), "" | "help") {
+        return writeln!(out, "{USAGE}").map_err(io_err);
     }
+    type Command = fn(&Args, &mut dyn Write) -> Result<(), String>;
+    let command: Command = match args.command.as_str() {
+        "generate" => generate,
+        "profile" => profile,
+        "predict" => predict,
+        "simulate" => cmd_simulate,
+        "compare" => compare_cmd,
+        "timeline" => timeline_cmd,
+        "devourers" => devourers_cmd,
+        "fleet" => fleet_cmd,
+        "serve-obs" => serve_obs_cmd,
+        "obs" => obs_cmd,
+        "watch" => watch_cmd,
+        "explain" => explain_cmd,
+        "anonymize" => anonymize_cmd,
+        "filter" => filter_cmd,
+        "lint" => lint_cmd,
+        other => return Err(format!("unknown command {other:?}; try `netmaster help`")),
+    };
+    let listed = listed_options(&args.command);
+    let mut unknown: Vec<&str> = args
+        .options
+        .keys()
+        .map(String::as_str)
+        .filter(|key| !listed.contains(key))
+        .collect();
+    if !unknown.is_empty() {
+        unknown.sort_unstable();
+        return Err(format!(
+            "unknown option --{} for `{}`; try `netmaster help`",
+            unknown.join(", --"),
+            args.command
+        ));
+    }
+    command(args, out)
+}
+
+/// The options `command`'s block in [`USAGE`] lists: the `--key` that
+/// starts each of its indented option lines.
+fn listed_options(command: &str) -> Vec<&'static str> {
+    USAGE
+        .lines()
+        .skip_while(|line| {
+            !(line.starts_with("  ")
+                && !line.starts_with("   ")
+                && line.split_whitespace().next() == Some(command))
+        })
+        .skip(1)
+        .take_while(|line| line.starts_with("      "))
+        .filter_map(|line| line.trim_start().strip_prefix("--"))
+        .filter_map(|line| line.split_whitespace().next())
+        .collect()
 }
 
 fn io_err(e: std::io::Error) -> String {
@@ -579,72 +600,21 @@ fn lint_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 
 /// The live telemetry plane a `--serve` run stands up: the shared
 /// [`TelemetryHub`](netmaster_obs::TelemetryHub) the run publishes
-/// into, the scrape server, and the metrics-history sampler (plus an
-/// alert engine when `--alerts` rules were given).
+/// into, the scrape server, and the optional sampling profiler.
 struct ServePlane {
     hub: std::sync::Arc<netmaster_obs::TelemetryHub>,
     server: netmaster_obs::ObsServer,
-    sampler: netmaster_obs::Sampler,
     profiler: Option<netmaster_obs::Profiler>,
 }
 
 impl ServePlane {
-    /// Stops the sampler (one final sample, alert pass, and history
-    /// flush), joins the profiler thread, and drains the server.
+    /// Joins the profiler thread and drains the server.
     fn finish(self) {
-        self.sampler.stop();
         if let Some(profiler) = self.profiler {
             profiler.stop();
         }
         self.server.shutdown();
     }
-}
-
-/// Builds the metrics-history recorder configuration shared by
-/// `--serve` runs and `serve-obs`: the bounded store
-/// (`--retention`), the optional alert engine (`--alerts`), the
-/// sampling cadence (`--sample-secs`), and the optional persist path
-/// (`--history`).
-#[allow(clippy::type_complexity)]
-fn history_plane(
-    args: &Args,
-) -> Result<
-    (
-        std::sync::Arc<netmaster_obs::MetricStore>,
-        Option<std::sync::Arc<netmaster_obs::AlertEngine>>,
-        std::time::Duration,
-        Option<std::path::PathBuf>,
-    ),
-    String,
-> {
-    use netmaster_obs::{AlertEngine, AlertRule, MetricStore, StoreOptions};
-    use std::sync::Arc;
-
-    let sample_secs: f64 = args.num("sample-secs", 1.0)?;
-    if !sample_secs.is_finite() || sample_secs <= 0.0 {
-        return Err("--sample-secs must be a positive number of seconds".into());
-    }
-    let retention: usize = args.num("retention", netmaster_obs::store::DEFAULT_RETENTION_POINTS)?;
-    let store = Arc::new(MetricStore::new(StoreOptions {
-        retention_points: retention,
-    }));
-    let engine = match args.options.get("alerts") {
-        Some(specs) => {
-            let rules = AlertRule::parse_list(specs)?;
-            if rules.is_empty() {
-                return Err("--alerts parsed to an empty rule set".into());
-            }
-            Some(Arc::new(AlertEngine::new(rules)))
-        }
-        None => None,
-    };
-    let persist = args.options.get("history").map(std::path::PathBuf::from);
-    Ok((
-        store,
-        engine,
-        std::time::Duration::from_secs_f64(sample_secs),
-        persist,
-    ))
 }
 
 /// Parses the span-tracing and profiling options shared by every
@@ -679,7 +649,7 @@ fn trace_profile_plane(args: &Args) -> Result<Option<netmaster_obs::Profiler>, S
 /// [`ServePlane`] to publish into (call [`ServePlane::finish`] after
 /// the run).
 fn maybe_serve(args: &Args, out: &mut dyn Write) -> Result<Option<ServePlane>, String> {
-    use netmaster_obs::{ObsServer, Sampler, ServeOptions, ServeState, TelemetryHub};
+    use netmaster_obs::{ObsServer, ServeOptions, TelemetryHub};
     use std::sync::Arc;
 
     if !args.flag("serve") {
@@ -694,7 +664,6 @@ fn maybe_serve(args: &Args, out: &mut dyn Write) -> Result<Option<ServePlane>, S
     }
     let profiler = trace_profile_plane(args)?;
     let hub = Arc::new(TelemetryHub::new());
-    let (store, engine, interval, persist) = history_plane(args)?;
     let opts = ServeOptions {
         addr: args
             .opt("addr", netmaster_obs::serve::DEFAULT_ADDR)
@@ -702,13 +671,7 @@ fn maybe_serve(args: &Args, out: &mut dyn Write) -> Result<Option<ServePlane>, S
         drop_threshold: args.num("drop-threshold", 0)?,
         ..ServeOptions::default()
     };
-    let state = ServeState {
-        store: Some(Arc::clone(&store)),
-        alerts: engine.clone(),
-        profile: profiler.as_ref().map(|p| p.agg()),
-    };
-    let server = ObsServer::start_with(opts, Arc::clone(&hub), state)?;
-    let sampler = Sampler::start(store, engine, Some(Arc::clone(&hub)), interval, persist);
+    let server = ObsServer::start(opts, Arc::clone(&hub), profiler.as_ref().map(|p| p.agg()))?;
     writeln!(out, "serving telemetry on {}", server.base_url()).map_err(io_err)?;
     if let Some(profiler) = &profiler {
         writeln!(out, "profiling span stacks at {} Hz", profiler.hz()).map_err(io_err)?;
@@ -716,7 +679,6 @@ fn maybe_serve(args: &Args, out: &mut dyn Write) -> Result<Option<ServePlane>, S
     Ok(Some(ServePlane {
         hub,
         server,
-        sampler,
         profiler,
     }))
 }
@@ -831,7 +793,7 @@ fn fleet_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 /// scrapers (CI smoke, Prometheus) can pull the finished run.
 fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     use netmaster_core::MiddlewareService;
-    use netmaster_obs::{ledger, ObsServer, Sampler, ServeOptions, ServeState, TelemetryHub};
+    use netmaster_obs::{ledger, ObsServer, ServeOptions, TelemetryHub};
     use std::sync::Arc;
 
     let users: usize = args.num("users", 3)?;
@@ -845,7 +807,6 @@ fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 
     let profiler = trace_profile_plane(args)?;
     let hub = Arc::new(TelemetryHub::new());
-    let (store, engine, interval, persist) = history_plane(args)?;
     let opts = ServeOptions {
         addr: args
             .opt("addr", netmaster_obs::serve::DEFAULT_ADDR)
@@ -853,28 +814,13 @@ fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         drop_threshold: args.num("drop-threshold", 0)?,
         ..ServeOptions::default()
     };
-    let state = ServeState {
-        store: Some(Arc::clone(&store)),
-        alerts: engine.clone(),
-        profile: profiler.as_ref().map(|p| p.agg()),
-    };
-    let server = ObsServer::start_with(opts, Arc::clone(&hub), state)?;
+    let server = ObsServer::start(opts, Arc::clone(&hub), profiler.as_ref().map(|p| p.agg()))?;
     writeln!(out, "serving telemetry on {}", server.base_url()).map_err(io_err)?;
-    if let Some(engine) = &engine {
-        writeln!(out, "evaluating {} alert rule(s)", engine.rules().len()).map_err(io_err)?;
-    }
     if let Some(profiler) = &profiler {
         writeln!(out, "profiling span stacks at {} Hz", profiler.hz()).map_err(io_err)?;
     }
 
     netmaster_obs::reset();
-    let sampler = Sampler::start(
-        Arc::clone(&store),
-        engine,
-        Some(Arc::clone(&hub)),
-        interval,
-        persist.clone(),
-    );
     hub.begin_run(users as u64);
     let mut records = Vec::new();
     let mut journal_lines = 0usize;
@@ -900,8 +846,6 @@ fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         if let Ok(json) = serde_json::to_string(&bills) {
             hub.publish_ledger_json(json);
         }
-        // The run's headline outcome, refreshed per member so alert
-        // rules (e.g. a `fleet_saving_ratio<…` floor) see it mid-run.
         savings.push(svc.summary().saving());
         let mean = savings.iter().sum::<f64>() / savings.len() as f64;
         netmaster_obs::gauge_set(netmaster_obs::names::FLEET_SAVING_RATIO, mean);
@@ -920,7 +864,6 @@ fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         writeln!(out, "lingering for {linger} s — scrape away").map_err(io_err)?;
         std::thread::sleep(std::time::Duration::from_secs(linger));
     }
-    sampler.stop();
     if let Some(profiler) = profiler {
         let report = profiler.report();
         writeln!(
@@ -935,15 +878,10 @@ fn serve_obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     server.shutdown();
     writeln!(
         out,
-        "served {} requests; recorded {} history samples ({} dropped)",
+        "served {} requests",
         netmaster_obs::snapshot().counter(netmaster_obs::names::SERVE_REQUESTS_TOTAL),
-        store.samples_total(),
-        store.dropped_total(),
     )
     .map_err(io_err)?;
-    if let Some(path) = &persist {
-        writeln!(out, "history persisted to {}", path.display()).map_err(io_err)?;
-    }
     Ok(())
 }
 
@@ -1011,9 +949,7 @@ fn obs_cmd(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 
 /// `netmaster obs --url` — scrape a live `serve-obs` (or `--serve`)
 /// endpoint instead of running a local workload. `--prom` fetches and
-/// validates the `/metrics` exposition; `--series` lists the recorded
-/// history series; `--query METRIC` runs one window query (`--fn`,
-/// `--from`, `--to`, `--step`, `--q`); otherwise `/snapshot` renders
+/// validates the `/metrics` exposition; otherwise `/snapshot` renders
 /// through the same table/JSON paths as a local run. All requests
 /// honour `--timeout-secs`. The telemetry lives in the *server's*
 /// process.
@@ -1025,34 +961,6 @@ fn obs_remote(url: &str, args: &Args, out: &mut dyn Write) -> Result<(), String>
     }
     let timeout = std::time::Duration::from_secs_f64(timeout_secs);
     let get = |path: &str| netmaster_obs::http_get_with_timeout(&format!("{base}{path}"), timeout);
-    if args.flag("series") {
-        let (status, body) = get("/series")?;
-        if status != 200 {
-            return Err(format!(
-                "GET {base}/series returned {status}: {}",
-                body.trim()
-            ));
-        }
-        if args.flag("json") {
-            writeln!(out, "{body}").map_err(io_err)?;
-            return Ok(());
-        }
-        let rows: Vec<netmaster_obs::serve::SeriesInfo> =
-            serde_json::from_str(&body).map_err(|e| format!("bad series list: {e}"))?;
-        writeln!(out, "{} recorded series on {base}:", rows.len()).map_err(io_err)?;
-        for r in rows {
-            writeln!(
-                out,
-                "  {:<40} {:<10} {:>6} points",
-                r.metric, r.kind, r.points
-            )
-            .map_err(io_err)?;
-        }
-        return Ok(());
-    }
-    if let Some(metric) = args.options.get("query") {
-        return obs_query(base, metric, args, out, &get);
-    }
     if args.flag("prom") {
         let (status, body) = get("/metrics")?;
         if status != 200 {
@@ -1079,47 +987,6 @@ fn obs_remote(url: &str, args: &Args, out: &mut dyn Write) -> Result<(), String>
     } else {
         writeln!(out, "telemetry scraped from {base}:\n").map_err(io_err)?;
         write!(out, "{}", snap.render_table()).map_err(io_err)?;
-    }
-    Ok(())
-}
-
-/// HTTP GET closure shared by the remote query subcommands: path in,
-/// `(status, body)` out.
-type HttpGet<'a> = &'a dyn Fn(&str) -> Result<(u16, String), String>;
-
-/// `netmaster obs --url --query METRIC` — one `/query` request,
-/// rendered as a point table for `range` and as the raw JSON scalar
-/// for `rate`/`increase`/`quantile`.
-fn obs_query(
-    base: &str,
-    metric: &str,
-    args: &Args,
-    out: &mut dyn Write,
-    get: HttpGet,
-) -> Result<(), String> {
-    let func = args.opt("fn", "range");
-    let mut path = format!("/query?metric={metric}&fn={func}");
-    for key in ["from", "to", "step", "q"] {
-        if let Some(v) = args.options.get(key) {
-            path.push_str(&format!("&{key}={v}"));
-        }
-    }
-    let (status, body) = get(&path)?;
-    if status != 200 {
-        return Err(format!(
-            "GET {base}{path} returned {status}: {}",
-            body.trim()
-        ));
-    }
-    if args.flag("json") || func != "range" {
-        writeln!(out, "{}", body.trim_end()).map_err(io_err)?;
-        return Ok(());
-    }
-    let range: netmaster_obs::serve::QueryRange =
-        serde_json::from_str(&body).map_err(|e| format!("bad query response: {e}"))?;
-    writeln!(out, "{}: {} points", range.metric, range.points.len()).map_err(io_err)?;
-    for (t_ms, v) in &range.points {
-        writeln!(out, "  {t_ms:>14}  {v}").map_err(io_err)?;
     }
     Ok(())
 }
@@ -1848,6 +1715,43 @@ mod tests {
         assert!(run_to_string(&args("frobnicate")).is_err());
     }
 
+    /// An option the command's usage block does not list fails before
+    /// anything runs, naming the option: a misspelt `--seed` must not
+    /// run with the default seed, nor a removed option do nothing.
+    #[test]
+    fn unlisted_options_are_rejected_by_name() {
+        let err = run_to_string(&args("fleet --users 2 --sed 3")).unwrap_err();
+        assert!(err.contains("--sed"), "{err}");
+        let err =
+            run_to_string(&args("serve-obs --history h.nmts --users 1 --days 10")).unwrap_err();
+        assert!(err.contains("--history"), "{err}");
+    }
+
+    /// Each command accepts the options its own usage block lists, and
+    /// only those.
+    #[test]
+    fn usage_blocks_are_the_option_allowlist() {
+        assert_eq!(
+            listed_options("fleet"),
+            [
+                "users",
+                "seed",
+                "serve",
+                "addr",
+                "drop-threshold",
+                "registry",
+                "profile-hz",
+                "traces"
+            ]
+        );
+        assert!(listed_options("watch").contains(&"drop-threshold"));
+        assert!(listed_options("help").is_empty());
+        assert!(run_to_string(&args("obs --serve")).is_err());
+        assert!(run_to_string(&args("fleet --help"))
+            .unwrap()
+            .contains("COMMANDS"));
+    }
+
     #[test]
     fn generate_profile_predict_simulate_round_trip() {
         let path = tmp("trip.json");
@@ -2188,6 +2092,7 @@ mod tests {
                 ..Default::default()
             },
             Arc::clone(&hub),
+            None,
         )
         .unwrap();
         let url = server.base_url();

@@ -372,8 +372,8 @@ pub fn run_watch_observed(
         on_member(&outcome.scorecard);
         outcome
     });
-    // Publish the fleet-mean saving so alert rules (the
-    // `fleet_saving_ratio<…` floor) can watch live watch runs too.
+    // Publish the fleet-mean saving on `/metrics` for live watch runs
+    // too.
     if !outcomes.is_empty() {
         let mean = outcomes
             .iter()

@@ -1,7 +1,7 @@
 //! L6 `lock-order`: builds the workspace lock-acquisition graph from
 //! guard scopes (directly nested acquisitions plus acquisitions
 //! reached through confident call edges) and reports every cycle as a
-//! potential deadlock. The serve worker pool + hub + store trio is the
+//! potential deadlock. The serve worker pool and the hub are the
 //! audit target: any two threads taking the same pair of locks in
 //! opposite orders can wedge the whole telemetry plane.
 //!

@@ -12,9 +12,8 @@
 //!    (`counter!`, `observe!`, `gauge_set`/`gauge_max`, `timer!`, and
 //!    `span!` after its `stage_<name>_seconds` expansion) is registered;
 //! 3. the telemetry-plane modules (`obs/src/serve.rs`, `obs/src/hub.rs`,
-//!    `obs/src/store.rs`, `obs/src/alerts.rs`, `obs/src/spantree.rs`,
-//!    `obs/src/profile.rs`) mint no metric-shaped string outside the
-//!    registry;
+//!    `obs/src/spantree.rs`, `obs/src/profile.rs`) mint no
+//!    metric-shaped string outside the registry;
 //! 4. the `DecisionEvent` enum's variants and the registry's kind
 //!    consts match exactly, both directions;
 //! 5. docs drift: every registered name appears in DESIGN.md or
@@ -126,8 +125,6 @@ pub fn check(
         for file in &krate.files {
             let plane = file.rel_path.ends_with("obs/src/serve.rs")
                 || file.rel_path.ends_with("obs/src/hub.rs")
-                || file.rel_path.ends_with("obs/src/store.rs")
-                || file.rel_path.ends_with("obs/src/alerts.rs")
                 || file.rel_path.ends_with("obs/src/spantree.rs")
                 || file.rel_path.ends_with("obs/src/profile.rs");
             if !plane || file.role != FileRole::Src {

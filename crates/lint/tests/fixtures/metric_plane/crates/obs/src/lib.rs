@@ -1,6 +1,4 @@
-mod alerts;
 mod profile;
 mod registry_names;
 mod serve;
 mod spantree;
-mod store;

@@ -1,7 +1,6 @@
 //! The one histogram of `netmaster-obs`: the bucket grid, the quantile
 //! rule, and [`Histogram`], the value that the registry's
-//! [`snapshot`](crate::snapshot), the [`MetricStore`](crate::MetricStore)
-//! and the watchtower all hold.
+//! [`snapshot`](crate::snapshot) and the watchtower both hold.
 //!
 //! Buckets double from a 128 ns floor: finite bucket `i` holds values
 //! in `(2^(6+i) ns, 2^(7+i) ns]`, bucket 0 holds `[0, 128 ns]`, and
@@ -43,12 +42,6 @@ pub(crate) fn secs_to_ns(secs: f64) -> u64 {
     } else {
         (secs * 1e9).min(u64::MAX as f64) as u64
     }
-}
-
-/// The finite bucket whose upper bound is exactly `le_secs`, if any.
-pub(crate) fn grid_index(le_secs: f64) -> Option<usize> {
-    let i = bucket_of(secs_to_ns(le_secs));
-    (i < FINITE_BUCKETS && bucket_le_secs(i).to_bits() == le_secs.to_bits()).then_some(i)
 }
 
 /// The one quantile rule (see [`Histogram::quantile_secs`]) over
@@ -136,12 +129,6 @@ impl Histogram {
         }
     }
 
-    fn bucket(&self, i: u8) -> u64 {
-        self.buckets
-            .binary_search_by_key(&i, |&(j, _)| j)
-            .map_or(0, |k| self.buckets[k].1)
-    }
-
     /// Records one value in seconds (negative values count as zero).
     pub fn observe_secs(&mut self, secs: f64) {
         let secs = secs.max(0.0);
@@ -153,11 +140,6 @@ impl Histogram {
     /// Total observations, overflow included.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of observed values, in seconds.
-    pub fn sum_secs(&self) -> f64 {
-        self.sum_secs
     }
 
     /// Non-empty finite buckets as ascending `(upper bound in seconds,
@@ -192,28 +174,6 @@ impl Histogram {
         }
     }
 
-    /// What this cumulative reading gained since an earlier reading
-    /// `prev` of the same histogram. When the total or any bucket fell
-    /// in between, the histogram was reset, and this reading itself is
-    /// what accumulated since the reset.
-    pub fn since(&self, prev: &Histogram) -> Histogram {
-        let reset =
-            self.count < prev.count || prev.buckets.iter().any(|&(i, n)| self.bucket(i) < n);
-        if reset {
-            return self.clone();
-        }
-        Histogram {
-            count: self.count - prev.count,
-            sum_secs: self.sum_secs - prev.sum_secs,
-            buckets: self
-                .buckets
-                .iter()
-                .map(|&(i, n)| (i, n - prev.bucket(i)))
-                .filter(|&(_, n)| n > 0)
-                .collect(),
-        }
-    }
-
     /// This histogram exported under `name`.
     pub(crate) fn snap(&self, name: &str) -> HistSnap {
         HistSnap {
@@ -225,20 +185,6 @@ impl Histogram {
                 .map(|(le_secs, count)| BucketSnap { le_secs, count })
                 .collect(),
         }
-    }
-}
-
-/// Each exported bucket lands in the grid bucket that holds its upper
-/// bound, so a registry scrape maps back exactly.
-impl From<&HistSnap> for Histogram {
-    fn from(h: &HistSnap) -> Histogram {
-        Histogram::from_parts(
-            h.count,
-            h.sum_secs,
-            h.buckets
-                .iter()
-                .map(|b| (bucket_of(secs_to_ns(b.le_secs)), b.count)),
-        )
     }
 }
 
@@ -267,10 +213,6 @@ mod tests {
         for i in 0..FINITE_BUCKETS {
             let le = bucket_le_secs(i);
             assert_eq!(bucket_of(secs_to_ns(le)), i, "bound {le}");
-            assert_eq!(grid_index(le), Some(i), "bound {le}");
-        }
-        for off in [0.0, 0.5, 1e-7, f64::NAN, -1.0, 2.0 * bucket_le_secs(40)] {
-            assert_eq!(grid_index(off), None, "{off} is not a bound");
         }
     }
 
@@ -309,30 +251,14 @@ mod tests {
         let mut empty = Histogram::default();
         empty.merge(&before);
         assert_eq!(empty.quantile_secs(0.9), before.quantile_secs(0.9));
-    }
-
-    #[test]
-    fn since_differences_and_detects_resets() {
-        let mut prev = Histogram::default();
-        prev.observe_secs(0.001);
-        prev.observe_secs(0.001);
-        let mut grown = prev.clone();
-        grown.observe_secs(1.0);
-        let gained = grown.since(&prev);
-        assert_eq!(gained.count(), 1);
-        assert_eq!(gained.buckets().count(), 1, "the unchanged bucket is gone");
-        assert_eq!(gained.quantile_secs(0.5), grown.quantile_secs(1.0));
-        // Reset, then regrow past the earlier total: the fast bucket
-        // fell, so the reading since the reset is the whole answer.
-        let mut regrown = Histogram::default();
-        for _ in 0..20 {
-            regrown.observe_secs(1.0);
-        }
-        assert_eq!(regrown.since(&prev), regrown);
         // Saturating, never panicking, at the counter's limit.
         let mut full = Histogram::from_parts(u64::MAX, 0.0, [(3, u64::MAX)]);
         full.merge(&full.clone());
-        assert_eq!((full.count(), full.bucket(3)), (u64::MAX, u64::MAX));
+        assert_eq!(full.count(), u64::MAX);
+        assert_eq!(
+            full.buckets().collect::<Vec<_>>(),
+            [(bucket_le_secs(3), u64::MAX)]
+        );
     }
 
     #[test]

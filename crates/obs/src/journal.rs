@@ -136,31 +136,6 @@ pub enum DecisionEvent {
         /// Why (first triggering reason).
         reason: String,
     },
-    /// An alert rule crossed from pending into firing: its condition
-    /// held for the configured number of consecutive samples.
-    AlertFiring {
-        /// Rule name.
-        rule: String,
-        /// Recorded series the rule watches.
-        metric: String,
-        /// Severity (`warn` / `page`).
-        severity: String,
-        /// The observed value at the firing sample (NaN for absence).
-        value: f64,
-        /// Wall-clock milliseconds when the rule fired.
-        at_ms: u64,
-    },
-    /// A firing alert rule stopped breaching and resolved.
-    AlertResolved {
-        /// Rule name.
-        rule: String,
-        /// Recorded series the rule watches.
-        metric: String,
-        /// Seconds the rule spent firing.
-        firing_secs: f64,
-        /// Wall-clock milliseconds when the rule resolved.
-        at_ms: u64,
-    },
 }
 
 impl DecisionEvent {
@@ -178,8 +153,6 @@ impl DecisionEvent {
             DecisionEvent::DayExecuted { .. } => names::KIND_DAY_EXECUTED,
             DecisionEvent::DriftDetected { .. } => names::KIND_DRIFT_DETECTED,
             DecisionEvent::HealthDegraded { .. } => names::KIND_HEALTH_DEGRADED,
-            DecisionEvent::AlertFiring { .. } => names::KIND_ALERT_FIRING,
-            DecisionEvent::AlertResolved { .. } => names::KIND_ALERT_RESOLVED,
         }
     }
 }
@@ -408,19 +381,6 @@ mod tests {
                 user: 3,
                 status: "degraded".to_owned(),
                 reason: "hit_rate drift on day 15".to_owned(),
-            },
-            DecisionEvent::AlertFiring {
-                rule: "saving-floor".to_owned(),
-                metric: "fleet_saving_ratio".to_owned(),
-                severity: "page".to_owned(),
-                value: 0.12,
-                at_ms: 1_700_000_000_000,
-            },
-            DecisionEvent::AlertResolved {
-                rule: "saving-floor".to_owned(),
-                metric: "fleet_saving_ratio".to_owned(),
-                firing_secs: 42.5,
-                at_ms: 1_700_000_042_500,
             },
         ];
         let entries: Vec<JournalEntry> = all

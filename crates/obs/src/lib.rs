@@ -5,8 +5,8 @@
 //! * a lock-cheap **metrics registry** — [`counter!`], [`observe!`],
 //!   [`gauge_set`]/[`gauge_max`] — with per-thread shards merged on
 //!   scrape ([`snapshot`]), exportable as JSON (serde) and Prometheus
-//!   text ([`Snapshot::to_prometheus`]); every histogram, scraped,
-//!   stored or watched, is one [`Histogram`] on one doubling bucket
+//!   text ([`Snapshot::to_prometheus`]); every histogram, scraped
+//!   or watched, is one [`Histogram`] on one doubling bucket
 //!   grid with one quantile rule;
 //! * **span timers** — [`span!`]`("plan_day")` returns a guard whose
 //!   drop records wall-clock latency into the
@@ -31,15 +31,9 @@
 //! * a **live telemetry plane** — [`hub`] (the [`TelemetryHub`] sink
 //!   fleet runs publish progress and rendered documents into),
 //!   [`serve`] (a std-only HTTP scrape server: `/metrics`, `/healthz`,
-//!   `/health/fleet`, `/journal`, `/ledger`, `/snapshot`, `/query`,
-//!   `/series`, `/alerts`), and [`runregistry`] (an append-only
-//!   provenance-stamped JSONL log of run results);
-//! * a **metrics history & alerting layer** — [`store`] (the
-//!   [`MetricStore`] recorder: bounded delta-of-delta time series over
-//!   the registry with a CRC-checked `history.nmts` segment file and a
-//!   window query API) and [`alerts`] (declarative threshold / absence
-//!   / burn-rate [`AlertRule`]s evaluated into
-//!   pending→firing→resolved transitions by an [`AlertEngine`]).
+//!   `/health/fleet`, `/journal`, `/ledger`, `/snapshot`, `/profile`),
+//!   and [`runregistry`] (an append-only provenance-stamped JSONL log
+//!   of run results).
 //!
 //! ## Switching it off
 //!
@@ -53,7 +47,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod alerts;
 pub mod drift;
 mod export;
 pub mod health;
@@ -69,11 +62,8 @@ mod ring;
 pub mod runregistry;
 pub mod serve;
 pub mod spantree;
-pub mod store;
 pub mod timeseries;
 pub mod tracectx;
-
-pub use alerts::{AlertEngine, AlertRule, AlertsReport};
 
 pub use export::validate_prometheus;
 pub use hist::{Histogram, FINITE_BUCKETS, HIST_BUCKETS};
@@ -90,12 +80,8 @@ pub use registry::{
 };
 pub use ring::{Chunk, One, Ring, Weight};
 pub use runregistry::{RunRecord, RunRegistry, RUN_SCHEMA_VERSION};
-pub use serve::{
-    healthz_report, http_get, http_get_with_timeout, HealthzReport, ObsServer, ServeOptions,
-    ServeState,
-};
+pub use serve::{http_get, http_get_with_timeout, HealthzReport, ObsServer, ServeOptions};
 pub use spantree::{set_trace_capture, trace_capture_enabled, AttrValue, SpanNode, TraceStore};
-pub use store::{read_history, MetricStore, Sampler, StoreOptions};
 pub use tracectx::{
     trace_from_jsonl, trace_to_jsonl, ActivityTrace, EnergyShare, Outcome, PlanReason,
     RejectReason, SolverArm, TraceLedger, DEFAULT_LEDGER_CAPACITY,

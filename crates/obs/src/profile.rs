@@ -7,8 +7,8 @@
 //! * [`ProfileAgg`] is the passive aggregate — [`ProfileAgg::tick`]
 //!   takes exactly one sampling pass, so a test (or any injected
 //!   clock) drives sampling itself and can account for every sample;
-//! * [`Profiler`] owns the wall-clock loop: a [`Sampler`](crate::Sampler)-style
-//!   thread ticking a shared [`ProfileAgg`] every `1/hz` seconds until
+//! * [`Profiler`] owns the wall-clock loop: a background thread
+//!   ticking a shared [`ProfileAgg`] every `1/hz` seconds until
 //!   [`Profiler::stop`] joins it.
 //!
 //! Aggregates export as collapsed flamegraph text ([`ProfileReport::render_folded`]:
@@ -226,7 +226,8 @@ impl Profiler {
         }
     }
 
-    /// The shared aggregate (attach to a `ServeState` for `/profile`).
+    /// The shared aggregate (pass it to [`ObsServer::start`](crate::ObsServer::start)
+    /// for `/profile`).
     pub fn agg(&self) -> Arc<ProfileAgg> {
         Arc::clone(&self.agg)
     }

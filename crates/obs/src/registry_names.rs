@@ -111,14 +111,6 @@ metrics! {
     FLEET_SAVING_RATIO = "fleet_saving_ratio":
         "Mean energy-saving ratio of the most recent fleet/watch run";
 
-    // --- Metrics history store / alerting --------------------------------
-    STORE_SAMPLES_TOTAL = "store_samples_total": "Registry samples the metric store has recorded";
-    STORE_DROPPED_TOTAL = "store_dropped_total":
-        "Points the bounded metric store evicted on overflow";
-    STORE_TORN_TAIL_TOTAL = "store_torn_tail_total":
-        "Torn final history.nmts lines that read_history dropped";
-    ALERTS_FIRING = "alerts_firing": "Alert rules currently in the firing state";
-
     // --- Span tree / sampling profiler -----------------------------------
     SPANS_STARTED_TOTAL = "spans_started_total":
         "Spans entered (every span!/timer! guard constructed)";
@@ -172,10 +164,6 @@ pub const KIND_DAY_EXECUTED: &str = "DayExecuted";
 pub const KIND_DRIFT_DETECTED: &str = "DriftDetected";
 /// A member's health scorecard degraded.
 pub const KIND_HEALTH_DEGRADED: &str = "HealthDegraded";
-/// An alert rule crossed from pending into firing.
-pub const KIND_ALERT_FIRING: &str = "AlertFiring";
-/// A firing alert rule stopped breaching and resolved.
-pub const KIND_ALERT_RESOLVED: &str = "AlertResolved";
 
 /// The registered `# HELP` line for `name`, when the registry knows it.
 pub fn help_for(name: &str) -> Option<&'static str> {

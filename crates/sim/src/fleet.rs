@@ -60,8 +60,7 @@ impl FleetReport {
             .map(|m| m.candidate.radio_time_saving_vs(&m.baseline))
             .collect();
         let saving = Summary::of(&savings).unwrap_or_else(empty_summary);
-        // Publish the run's headline outcome so alert rules (e.g. a
-        // `fleet_saving_ratio<…` floor) can watch it.
+        // Publish the run's headline outcome on `/metrics`.
         netmaster_obs::gauge_set(netmaster_obs::names::FLEET_SAVING_RATIO, saving.mean);
         FleetReport {
             saving,

@@ -26,6 +26,7 @@ fn start_server(hub: &Arc<TelemetryHub>) -> ObsServer {
             ..ServeOptions::default()
         },
         Arc::clone(hub),
+        None,
     )
     .expect("bind a scrape server on 127.0.0.1:0")
 }
